@@ -33,7 +33,6 @@ from .master import (
     stationary_solve,
     stationary_three_state,
     time_evolve,
-    well_population,
 )
 from .model import (
     DriveParams,
@@ -44,7 +43,7 @@ from .model import (
     crossing_position,
     local_detuning,
 )
-from .rates import RateKernelParams, bessel_jn, lzs_rate, rate_peak_span
+from .rates import RateKernelParams, bessel_jn, lzs_rate
 from .sweep import PopulationMap, SweepGrid, run_frequency_batch, run_sweep
 
 __version__ = "1.0.0"
@@ -77,7 +76,6 @@ __all__ = [
     "diamond_boundaries",
     "local_detuning",
     "lzs_rate",
-    "rate_peak_span",
     "regime_classify",
     "resonance_positions",
     "run_frequency_batch",
@@ -86,5 +84,4 @@ __all__ = [
     "stationary_solve",
     "stationary_three_state",
     "time_evolve",
-    "well_population",
 ]

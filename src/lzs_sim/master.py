@@ -28,7 +28,6 @@ __all__ = [
     "stationary_three_state",
     "stationary_four_state",
     "time_evolve",
-    "well_population",
 ]
 
 _RESIDUAL_REL = 1e-10
@@ -84,9 +83,6 @@ class RateMatrix:
             mat[index[to], index[frm]] += rate
         mat[np.diag_indices(n)] = -mat.sum(axis=0)
         return cls(matrix=mat, states=states)
-
-    def index_of(self, state: StateIndex) -> int:
-        return self.states.index(state)
 
 
 @dataclass(frozen=True)
@@ -148,76 +144,44 @@ def build_rate_matrix(
     if not math.isfinite(eps):
         raise ValidationError("eps must be finite")
     states = model.states()
-    leak_state = StateIndex(Well.LEAK, None)
-    channels = []
+    nl = model.n_left
+    left, right = slice(0, nl), slice(nl, nl + model.n_right)
+    # mat[to, from]; the model's rate arrays are indexed [from, to].
+    mat = np.zeros((len(states), len(states)))
+    mat[left, left] += model.left_relax.T
+    mat[right, right] += model.right_relax.T
+    mat[right, left] += model.left_to_right.T
+    mat[left, right] += model.right_to_left.T
 
-    threshold = model.leak.threshold if model.leak is not None else None
-    for i, j, delta in model.coupled_pairs():
-        if threshold is not None and (i >= threshold or j >= threshold):
-            if i >= threshold and j >= threshold:
-                continue  # both partners non-local: no localized channel
-            w = lzs_rate(delta, local_detuning(model, eps, i, j), drive, kernel)
-            if i < threshold:
-                channels.append((StateIndex(Well.LEFT, i), leak_state, w))
-            else:
-                channels.append((StateIndex(Well.RIGHT, j), leak_state, w))
-        else:
-            w = lzs_rate(delta, local_detuning(model, eps, i, j), drive, kernel)
-            channels.append((StateIndex(Well.LEFT, i), StateIndex(Well.RIGHT, j), w))
-            channels.append((StateIndex(Well.RIGHT, j), StateIndex(Well.LEFT, i), w))
-
-    for well, relax in ((Well.LEFT, model.left_relax), (Well.RIGHT, model.right_relax)):
-        src, dst = np.nonzero(relax)
-        for i, k in zip(src, dst):
-            channels.append(
-                (StateIndex(well, int(i)), StateIndex(well, int(k)), float(relax[i, k]))
-            )
-    for i, j in zip(*np.nonzero(model.left_to_right)):
-        channels.append(
-            (
-                StateIndex(Well.LEFT, int(i)),
-                StateIndex(Well.RIGHT, int(j)),
-                float(model.left_to_right[i, j]),
-            )
-        )
-    for j, i in zip(*np.nonzero(model.right_to_left)):
-        channels.append(
-            (
-                StateIndex(Well.RIGHT, int(j)),
-                StateIndex(Well.LEFT, int(i)),
-                float(model.right_to_left[j, i]),
-            )
-        )
+    threshold = None
     if model.leak is not None:
-        half = 0.5 * model.leak.return_rate
-        channels.append((leak_state, StateIndex(Well.LEFT, 0), half))
-        channels.append((leak_state, StateIndex(Well.RIGHT, 0), half))
+        threshold = model.leak.threshold
+        mat[0, -1] = mat[nl, -1] = 0.5 * model.leak.return_rate
+    for i, j, delta in model.coupled_pairs():
+        left_local = threshold is None or i < threshold
+        right_local = threshold is None or j < threshold
+        if not (left_local or right_local):
+            continue  # both partners non-local: no localized channel
+        w = lzs_rate(delta, local_detuning(model, eps, i, j), drive, kernel)
+        if left_local and right_local:
+            mat[nl + j, i] += w
+            mat[i, nl + j] += w
+        else:  # the localized partner pumps into the leak (last state)
+            mat[-1, i if left_local else nl + j] += w
 
-    return RateMatrix.from_channels(states, channels)
-
-
-def _exact_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return np.array(
-        [math.fsum([b[i]] + [-a[i, j] * x[j] for j in range(n)]) for i in range(n)]
-    )
+    np.fill_diagonal(mat, -mat.sum(axis=0))
+    return RateMatrix(matrix=mat, states=states)
 
 
 def _solve_normalized(mat: np.ndarray) -> np.ndarray:
-    """Solve M p = 0 with the last (redundant) row replaced by sum(p) = 1,
-    then polish with compensated-residual iterative refinement."""
-    n = mat.shape[0]
+    """Solve M p = 0 with the last (redundant) row replaced by sum(p) = 1.
+
+    A single dense LU solve; ``stationary_solve`` checks the result."""
     a = mat.copy()
     a[-1, :] = 1.0
-    b = np.zeros(n)
+    b = np.zeros(mat.shape[0])
     b[-1] = 1.0
-    x = np.linalg.solve(a, b)
-    for _ in range(2):
-        r = _exact_residual(a, x, b)
-        if np.max(np.abs(r)) <= n * np.finfo(float).eps:
-            break
-        x = x + np.linalg.solve(a, r)
-    return x
+    return np.linalg.solve(a, b)
 
 
 def _finalize(p: np.ndarray, states) -> PopulationVector:
@@ -227,7 +191,7 @@ def _finalize(p: np.ndarray, states) -> PopulationVector:
 
 def _initial_ground_right(m: RateMatrix) -> np.ndarray:
     try:
-        idx = m.index_of(StateIndex(Well.RIGHT, 0))
+        idx = m.states.index(StateIndex(Well.RIGHT, 0))
     except ValueError:
         raise NonConvergent(
             "stationary system is singular and has no right-well ground state "
@@ -374,9 +338,3 @@ def time_evolve(
         q = np.where(q < 0.0, 0.0, q)
         p = q / math.fsum(q)
     return PopulationVector(probabilities=p, states=m.states)
-
-
-def well_population(p: PopulationVector) -> tuple[float, float]:
-    """Marginal populations (P_left, P_right); any leak population is
-    excluded from both wells and available as ``p.p_leak``."""
-    return (p.p_left, p.p_right)

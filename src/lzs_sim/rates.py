@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import DriveParams
 
-__all__ = ["RateKernelParams", "bessel_jn", "lzs_rate", "rate_peak_span"]
+__all__ = ["RateKernelParams", "bessel_jn", "lzs_rate"]
 
 # Downward recurrence is seeded this far above max(n, x); the extra
 # x**(1/3) term covers the slow Airy-like decay near the turning point.
@@ -196,12 +196,3 @@ def lzs_rate(
     # delta enters only as a final power-of-two-friendly scale so that
     # doubling delta quadruples W exactly.
     return 0.5 * delta * delta * total
-
-
-def rate_peak_span(drive: DriveParams) -> float:
-    """Characteristic amplitude span of one resonance peak (GHz).
-
-    Consecutive zeros of the Bessel weight are separated by roughly pi
-    in x = A/w, so the peak span in amplitude is of order w itself.
-    """
-    return drive.frequency

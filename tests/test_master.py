@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lzs_sim import (
@@ -18,12 +18,12 @@ from lzs_sim import (
     ValidationError,
     Well,
     build_rate_matrix,
+    local_detuning,
     lzs_rate,
     stationary_four_state,
     stationary_solve,
     stationary_three_state,
     time_evolve,
-    well_population,
 )
 
 L0 = StateIndex(Well.LEFT, 0)
@@ -65,6 +65,78 @@ def four_state_matrix(v, b, g, h, k):
             (L1, L0, k),
         ],
     )
+
+
+def channel_rate_matrix(model, eps, drive):
+    """Reference generator: every rate as a (from, to, rate) channel,
+    summed by ``RateMatrix.from_channels`` in channel order."""
+    leak = StateIndex(Well.LEAK, None)
+    threshold = model.leak.threshold if model.leak is not None else None
+    channels = []
+    for i, j, delta in model.coupled_pairs():
+        left, right = StateIndex(Well.LEFT, i), StateIndex(Well.RIGHT, j)
+        left_above = threshold is not None and i >= threshold
+        right_above = threshold is not None and j >= threshold
+        if left_above and right_above:
+            continue
+        w = lzs_rate(delta, local_detuning(model, eps, i, j), drive)
+        if right_above:
+            channels.append((left, leak, w))
+        elif left_above:
+            channels.append((right, leak, w))
+        else:
+            channels += [(left, right, w), (right, left, w)]
+    blocks = (
+        (Well.LEFT, Well.LEFT, model.left_relax),
+        (Well.RIGHT, Well.RIGHT, model.right_relax),
+        (Well.LEFT, Well.RIGHT, model.left_to_right),
+        (Well.RIGHT, Well.LEFT, model.right_to_left),
+    )
+    for frm, to, rates in blocks:
+        for a, b in zip(*np.nonzero(rates)):
+            channels.append((StateIndex(frm, int(a)), StateIndex(to, int(b)), rates[a, b]))
+    if model.leak is not None:
+        half = 0.5 * model.leak.return_rate
+        channels += [(leak, L0, half), (leak, R0, half)]
+    return RateMatrix.from_channels(model.states(), channels)
+
+
+sparse_rates = st.one_of(st.just(0.0), st.floats(1e-4, 2.0))
+
+
+@st.composite
+def random_models(draw):
+    """1-4 levels per well, sparse couplings and rates, optional leak."""
+    nl, nr = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def block(rows, cols):
+        flat = draw(st.lists(sparse_rates, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat).reshape(rows, cols)
+
+    def ladder(n):
+        steps = draw(st.lists(st.floats(0.5, 6.0), min_size=n - 1, max_size=n - 1))
+        return tuple(np.concatenate(([0.0], np.cumsum(steps))))
+
+    leaks = st.builds(LeakConfig, threshold=st.integers(0, 4), return_rate=st.floats(0.1, 2.0))
+    leak = draw(st.one_of(st.none(), leaks))
+    return QubitModel(
+        left_offsets=ladder(nl),
+        right_offsets=ladder(nr),
+        crossings=block(nl, nr),
+        left_relax=np.tril(block(nl, nl), -1),
+        right_relax=np.tril(block(nr, nr), -1),
+        left_to_right=block(nl, nr),
+        right_to_left=block(nr, nl),
+        leak=leak,
+    )
+
+
+random_drives = st.builds(
+    DriveParams,
+    amplitude=st.floats(0.0, 8.0),
+    frequency=st.floats(0.5, 3.0),
+    dephasing=st.floats(0.05, 0.5),
+)
 
 
 class TestRateMatrix:
@@ -196,6 +268,26 @@ class TestBuildRateMatrix:
         col[idx[L1]] = 0.0
         assert np.all(col == 0.0)  # both partners above threshold: no channel
         assert rm.matrix[idx[leak], idx[L1]] == 0.0
+
+    @given(model=random_models(), eps=st.floats(-12.0, 12.0), drive=random_drives)
+    @example(  # leak-free, pumped pair on the last right level with interwell decay
+        model=QubitModel(
+            left_offsets=(0.0,),
+            right_offsets=(0.0, 5.0),
+            crossings=np.array([[0.1, 0.2]]),
+            right_relax=np.array([[0.0, 0.0], [0.6, 0.0]]),
+            left_to_right=np.array([[0.0, 0.03]]),
+            right_to_left=np.array([[0.0], [0.01]]),
+        ),
+        eps=4.7,
+        drive=DriveParams(amplitude=3.0, frequency=1.0, dephasing=0.1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_channel_assembly(self, model, eps, drive):
+        ref = channel_rate_matrix(model, eps, drive)
+        rm = build_rate_matrix(model, eps, drive)
+        assert rm.states == ref.states
+        assert np.array_equal(rm.matrix, ref.matrix)
 
 
 class TestStationarySolve:
@@ -407,21 +499,20 @@ class TestTimeEvolve:
 class TestWellPopulation:
     def test_all_in_right_ground(self):
         p = PopulationVector(probabilities=np.array([0.0, 1.0]), states=(L0, R0))
-        assert well_population(p) == (0.0, 1.0)
+        assert (p.p_left, p.p_right) == (0.0, 1.0)
 
     def test_uniform_four_state(self):
         p = PopulationVector(
             probabilities=np.full(4, 0.25), states=(L0, L1, R0, R1)
         )
-        assert well_population(p) == (0.5, 0.5)
+        assert (p.p_left, p.p_right) == (0.5, 0.5)
 
     def test_leak_excluded_from_both_wells(self):
         leak = StateIndex(Well.LEAK, None)
         p = PopulationVector(
             probabilities=np.array([0.2, 0.3, 0.5]), states=(L0, R0, leak)
         )
-        pl, pr = well_population(p)
-        assert (pl, pr) == (0.2, 0.3)
+        assert (p.p_left, p.p_right) == (0.2, 0.3)
         assert p.p_leak == 0.5
 
     def test_inversion_case_reports_left_majority(self):

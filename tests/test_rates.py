@@ -19,7 +19,6 @@ from lzs_sim import (
     ValidationError,
     bessel_jn,
     lzs_rate,
-    rate_peak_span,
 )
 from lzs_sim.rates import _photon_window
 
@@ -295,9 +294,3 @@ class TestLzsRate:
         with pytest.raises(ValidationError):
             RateKernelParams(lorentz_cutoff=-1.0)
 
-
-class TestRatePeakSpan:
-    @pytest.mark.parametrize("freq", [0.1, 5.0, 13.0])
-    def test_identity_on_frequency(self, freq):
-        d = DriveParams(amplitude=1.0, frequency=freq, dephasing=0.1)
-        assert rate_peak_span(d) == freq
