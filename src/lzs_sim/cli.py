@@ -31,7 +31,8 @@ Unknown sections or keys are hard errors with line and column; semantic
 violations (negative rates, non-ascending ladders, ...) raise
 ValidationError.  ``run`` writes one CSV and/or PGM per drive frequency
 plus a JSON manifest with checksums; the manifest is written last, so
-its presence marks a complete run.
+its presence marks a complete run, and map files of an earlier run into
+the same directory do not outlive the run that follows.
 """
 
 from __future__ import annotations
@@ -73,22 +74,36 @@ __all__ = [
 
 _CSV_HEADER = "eps_ghz,amp_ghz,p_left"
 _FORMATS = ("csv", "pgm")
-_KEYS = {
-    "model": {
-        "left_levels",
-        "right_levels",
-        "crossing",
-        "relax",
-        "interwell",
-        "leak_threshold",
-        "leak_return",
-    },
-    "drive": {"frequency", "frequencies", "dephasing"},
-    "grid": {"eps", "amp"},
-    "kernel": {"n_margin", "lorentz_cutoff"},
-    "output": {"directory", "formats"},
+# Every key: its section and the kind of its value.  Keywords are
+# unique across sections.
+_GRAMMAR = {
+    "left_levels": ("model", "floats"),
+    "right_levels": ("model", "floats"),
+    "crossing": ("model", "float"),
+    "relax": ("model", "float"),
+    "interwell": ("model", "float"),
+    "leak_threshold": ("model", "int"),
+    "leak_return": ("model", "float"),
+    "frequency": ("drive", "float"),
+    "frequencies": ("drive", "floats"),
+    "dephasing": ("drive", "float"),
+    "eps": ("grid", "range"),
+    "amp": ("grid", "range"),
+    "n_margin": ("kernel", "int"),
+    "lorentz_cutoff": ("kernel", "cutoff"),
+    "directory": ("output", "text"),
+    "formats": ("output", "formats"),
+}
+_SECTIONS = {section for section, _ in _GRAMMAR.values()}
+# The indexed [model] entries: the kinds of their key arguments, and the
+# error when the argument count is wrong.  Other keys take no arguments.
+_ENTRIES = {
+    "crossing": ("int int", "crossing takes two level indices"),
+    "relax": ("well int int", "relax takes a well letter and two level indices"),
+    "interwell": ("state state", "interwell takes a source and a target state"),
 }
 _STATE_RE = re.compile(r"([LR])(\d+)$")
+_MAP_FILE_RE = re.compile(r"map_\d+\.(csv|pgm)(\.tmp)?")
 
 
 @dataclass(frozen=True)
@@ -126,28 +141,50 @@ def _parse_int(token: str, line: int, col: int) -> int:
         raise ParseError(f"expected an integer, got '{token}'", line, col) from None
 
 
-def _parse_state(token: str, line: int, col: int) -> tuple[str, int]:
+def _parse_arg(kind: str, token: str, line: int, col: int):
+    """One key argument of an indexed entry: a level index, a well letter
+    or a state such as L0, which parses to (well, level)."""
+    if kind == "int":
+        return _parse_int(token, line, col)
+    if kind == "well":
+        if token not in ("L", "R"):
+            raise ParseError("expected well L or R", line, col)
+        return token
     m = _STATE_RE.fullmatch(token)
     if m is None:
-        raise ParseError(
-            f"expected a state like L0 or R1, got '{token}'", line, col
-        )
+        raise ParseError(f"expected a state like L0 or R1, got '{token}'", line, col)
     return m.group(1), int(m.group(2))
 
 
-def _single_value(val_toks, line: int, eq_col: int):
-    if not val_toks:
-        raise ParseError("missing value", line, eq_col + 1)
-    if len(val_toks) > 1:
-        tok, col = val_toks[1]
-        raise ParseError(f"unexpected token '{tok}'", line, col)
-    return val_toks[0]
-
-
-def _no_args(args, line: int):
-    if args:
-        tok, col = args[0]
-        raise ParseError(f"unexpected token '{tok}'", line, col)
+def _parse_value(kind: str, keyword: str, text: str, line: int, col: int):
+    """The value of one key, parsed by its kind from the text after '=',
+    which starts at column col."""
+    toks = _tokens(text, col - 1)
+    if kind == "range":
+        if len(toks) != 3:
+            raise ParseError(f"{keyword} takes 'min max points'", line, col)
+        parsers = (_parse_float, _parse_float, _parse_int)
+        return tuple(parse(tok, line, c) for parse, (tok, c) in zip(parsers, toks))
+    if not toks:
+        raise ParseError("missing value", line, col)
+    if kind == "text":
+        return text.strip()
+    if kind == "floats":
+        return [_parse_float(tok, line, tok_col) for tok, tok_col in toks]
+    if kind == "formats":
+        for tok, tok_col in toks:
+            if tok not in _FORMATS:
+                raise ParseError(f"unknown output format '{tok}'", line, tok_col)
+        return tuple(dict.fromkeys(tok for tok, _ in toks))
+    if len(toks) > 1:
+        tok, tok_col = toks[1]
+        raise ParseError(f"unexpected token '{tok}'", line, tok_col)
+    tok, tok_col = toks[0]
+    if kind == "int":
+        return _parse_int(tok, line, tok_col)
+    if kind == "cutoff" and tok == "none":
+        return None
+    return _parse_float(tok, line, tok_col)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,15 +194,9 @@ def parse_config(text: str) -> RunConfig:
     violations of model/drive/grid invariants raise ValidationError.
     """
     section = None
-    scalars: dict[tuple[str, str], object] = {}
-    crossing_entries = []
-    relax_entries = []
-    inter_entries = []
-
-    def put_scalar(key: str, value, line: int, col: int):
-        if (section, key) in scalars:
-            raise ParseError(f"duplicate key '{key}'", line, col)
-        scalars[(section, key)] = value
+    # keyword -> {parsed key arguments: (value, line)}, in file order;
+    # a key without arguments is stored under ().
+    found: dict[str, dict] = {keyword: {} for keyword in _GRAMMAR}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
@@ -178,10 +209,9 @@ def parse_config(text: str) -> RunConfig:
             m = re.fullmatch(r"\[([a-z_]+)\]", stripped)
             if m is None:
                 raise ParseError("malformed section header", lineno, lead_col)
-            name = m.group(1)
-            if name not in _KEYS:
-                raise ParseError(f"unknown section '[{name}]'", lineno, lead_col)
-            section = name
+            section = m.group(1)
+            if section not in _SECTIONS:
+                raise ParseError(f"unknown section '[{section}]'", lineno, lead_col)
             continue
 
         eq = body.find("=")
@@ -192,165 +222,82 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ParseError("key outside of any section", lineno, lead_col)
         key_toks = _tokens(body[:eq], 0)
-        val_toks = _tokens(body[eq + 1 :], eq + 1)
         if not key_toks:
             raise ParseError("missing key before '='", lineno, lead_col)
-        keyword, key_col = key_toks[0]
-        args = key_toks[1:]
-        eq_col = eq + 1
-        if keyword not in _KEYS[section]:
+        (keyword, key_col), args = key_toks[0], key_toks[1:]
+        key_section, kind = _GRAMMAR.get(keyword, (None, None))
+        if key_section != section:
             raise ParseError(
                 f"unknown key '{keyword}' in [{section}]", lineno, key_col
             )
 
-        if keyword in ("left_levels", "right_levels", "frequencies"):
-            _no_args(args, lineno)
-            if not val_toks:
-                raise ParseError("missing value", lineno, eq_col + 1)
-            values = [_parse_float(t, lineno, c) for t, c in val_toks]
-            put_scalar(keyword, values, lineno, key_col)
-        elif keyword == "crossing":
-            if len(args) != 2:
-                raise ParseError(
-                    "crossing takes two level indices", lineno, key_col
-                )
-            i = _parse_int(args[0][0], lineno, args[0][1])
-            j = _parse_int(args[1][0], lineno, args[1][1])
-            tok, col = _single_value(val_toks, lineno, eq_col)
-            value = _parse_float(tok, lineno, col)
-            if any(e[0] == i and e[1] == j for e in crossing_entries):
-                raise ParseError(f"duplicate crossing {i} {j}", lineno, key_col)
-            crossing_entries.append((i, j, value, lineno))
-        elif keyword == "relax":
-            if len(args) != 3:
-                raise ParseError(
-                    "relax takes a well letter and two level indices",
-                    lineno,
-                    key_col,
-                )
-            well = args[0][0]
-            if well not in ("L", "R"):
-                raise ParseError("expected well L or R", lineno, args[0][1])
-            i = _parse_int(args[1][0], lineno, args[1][1])
-            k = _parse_int(args[2][0], lineno, args[2][1])
-            tok, col = _single_value(val_toks, lineno, eq_col)
-            value = _parse_float(tok, lineno, col)
-            if any(e[:3] == (well, i, k) for e in relax_entries):
-                raise ParseError(
-                    f"duplicate relax {well} {i} {k}", lineno, key_col
-                )
-            relax_entries.append((well, i, k, value, lineno))
-        elif keyword == "interwell":
-            if len(args) != 2:
-                raise ParseError(
-                    "interwell takes a source and a target state", lineno, key_col
-                )
-            w_from, l_from = _parse_state(args[0][0], lineno, args[0][1])
-            w_to, l_to = _parse_state(args[1][0], lineno, args[1][1])
-            tok, col = _single_value(val_toks, lineno, eq_col)
-            value = _parse_float(tok, lineno, col)
-            if any(e[:4] == (w_from, l_from, w_to, l_to) for e in inter_entries):
-                raise ParseError(
-                    f"duplicate interwell {args[0][0]} {args[1][0]}",
-                    lineno,
-                    key_col,
-                )
-            inter_entries.append((w_from, l_from, w_to, l_to, value, lineno))
-        elif keyword == "formats":
-            _no_args(args, lineno)
-            if not val_toks:
-                raise ParseError("missing value", lineno, eq_col + 1)
-            chosen = []
-            for tok, col in val_toks:
-                if tok not in _FORMATS:
-                    raise ParseError(f"unknown output format '{tok}'", lineno, col)
-                if tok not in chosen:
-                    chosen.append(tok)
-            put_scalar(keyword, tuple(chosen), lineno, key_col)
-        elif keyword == "directory":
-            _no_args(args, lineno)
-            value = body[eq + 1 :].strip()
-            if not value:
-                raise ParseError("missing value", lineno, eq_col + 1)
-            put_scalar(keyword, value, lineno, key_col)
-        elif keyword in ("leak_threshold", "n_margin"):
-            _no_args(args, lineno)
-            tok, col = _single_value(val_toks, lineno, eq_col)
-            put_scalar(keyword, _parse_int(tok, lineno, col), lineno, key_col)
-        elif keyword == "lorentz_cutoff":
-            _no_args(args, lineno)
-            tok, col = _single_value(val_toks, lineno, eq_col)
-            value = None if tok == "none" else _parse_float(tok, lineno, col)
-            put_scalar(keyword, value, lineno, key_col)
-        elif keyword in ("eps", "amp"):
-            _no_args(args, lineno)
-            if len(val_toks) != 3:
-                raise ParseError(
-                    f"{keyword} takes 'min max points'", lineno, eq_col + 1
-                )
-            lo = _parse_float(val_toks[0][0], lineno, val_toks[0][1])
-            hi = _parse_float(val_toks[1][0], lineno, val_toks[1][1])
-            count = _parse_int(val_toks[2][0], lineno, val_toks[2][1])
-            put_scalar(keyword, (lo, hi, count), lineno, key_col)
-        else:  # frequency, dephasing, leak_return: one float
-            _no_args(args, lineno)
-            tok, col = _single_value(val_toks, lineno, eq_col)
-            put_scalar(keyword, _parse_float(tok, lineno, col), lineno, key_col)
-
-    return _assemble(text, scalars, crossing_entries, relax_entries, inter_entries)
-
-
-def _assemble(text, scalars, crossing_entries, relax_entries, inter_entries):
-    def need(section: str, key: str):
-        if (section, key) not in scalars:
-            raise ValidationError(f"[{section}] {key} is required")
-        return scalars[(section, key)]
-
-    def get(section: str, key: str, default=None):
-        return scalars.get((section, key), default)
-
-    left = list(need("model", "left_levels"))
-    right = list(need("model", "right_levels"))
-    n_l, n_r = len(left), len(right)
-
-    crossings = np.zeros((n_l, n_r))
-    for i, j, value, line in crossing_entries:
-        if not (0 <= i < n_l and 0 <= j < n_r):
-            raise ValidationError(
-                f"crossing {i} {j} out of range for {n_l}x{n_r} ladders (line {line})"
+        arg_kinds, arity_error = _ENTRIES.get(keyword, ("", None))
+        arg_kinds = arg_kinds.split()
+        if args and not arg_kinds:
+            tok, col = args[0]
+            raise ParseError(f"unexpected token '{tok}'", lineno, col)
+        if len(args) != len(arg_kinds):
+            raise ParseError(arity_error, lineno, key_col)
+        key = tuple(
+            _parse_arg(arg_kind, tok, lineno, col)
+            for arg_kind, (tok, col) in zip(arg_kinds, args)
+        )
+        value = _parse_value(kind, keyword, body[eq + 1 :], lineno, eq + 2)
+        if key in found[keyword]:
+            # Indices show as parsed, wells and states as written.
+            shown = " ".join(
+                str(arg) if arg_kind == "int" else tok
+                for arg_kind, arg, (tok, _) in zip(arg_kinds, key, args)
             )
-        crossings[i, j] = value
-    if not crossing_entries:
+            what = f"{keyword} {shown}" if key else f"key '{keyword}'"
+            raise ParseError(f"duplicate {what}", lineno, key_col)
+        found[keyword][key] = (value, lineno)
+
+    return _assemble(text, found)
+
+
+def _assemble(text, found):
+    def get(key: str, default=None):
+        return found[key][()][0] if found[key] else default
+
+    def need(key: str):
+        if not found[key]:
+            raise ValidationError(f"[{_GRAMMAR[key][0]}] {key} is required")
+        return get(key)
+
+    left = need("left_levels")
+    right = need("right_levels")
+    sizes = {"L": len(left), "R": len(right)}
+    # Errors rank: crossing ranges, no crossing, relax, interwell.  With
+    # no crossing there is no crossing range to fail, so this goes first.
+    if not found["crossing"]:
         raise ValidationError("[model] needs at least one crossing")
 
-    relax = {"L": np.zeros((n_l, n_l)), "R": np.zeros((n_r, n_r))}
-    sizes = {"L": n_l, "R": n_r}
-    for well, i, k, value, line in relax_entries:
-        n = sizes[well]
-        if not (0 <= i < n and 0 <= k < n):
-            raise ValidationError(
-                f"relax {well} {i} {k} out of range for a {n}-level ladder (line {line})"
-            )
-        relax[well][i, k] = value
+    # (keyword, row well, column well) -> one of the five model arrays
+    arrays = {}
+    for keyword in _ENTRIES:
+        for args, (value, line) in found[keyword].items():
+            if keyword == "crossing":
+                rows, cols, (i, j) = "L", "R", args
+                where = f"{i} {j} out of range for {sizes['L']}x{sizes['R']} ladders"
+            elif keyword == "relax":
+                rows, i, j = args
+                cols = rows
+                where = f"{rows} {i} {j} out of range for a {sizes[rows]}-level ladder"
+            else:
+                (rows, i), (cols, j) = args
+                if rows == cols:
+                    raise ValidationError(
+                        f"interwell rates must connect opposite wells (line {line})"
+                    )
+                where = f"{rows}{i} {cols}{j} out of range"
+            if not (0 <= i < sizes[rows] and 0 <= j < sizes[cols]):
+                raise ValidationError(f"{keyword} {where} (line {line})")
+            shape = (sizes[rows], sizes[cols])
+            arrays.setdefault((keyword, rows, cols), np.zeros(shape))[i, j] = value
 
-    left_to_right = np.zeros((n_l, n_r))
-    right_to_left = np.zeros((n_r, n_l))
-    for w_from, l_from, w_to, l_to, value, line in inter_entries:
-        if w_from == w_to:
-            raise ValidationError(
-                f"interwell rates must connect opposite wells (line {line})"
-            )
-        if not (l_from < sizes[w_from] and l_to < sizes[w_to]):
-            raise ValidationError(
-                f"interwell {w_from}{l_from} {w_to}{l_to} out of range (line {line})"
-            )
-        if w_from == "L":
-            left_to_right[l_from, l_to] = value
-        else:
-            right_to_left[l_from, l_to] = value
-
-    threshold = get("model", "leak_threshold")
-    return_rate = get("model", "leak_return")
+    threshold = get("leak_threshold")
+    return_rate = get("leak_return")
     if (threshold is None) != (return_rate is None):
         raise ValidationError(
             "leak_threshold and leak_return must be given together"
@@ -362,41 +309,32 @@ def _assemble(text, scalars, crossing_entries, relax_entries, inter_entries):
     model = QubitModel(
         left_offsets=np.array(left),
         right_offsets=np.array(right),
-        crossings=crossings,
-        left_relax=relax["L"],
-        right_relax=relax["R"],
-        left_to_right=left_to_right,
-        right_to_left=right_to_left,
+        crossings=arrays["crossing", "L", "R"],
+        left_relax=arrays.get(("relax", "L", "L")),
+        right_relax=arrays.get(("relax", "R", "R")),
+        left_to_right=arrays.get(("interwell", "L", "R")),
+        right_to_left=arrays.get(("interwell", "R", "L")),
         leak=leak,
     )
 
-    single = get("drive", "frequency")
-    batch = get("drive", "frequencies")
+    single = get("frequency")
+    batch = get("frequencies")
     if (single is None) == (batch is None):
         raise ValidationError(
             "[drive] needs exactly one of frequency or frequencies"
         )
-    dephasing = need("drive", "dephasing")
-    frequencies = [single] if single is not None else list(batch)
+    dephasing = need("dephasing")
+    frequencies = [single] if single is not None else batch
     drives = tuple(
         DriveParams(amplitude=0.0, frequency=f, dephasing=dephasing)
         for f in frequencies
     )
 
-    eps_lo, eps_hi, n_eps = need("grid", "eps")
-    amp_lo, amp_hi, n_amp = need("grid", "amp")
-    grid = SweepGrid(
-        eps_min=eps_lo,
-        eps_max=eps_hi,
-        n_eps=n_eps,
-        amp_min=amp_lo,
-        amp_max=amp_hi,
-        n_amp=n_amp,
-    )
+    grid = SweepGrid(*need("eps"), *need("amp"))  # (min, max, points) each
 
     kernel = RateKernelParams(
-        n_margin=get("kernel", "n_margin", 20),
-        lorentz_cutoff=get("kernel", "lorentz_cutoff"),
+        n_margin=get("n_margin", 20),
+        lorentz_cutoff=get("lorentz_cutoff"),
     )
 
     return RunConfig(
@@ -404,8 +342,8 @@ def _assemble(text, scalars, crossing_entries, relax_entries, inter_entries):
         drives=drives,
         grid=grid,
         kernel=kernel,
-        output_dir=get("output", "directory", "out"),
-        formats=get("output", "formats", _FORMATS),
+        output_dir=get("directory", "out"),
+        formats=get("formats", _FORMATS),
         config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 
@@ -499,14 +437,18 @@ def _regime_payload(model: QubitModel, drive: DriveParams):
 def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     """Execute every sweep of the config and write maps plus manifest.
 
-    The manifest is written after all maps succeed; its absence marks an
-    incomplete output directory.
+    An old manifest is deleted before the first map is written, and the
+    new one is written after all maps succeed, so its absence marks an
+    incomplete output directory.  Map files (and their temp files) left
+    by an earlier run are deleted before the manifest is written; other
+    files in the directory are left alone.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     maps = run_frequency_batch(
         config.model, config.drives, config.grid, config.kernel, workers
     )
+    (out / "manifest.json").unlink(missing_ok=True)
     reports = []
     for idx, (drive, pmap) in enumerate(zip(config.drives, maps)):
         stem = f"map_{idx:02d}"
@@ -529,6 +471,10 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
                 "files": files,
             }
         )
+    written = {f["name"] for report in reports for f in report["files"].values()}
+    for path in out.glob("map_*"):
+        if _MAP_FILE_RE.fullmatch(path.name) and path.name not in written:
+            path.unlink()
     manifest = {
         "config_sha256": config.config_sha256,
         "boundaries": [

@@ -12,7 +12,11 @@ with eps the detuning from the crossing and gamma2 the dephasing rate.
 The infinite sum is truncated to the union of a resonant window
 |n - eps/w| <= A/w + n_margin and a Bessel-support window
 |n| <= n_margin; outside that union the summand is negligible because
-J_n(x) decays super-exponentially for |n| > x.
+J_n(x) decays super-exponentially for |n| > x.  With the default
+n_margin = 20, on the grids of the shipped configs, every rate is within
+a relative 1e-7 of the rate with n_margin = 80, and P_L within 1e-10
+absolute (largest seen: 6.6e-8 and 1.3e-11, both in ten_level at
+A = 15 GHz).
 
 The Bessel kernel is self-contained: an ascending power series for
 x < 2 and Miller's normalized downward recurrence otherwise.

@@ -167,6 +167,8 @@ def run_sweep(
         (model, drive_base, kernel, eps_values, amp) for amp in grid.amp_values
     ]
     values = np.empty(grid.shape)
+    # The pool starts every worker at once, so never ask for more than rows.
+    workers = min(workers, grid.n_amp)
     if workers == 1:
         for k, payload in enumerate(payloads):
             values[k] = _row_worker(payload)

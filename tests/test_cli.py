@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lzs_sim.cli as cli
 from lzs_sim import (
     DriveParams,
     ParseError,
@@ -63,6 +68,242 @@ dephasing = 0.1
 eps = -3 3 5
 amp = 0 4 3
 """
+
+# Three levels per well, a leak above level 1 and two drive frequencies.
+LEAK_MODEL = """\
+[model]
+left_levels = 0 2.1 4.4
+right_levels = 0 2.45 5.2
+crossing 0 0 = 0.08
+crossing 1 1 = 0.08
+crossing 2 2 = 0.08
+crossing 1 0 = 0.2
+crossing 2 1 = 0.2
+relax L 1 0 = 1.0
+relax L 2 1 = 1.0
+relax R 1 0 = 0.8
+relax R 2 1 = 0.8
+interwell L0 R0 = 0.01
+leak_threshold = 2
+leak_return = 1.0
+
+[drive]
+frequencies = 1.0 2.5
+dephasing = 0.1
+
+[grid]
+eps = -6 6 41
+amp = 0 8 21
+"""
+
+
+def edit(text, *pairs):
+    """Apply (old, new) replacements, each of text that occurs once."""
+    for old, new in zip(pairs[::2], pairs[1::2]):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+# Every error parse_config raises for the grammar or while assembling the
+# model, as "<type>: <exact message>".  The last three cases pin the
+# order of the assembly checks.
+PARSE_ERRORS = {
+    "malformed_header": (
+        edit(MINIMAL, "[grid]", "[grid"),
+        "ParseError: line 11, column 1: malformed section header",
+    ),
+    "unknown_section": (
+        edit(MINIMAL, "[grid]", "[grids]"),
+        "ParseError: line 11, column 1: unknown section '[grids]'",
+    ),
+    "missing_equals": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing 0.1"),
+        "ParseError: line 9, column 1: expected 'key = value' or '[section]'",
+    ),
+    "key_outside_section": (
+        edit(MINIMAL, "[model]", "frequency = 1.0\n[model]"),
+        "ParseError: line 1, column 1: key outside of any section",
+    ),
+    "missing_key": (
+        edit(MINIMAL, "dephasing = 0.1", "  = 0.1"),
+        "ParseError: line 9, column 3: missing key before '='",
+    ),
+    "unknown_key": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing = 0.1\nphase = 3"),
+        "ParseError: line 10, column 1: unknown key 'phase' in [drive]",
+    ),
+    "key_in_other_section": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing = 0.1\namp = 0 1 2"),
+        "ParseError: line 10, column 1: unknown key 'amp' in [drive]",
+    ),
+    "extra_key_token": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing x = 0.1"),
+        "ParseError: line 9, column 11: unexpected token 'x'",
+    ),
+    "extra_value_token": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing = 0.1 0.2"),
+        "ParseError: line 9, column 17: unexpected token '0.2'",
+    ),
+    "missing_value": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing ="),
+        "ParseError: line 9, column 12: missing value",
+    ),
+    "missing_list_value": (
+        edit(MINIMAL, "left_levels = 0.0", "left_levels ="),
+        "ParseError: line 2, column 14: missing value",
+    ),
+    "missing_directory": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\ndirectory =  "),
+        "ParseError: line 15, column 12: missing value",
+    ),
+    "bad_number": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing = abc"),
+        "ParseError: line 9, column 13: expected a number, got 'abc'",
+    ),
+    "non_finite_number": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing = inf"),
+        "ParseError: line 9, column 13: expected a finite number, got 'inf'",
+    ),
+    "bad_cutoff": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[kernel]\nlorentz_cutoff = never"),
+        "ParseError: line 15, column 18: expected a number, got 'never'",
+    ),
+    "non_integer": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2.5"),
+        "ParseError: line 13, column 11: expected an integer, got '2.5'",
+    ),
+    "range_arity": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1"),
+        "ParseError: line 13, column 6: amp takes 'min max points'",
+    ),
+    "range_empty": (
+        edit(MINIMAL, "amp = 0 1 2", "amp ="),
+        "ParseError: line 13, column 6: amp takes 'min max points'",
+    ),
+    "crossing_arity": (
+        edit(MINIMAL, "crossing 0 0", "crossing 0"),
+        "ParseError: line 4, column 1: crossing takes two level indices",
+    ),
+    "crossing_index": (
+        edit(MINIMAL, "crossing 0 0", "crossing 0 a"),
+        "ParseError: line 4, column 12: expected an integer, got 'a'",
+    ),
+    "relax_arity": (
+        edit(THREE_STATE, "relax R 1 0", "relax R 1"),
+        "ParseError: line 6, column 1: relax takes a well letter and two level indices",
+    ),
+    "bad_well": (
+        edit(THREE_STATE, "relax R 1 0", "relax X 1 0"),
+        "ParseError: line 6, column 7: expected well L or R",
+    ),
+    "interwell_arity": (
+        edit(MINIMAL, "interwell L0 R0", "interwell L0"),
+        "ParseError: line 5, column 1: interwell takes a source and a target state",
+    ),
+    "bad_state": (
+        edit(MINIMAL, "interwell L0 R0", "interwell L0 Q0"),
+        "ParseError: line 5, column 14: expected a state like L0 or R1, got 'Q0'",
+    ),
+    "unknown_format": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\nformats = csv tif"),
+        "ParseError: line 15, column 15: unknown output format 'tif'",
+    ),
+    "duplicate_key": (
+        edit(MINIMAL, "frequency = 1.0", "frequency = 1.0\nfrequency = 2.0"),
+        "ParseError: line 9, column 1: duplicate key 'frequency'",
+    ),
+    "bad_value_on_duplicate": (
+        edit(MINIMAL, "frequency = 1.0", "frequency = 1.0\nfrequency = x"),
+        "ParseError: line 9, column 13: expected a number, got 'x'",
+    ),
+    "duplicate_crossing": (
+        edit(
+            MINIMAL,
+            "crossing 0 0 = 0.05",
+            "crossing 0 0 = 0.05\ncrossing 00 0 = 0.1",
+        ),
+        "ParseError: line 5, column 1: duplicate crossing 0 0",
+    ),
+    "duplicate_relax": (
+        edit(THREE_STATE, "relax R 1 0 = 1.0", "relax R 1 0 = 1.0\nrelax R 1 0 = 2.0"),
+        "ParseError: line 7, column 1: duplicate relax R 1 0",
+    ),
+    "duplicate_interwell": (
+        edit(
+            MINIMAL,
+            "interwell L0 R0 = 0.01",
+            "interwell L0 R0 = 0.01\ninterwell L00 R0 = 0.02",
+        ),
+        "ParseError: line 6, column 1: duplicate interwell L00 R0",
+    ),
+    "required_key": (
+        edit(MINIMAL, "dephasing = 0.1", ""),
+        "ValidationError: [drive] dephasing is required",
+    ),
+    "required_ladder": (
+        edit(MINIMAL, "left_levels = 0.0", ""),
+        "ValidationError: [model] left_levels is required",
+    ),
+    "crossing_out_of_range": (
+        edit(MINIMAL, "crossing 0 0", "crossing 0 2"),
+        "ValidationError: crossing 0 2 out of range for 1x1 ladders (line 4)",
+    ),
+    "no_crossing": (
+        edit(MINIMAL, "crossing 0 0 = 0.05", ""),
+        "ValidationError: [model] needs at least one crossing",
+    ),
+    "relax_out_of_range": (
+        edit(THREE_STATE, "relax R 1 0", "relax R 2 0"),
+        "ValidationError: relax R 2 0 out of range for a 2-level ladder (line 6)",
+    ),
+    "interwell_same_well": (
+        edit(MINIMAL, "interwell L0 R0", "interwell L0 L0"),
+        "ValidationError: interwell rates must connect opposite wells (line 5)",
+    ),
+    "interwell_out_of_range": (
+        edit(MINIMAL, "interwell L0 R0", "interwell L0 R1"),
+        "ValidationError: interwell L0 R1 out of range (line 5)",
+    ),
+    "leak_pair": (
+        edit(
+            MINIMAL,
+            "interwell L0 R0 = 0.01",
+            "interwell L0 R0 = 0.01\nleak_return = 1.0",
+        ),
+        "ValidationError: leak_threshold and leak_return must be given together",
+    ),
+    "no_frequency": (
+        edit(MINIMAL, "frequency = 1.0", ""),
+        "ValidationError: [drive] needs exactly one of frequency or frequencies",
+    ),
+    "crossing_checked_before_relax": (
+        edit(THREE_STATE, "crossing 0 1", "crossing 0 9", "relax R 1 0", "relax R 9 0"),
+        "ValidationError: crossing 0 9 out of range for 1x2 ladders (line 5)",
+    ),
+    "no_crossing_checked_before_relax": (
+        edit(
+            THREE_STATE,
+            "crossing 0 0 = 0.03",
+            "",
+            "crossing 0 1 = 0.3",
+            "",
+            "relax R 1 0",
+            "relax R 9 0",
+        ),
+        "ValidationError: [model] needs at least one crossing",
+    ),
+    "relax_checked_before_interwell": (
+        edit(
+            THREE_STATE,
+            "relax R 1 0",
+            "relax R 9 0",
+            "interwell L0 R0",
+            "interwell L0 L0",
+        ),
+        "ValidationError: relax R 9 0 out of range for a 2-level ladder (line 6)",
+    ),
+}
 
 
 class TestParseConfig:
@@ -174,6 +415,12 @@ class TestParseConfig:
         )
         with pytest.raises(ValidationError, match="together"):
             parse_config(text)
+
+    @pytest.mark.parametrize("text, expected", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+    def test_error_table(self, text, expected):
+        with pytest.raises((ParseError, ValidationError)) as err:
+            parse_config(text)
+        assert f"{type(err.value).__name__}: {err.value}" == expected
 
     def test_interwell_same_well_rejected(self):
         text = THREE_STATE.replace(
@@ -292,6 +539,29 @@ class TestRunCommand:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_rerun_removes_stale_maps_only(self, tmp_path):
+        out = tmp_path / "out"
+        batch = MINIMAL.replace("frequency = 1.0", "frequencies = 1 2 3 4 5 6")
+        run(parse_config(batch), out_dir=out)
+        (out / "map_03.csv.tmp").write_bytes(b"left by a crashed write")
+        (out / "notes.txt").write_text("not ours")
+        run(parse_config(MINIMAL), out_dir=out)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["manifest.json", "map_00.csv", "map_00.pgm", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "not ours"
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run(parse_config(MINIMAL), out_dir=out)
+
+        def fail(path, pmap):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_pgm", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run(parse_config(THREE_STATE), out_dir=out)
+        assert not (out / "manifest.json").exists()
+
     def test_formats_subset(self, tmp_path):
         cfg = parse_config(MINIMAL + "\n[output]\nformats = pgm\n")
         run(cfg, out_dir=tmp_path / "out")
@@ -340,6 +610,34 @@ class TestMainEntry:
         assert math.isclose(
             printed["P_left"] + printed["P_right"], 1.0, abs_tol=1e-9
         )
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        path = self.write_config(tmp_path, LEAK_MODEL)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )
+            out = tmp_path / f"threads_{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "lzs_sim.cli", "run", path, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == [
+            "manifest.json",
+            "map_00.csv",
+            "map_00.pgm",
+            "map_01.csv",
+            "map_01.pgm",
+        ]
+        assert outputs[0] == outputs[1]
 
     def test_boundaries_output(self, tmp_path, capsys):
         path = self.write_config(tmp_path, THREE_STATE)

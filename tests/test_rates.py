@@ -6,6 +6,7 @@ the kernel is never compared against itself.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,15 @@ from lzs_sim import (
     RateKernelParams,
     ValidationError,
     bessel_jn,
+    build_rate_matrix,
+    local_detuning,
     lzs_rate,
+    stationary_solve,
 )
+from lzs_sim.cli import parse_config
 from lzs_sim.rates import _photon_window
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 # (n, x, J_n(x)) from mpmath.besselj, 60 significant digits.
 MPMATH_REFERENCE = [
@@ -261,6 +268,33 @@ class TestLzsRate:
             base = lzs_rate(0.1, eps, DRIVE)
             ref = lzs_rate(0.1, eps, DRIVE, wide)
             assert base == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_truncation_bound_on_shipped_grids(self, path):
+        # The bounds stated in the rates module docstring, on a 9 x 9
+        # sample (corners included) of each shipped grid and frequency.
+        config = parse_config(path.read_text())
+        grid, model = config.grid, config.model
+        pick = np.linspace(0.0, 1.0, 9)
+        eps_sample = grid.eps_values[(pick * (grid.n_eps - 1)).round().astype(int)]
+        amp_sample = grid.amp_values[(pick * (grid.n_amp - 1)).round().astype(int)]
+        default, wide = RateKernelParams(), RateKernelParams(n_margin=80)
+        worst_rate = worst_p = 0.0
+        for base, amp in ((d, a) for d in config.drives for a in amp_sample):
+            drive = DriveParams(float(amp), base.frequency, base.dephasing)
+            for eps in map(float, eps_sample):
+                for i, j, delta in model.coupled_pairs():
+                    local = local_detuning(model, eps, i, j)
+                    ref = lzs_rate(delta, local, drive, wide)
+                    rel = abs(lzs_rate(delta, local, drive, default) - ref) / ref
+                    worst_rate = max(worst_rate, rel)
+                p_default, p_wide = (
+                    stationary_solve(build_rate_matrix(model, eps, drive, k)).p_left
+                    for k in (default, wide)
+                )
+                worst_p = max(worst_p, abs(p_default - p_wide))
+        assert worst_rate <= 1e-7
+        assert worst_p <= 1e-10
 
     def test_lorentz_cutoff_drops_far_tails(self):
         tight = RateKernelParams(lorentz_cutoff=5.0)

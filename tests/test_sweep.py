@@ -96,6 +96,30 @@ class TestRunSweep:
         parallel = run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
         assert np.array_equal(serial.values, parallel.values)
 
+    def test_pool_never_exceeds_rows(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", FakePool)
+        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
+        pooled = run_sweep(TWO_STATE, DRIVE, grid, workers=8)
+        assert sizes == [3]
+        assert np.array_equal(pooled.values, run_sweep(TWO_STATE, DRIVE, grid).values)
+
     def test_workers_validation(self):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2)
         with pytest.raises(ValidationError):
