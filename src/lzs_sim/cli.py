@@ -102,7 +102,7 @@ _ENTRIES = {
     "relax": ("well int int", "relax takes a well letter and two level indices"),
     "interwell": ("state state", "interwell takes a source and a target state"),
 }
-_STATE_RE = re.compile(r"([LR])(\d+)$")
+_STATE_RE = re.compile(r"([LR])([0-9]+)$")
 _MAP_FILE_RE = re.compile(r"map_\d+\.(csv|pgm)(\.tmp)?")
 
 
@@ -124,9 +124,16 @@ def _tokens(part: str, offset: int):
     return [(m.group(0), offset + m.start() + 1) for m in re.finditer(r"\S+", part)]
 
 
+def _plain(token: str) -> str:
+    """The token itself, or '' when it holds an underscore or a non-ASCII
+    character, which Python's float() and int() accept ('1_0', '٣') but
+    the grammar does not."""
+    return token if token.isascii() and "_" not in token else ""
+
+
 def _parse_float(token: str, line: int, col: int) -> float:
     try:
-        value = float(token)
+        value = float(_plain(token))
     except ValueError:
         raise ParseError(f"expected a number, got '{token}'", line, col) from None
     if not math.isfinite(value):
@@ -136,7 +143,7 @@ def _parse_float(token: str, line: int, col: int) -> float:
 
 def _parse_int(token: str, line: int, col: int) -> int:
     try:
-        return int(token)
+        return int(_plain(token))
     except ValueError:
         raise ParseError(f"expected an integer, got '{token}'", line, col) from None
 
@@ -244,10 +251,10 @@ def parse_config(text: str) -> RunConfig:
         )
         value = _parse_value(kind, keyword, body[eq + 1 :], lineno, eq + 2)
         if key in found[keyword]:
-            # Indices show as parsed, wells and states as written.
+            # Every argument as parsed: L00 shows as L0, 01 as 1.
             shown = " ".join(
-                str(arg) if arg_kind == "int" else tok
-                for arg_kind, arg, (tok, _) in zip(arg_kinds, key, args)
+                "".join(map(str, arg)) if isinstance(arg, tuple) else str(arg)
+                for arg in key
             )
             what = f"{keyword} {shown}" if key else f"key '{keyword}'"
             raise ParseError(f"duplicate {what}", lineno, key_col)

@@ -17,8 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystem, NonConvergent, StepRejected, ValidationError
-from .model import DriveParams, QubitModel, StateIndex, Well, local_detuning
-from .rates import RateKernelParams, lzs_rate
+from .model import (
+    DriveParams,
+    QubitModel,
+    StateIndex,
+    Well,
+    crossing_position,
+    local_detuning,
+)
+from .rates import RateKernelParams, lzs_rate, row_rates
 
 __all__ = [
     "RateMatrix",
@@ -129,6 +136,46 @@ class PopulationVector:
         return float(self.probabilities[self.states.index(state)])
 
 
+def _generator_layout(model: QubitModel):
+    """The drive-independent part of a model's generator.
+
+    Returns (static, pumps).  static[to, from] holds relaxation,
+    interwell decay and the leak return, with a zero diagonal.  pumps
+    lists (i, j, delta, targets) for each pumped crossing in
+    ``coupled_pairs`` order; its rate adds to static[to, from] for every
+    (to, from) in targets.  Without a leak a crossing pumps both ways.
+    With one, a crossing whose partner level is at or above the
+    threshold pumps its below-threshold side into the leak (the last
+    state), and one with both partners above pumps nothing.
+    """
+    nl = model.n_left
+    n = len(model.states())
+    left, right = slice(0, nl), slice(nl, nl + model.n_right)
+    # static[to, from]; the model's rate arrays are indexed [from, to].
+    static = np.zeros((n, n))
+    static[left, left] += model.left_relax.T
+    static[right, right] += model.right_relax.T
+    static[right, left] += model.left_to_right.T
+    static[left, right] += model.right_to_left.T
+
+    threshold = None
+    if model.leak is not None:
+        threshold = model.leak.threshold
+        static[0, -1] = static[nl, -1] = 0.5 * model.leak.return_rate
+    pumps = []
+    for i, j, delta in model.coupled_pairs():
+        left_local = threshold is None or i < threshold
+        right_local = threshold is None or j < threshold
+        if left_local and right_local:
+            targets = ((nl + j, i), (i, nl + j))
+        elif left_local or right_local:
+            targets = ((n - 1, i if left_local else nl + j),)
+        else:
+            continue  # both partners non-local: no localized channel
+        pumps.append((i, j, delta, targets))
+    return static, pumps
+
+
 def build_rate_matrix(
     model: QubitModel,
     eps: float,
@@ -143,34 +190,83 @@ def build_rate_matrix(
     """
     if not math.isfinite(eps):
         raise ValidationError("eps must be finite")
-    states = model.states()
-    nl = model.n_left
-    left, right = slice(0, nl), slice(nl, nl + model.n_right)
-    # mat[to, from]; the model's rate arrays are indexed [from, to].
-    mat = np.zeros((len(states), len(states)))
-    mat[left, left] += model.left_relax.T
-    mat[right, right] += model.right_relax.T
-    mat[right, left] += model.left_to_right.T
-    mat[left, right] += model.right_to_left.T
-
-    threshold = None
-    if model.leak is not None:
-        threshold = model.leak.threshold
-        mat[0, -1] = mat[nl, -1] = 0.5 * model.leak.return_rate
-    for i, j, delta in model.coupled_pairs():
-        left_local = threshold is None or i < threshold
-        right_local = threshold is None or j < threshold
-        if not (left_local or right_local):
-            continue  # both partners non-local: no localized channel
+    mat, pumps = _generator_layout(model)
+    for i, j, delta, targets in pumps:
         w = lzs_rate(delta, local_detuning(model, eps, i, j), drive, kernel)
-        if left_local and right_local:
-            mat[nl + j, i] += w
-            mat[i, nl + j] += w
-        else:  # the localized partner pumps into the leak (last state)
-            mat[-1, i if left_local else nl + j] += w
-
+        for to, frm in targets:
+            mat[to, frm] += w
     np.fill_diagonal(mat, -mat.sum(axis=0))
-    return RateMatrix(matrix=mat, states=states)
+    return RateMatrix(matrix=mat, states=model.states())
+
+
+def rate_matrix_stack(
+    model: QubitModel,
+    eps_values,
+    drive: DriveParams,
+    kernel: RateKernelParams = RateKernelParams(),
+) -> np.ndarray:
+    """Generators at every detuning of eps_values, stacked as (M, n, n).
+
+    Assembled like ``build_rate_matrix``, with the pumped rates of all
+    points from one ``row_rates`` call.
+    """
+    static, pumps = _generator_layout(model)
+    rates = row_rates(
+        [delta for _, _, delta, _ in pumps],
+        [crossing_position(model, i, j) for i, j, _, _ in pumps],
+        eps_values,
+        drive,
+        kernel,
+    )
+    mats = np.repeat(static[None], rates.shape[1], axis=0)
+    # One crossing at a time: a buffered fancy += would drop the second
+    # of two rates pumping into the same leak entry.
+    for (_, _, _, targets), w in zip(pumps, rates):
+        for to, frm in targets:
+            mats[:, to, frm] += w
+    diag = np.arange(static.shape[0])
+    mats[:, diag, diag] = -mats.sum(axis=1)
+    return mats
+
+
+def stationary_stack(mats: np.ndarray):
+    """Direct stationary solves of a generator stack (M, n, n).
+
+    Returns (p, ok): p[m] solves mats[m] p = 0 with sum(p) = 1 by the
+    same LU solve as ``stationary_solve``, and ok[m] says whether it
+    passes that function's acceptance check.  Points that fail, or all
+    of them when the stack holds an exactly singular matrix, are left
+    to ``stationary_solve``.
+    """
+    m, n = mats.shape[:2]
+    a = mats.copy()
+    a[:, -1, :] = 1.0
+    b = np.zeros((m, n, 1))
+    b[:, -1] = 1.0
+    try:
+        p = np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:
+        return np.full((m, n), np.nan), np.zeros(m, dtype=bool)
+    scale = np.abs(mats).sum(axis=2).max(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Elementwise, not BLAS: the check must not depend on thread count.
+        residual = np.abs(np.sum(mats * p[:, None, :], axis=2)).max(axis=1)
+        ok = (
+            np.isfinite(p).all(axis=1)
+            & (p.min(axis=1) >= -_NEGATIVITY_TOL)
+            & (residual <= _RESIDUAL_REL * np.maximum(scale, 1e-300))
+            & (np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
+        )
+    return p, ok
+
+
+def left_population(p: np.ndarray, n_left: int) -> np.ndarray:
+    """P_L of each row of direct solutions p, computed exactly as
+    ``stationary_solve(...).p_left`` computes it from the same solution."""
+    p = np.where(p < 0.0, 0.0, p)
+    totals = np.array([math.fsum(row) for row in p.tolist()])
+    q = np.clip(p / totals[:, None], 0.0, 1.0)
+    return np.array([math.fsum(row) for row in q[:, :n_left].tolist()])
 
 
 def _solve_normalized(mat: np.ndarray) -> np.ndarray:

@@ -1,10 +1,18 @@
 """Stationary well populations over a rectangular (detuning, amplitude) grid.
 
-Every grid point is an independent stationary solve, so the map is an
-embarrassingly parallel job: rows (fixed amplitude) are farmed out to
-worker processes and reassembled by index.  Each point is computed by
-the same pure function regardless of worker count, which makes the
-result bit-identical for any parallel layout.
+A row of the map (one amplitude) is computed as arrays: the pumped rates
+of every crossing at every detuning of the row come from one photon sum
+(``rates.row_rates``), the generators are stacked on one static part,
+and one batched LU solve gives every point's populations.  A point whose
+solution fails ``stationary_solve``'s acceptance check, or every point
+of a row whose stack holds a singular generator, is solved again on its
+own by ``stationary_solve(build_rate_matrix(...))``, which falls back to
+relaxation in time.
+
+Rows are farmed out to worker processes and reassembled by index.  Each
+row is computed by the same pure function regardless of worker count,
+and no step depends on BLAS threading, which makes the result
+bit-identical for any parallel layout.
 """
 
 from __future__ import annotations
@@ -18,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
-from .master import build_rate_matrix, stationary_solve
+from .master import (
+    build_rate_matrix,
+    left_population,
+    rate_matrix_stack,
+    stationary_solve,
+    stationary_stack,
+)
 from .model import DriveParams, QubitModel
 from .rates import RateKernelParams
 
@@ -137,13 +151,16 @@ def _row_worker(payload) -> np.ndarray:
         frequency=drive_base.frequency,
         dephasing=drive_base.dephasing,
     )
+    p, ok = stationary_stack(rate_matrix_stack(model, eps_values, drive, kernel))
     row = np.empty(eps_values.size)
-    for m, eps in enumerate(eps_values):
+    row[ok] = left_population(p[ok], model.n_left)
+    for m in np.flatnonzero(~ok):
+        eps = float(eps_values[m])
         try:
-            p = stationary_solve(build_rate_matrix(model, float(eps), drive, kernel))
+            pv = stationary_solve(build_rate_matrix(model, eps, drive, kernel))
         except NonConvergent as exc:
-            raise NonConvergent(str(exc), eps=float(eps), amp=float(amp)) from exc
-        row[m] = p.p_left
+            raise NonConvergent(str(exc), eps=eps, amp=float(amp)) from exc
+        row[m] = pv.p_left
     return row
 
 

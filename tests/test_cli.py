@@ -205,6 +205,30 @@ PARSE_ERRORS = {
         edit(MINIMAL, "interwell L0 R0", "interwell L0 Q0"),
         "ParseError: line 5, column 14: expected a state like L0 or R1, got 'Q0'",
     ),
+    "underscore_number": (
+        edit(THREE_STATE, "relax R 1 0 = 1.0", "relax R 1 0 = 1_0.5"),
+        "ParseError: line 6, column 15: expected a number, got '1_0.5'",
+    ),
+    "underscore_index": (
+        edit(MINIMAL, "crossing 0 0", "crossing 0 1_0"),
+        "ParseError: line 4, column 12: expected an integer, got '1_0'",
+    ),
+    "underscore_points": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 1_0"),
+        "ParseError: line 13, column 11: expected an integer, got '1_0'",
+    ),
+    "non_ascii_digit": (
+        edit(MINIMAL, "dephasing = 0.1", "dephasing = \u0663"),
+        "ParseError: line 9, column 13: expected a number, got '\u0663'",
+    ),
+    "non_ascii_index": (
+        edit(MINIMAL, "crossing 0 0", "crossing \u0660 0"),
+        "ParseError: line 4, column 10: expected an integer, got '\u0660'",
+    ),
+    "non_ascii_state": (
+        edit(MINIMAL, "interwell L0 R0", "interwell L0 R\u0660"),
+        "ParseError: line 5, column 14: expected a state like L0 or R1, got 'R\u0660'",
+    ),
     "unknown_format": (
         edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\nformats = csv tif"),
         "ParseError: line 15, column 15: unknown output format 'tif'",
@@ -235,7 +259,7 @@ PARSE_ERRORS = {
             "interwell L0 R0 = 0.01",
             "interwell L0 R0 = 0.01\ninterwell L00 R0 = 0.02",
         ),
-        "ParseError: line 6, column 1: duplicate interwell L00 R0",
+        "ParseError: line 6, column 1: duplicate interwell L0 R0",
     ),
     "required_key": (
         edit(MINIMAL, "dephasing = 0.1", ""),

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lzs_sim.master as master_mod
 from lzs_sim import (
     DegenerateSystem,
     DriveParams,
     LeakConfig,
     PopulationVector,
     QubitModel,
+    RateKernelParams,
     RateMatrix,
     StateIndex,
     ValidationError,
@@ -288,6 +290,53 @@ class TestBuildRateMatrix:
         rm = build_rate_matrix(model, eps, drive)
         assert rm.states == ref.states
         assert np.array_equal(rm.matrix, ref.matrix)
+
+
+def pointwise_rates(deltas, positions, eps_values, drive, kernel):
+    """row_rates computed by one lzs_rate call per entry."""
+    return np.array(
+        [[lzs_rate(d, e - p, drive, kernel) for e in eps_values] for d, p in zip(deltas, positions)]
+    ).reshape(len(deltas), len(eps_values))
+
+
+class TestRowEngineParts:
+    @given(
+        model=random_models(),
+        eps=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=5),
+        drive=random_drives,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stack_matches_build_rate_matrix(self, model, eps, drive):
+        # Given the same rates, the stack holds build_rate_matrix's bits,
+        # and each direct solve that passes the check gives its P_L.
+        kernel = RateKernelParams()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(master_mod, "row_rates", pointwise_rates)
+            mats = master_mod.rate_matrix_stack(model, np.array(eps), drive, kernel)
+        p, ok = master_mod.stationary_stack(mats)
+        p_left = master_mod.left_population(p[ok], model.n_left)
+        expected = []
+        for m, e in enumerate(eps):
+            rm = build_rate_matrix(model, e, drive, kernel)
+            assert np.array_equal(mats[m], rm.matrix)
+            if ok[m]:
+                assert np.array_equal(p[m], master_mod._solve_normalized(rm.matrix))
+                expected.append(master_mod._finalize(p[m], rm.states).p_left)
+        assert list(p_left) == expected
+
+    def test_check_rejects_a_large_residual(self):
+        # Finite, nonnegative and normalized, but the last row of M p is
+        # far from zero: only the residual test can reject it.
+        mats = np.array([[[-1.0, 2.0], [5.0, 7.0]], [[-1.0, 1.0], [1.0, -1.0]]])
+        p, ok = master_mod.stationary_stack(mats)
+        assert p[0] == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
+        assert list(ok) == [False, True]
+
+    def test_singular_stack_is_left_to_the_caller(self):
+        mats = np.zeros((3, 2, 2))
+        p, ok = master_mod.stationary_stack(mats)
+        assert p.shape == (3, 2)
+        assert not ok.any()
 
 
 class TestStationarySolve:

@@ -24,8 +24,9 @@ from lzs_sim import (
     lzs_rate,
     stationary_solve,
 )
+from lzs_sim import rates as rates_mod
 from lzs_sim.cli import parse_config
-from lzs_sim.rates import _photon_window
+from lzs_sim.rates import _photon_window, row_rates
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
@@ -328,3 +329,43 @@ class TestLzsRate:
         with pytest.raises(ValidationError):
             RateKernelParams(lorentz_cutoff=-1.0)
 
+
+
+class TestRowRates:
+    DELTAS = [0.08, 0.2, 0.0, 0.45]
+    POSITIONS = [0.0, -2.1, 3.0, 6.75]
+    EPS = np.linspace(-10.0, 10.0, 41)
+
+    @pytest.mark.parametrize("amp", [0.0, 1.5, 4.0, 9.0])
+    @pytest.mark.parametrize("cutoff", [None, 3.0])
+    def test_matches_lzs_rate(self, amp, cutoff):
+        drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
+        kernel = RateKernelParams(lorentz_cutoff=cutoff)
+        got = row_rates(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
+        assert got.shape == (4, self.EPS.size)
+        for c, (delta, pos) in enumerate(zip(self.DELTAS, self.POSITIONS)):
+            for m, eps in enumerate(self.EPS):
+                ref = lzs_rate(delta, float(eps) - pos, drive, kernel)
+                assert got[c, m] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("block_terms", [1, 100, 5000])
+    def test_blocks_change_no_bit(self, monkeypatch, block_terms):
+        drive = DriveParams(amplitude=12.0, frequency=0.7, dephasing=0.05)
+        kernel = RateKernelParams(lorentz_cutoff=40.0)
+        whole = row_rates(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
+        monkeypatch.setattr(rates_mod, "_BLOCK_TERMS", block_terms)
+        split = row_rates(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
+        assert np.array_equal(whole, split)
+
+    def test_far_row_keeps_bessel_support(self):
+        # Every resonant window of the row misses n = 0, the only term at
+        # A = 0; the [-n_margin, n_margin] part of the window keeps it.
+        drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
+        got = row_rates([0.1], [60.0], self.EPS, drive)
+        for m, eps in enumerate(self.EPS):
+            ref = lzs_rate(0.1, float(eps) - 60.0, drive)
+            assert ref > 0.0
+            assert got[0, m] == pytest.approx(ref, rel=1e-12)
+
+    def test_no_crossings(self):
+        assert row_rates([], [], self.EPS, DRIVE).shape == (0, self.EPS.size)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lzs_sim.sweep as sweep_mod
 from lzs_sim import (
     DriveParams,
+    LeakConfig,
     NonConvergent,
     QubitModel,
     RateKernelParams,
@@ -23,6 +26,11 @@ TWO_STATE = QubitModel(
     right_offsets=(0.0,),
     crossings=np.array([[0.05]]),
     left_to_right=np.array([[0.01]]),
+)
+ZERO_COUPLING = QubitModel(
+    left_offsets=(0.0,),
+    right_offsets=(0.0,),
+    crossings=np.zeros((1, 1)),
 )
 DRIVE = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
 
@@ -62,12 +70,7 @@ class TestRunSweep:
                 assert pmap.values[k, m] == p.p_left
 
     def test_zero_coupling_keeps_initial_state(self):
-        model = QubitModel(
-            left_offsets=(0.0,),
-            right_offsets=(0.0,),
-            crossings=np.zeros((1, 1)),
-        )
-        pmap = run_sweep(model, DRIVE, SweepGrid(-1.0, 1.0, 2, 0.0, 1.0, 2))
+        pmap = run_sweep(ZERO_COUPLING, DRIVE, SweepGrid(-1.0, 1.0, 2, 0.0, 1.0, 2))
         assert np.all(pmap.values == 0.0)  # everything stays in 0R
 
     def test_static_row_is_single_lorentzian_balance(self):
@@ -131,9 +134,11 @@ class TestRunSweep:
         def explode(matrix):
             raise NonConvergent("forced failure")
 
+        # Zero coupling makes every generator singular, so every point
+        # reaches the scalar path through the module's stationary_solve.
         monkeypatch.setattr(sweep_mod, "stationary_solve", explode)
         with pytest.raises(NonConvergent) as err:
-            run_sweep(TWO_STATE, DRIVE, grid)
+            run_sweep(ZERO_COUPLING, DRIVE, grid)
         assert err.value.eps == -1.0
         assert err.value.amp == 0.0
         assert "eps=-1.0" in str(err.value)
@@ -153,6 +158,110 @@ class TestRunSweep:
             TWO_STATE, DRIVE, grid, kernel=RateKernelParams(lorentz_cutoff=0.5)
         )
         assert not np.array_equal(base.values, tight.values)
+
+
+sparse_rates = st.one_of(st.just(0.0), st.floats(1e-4, 2.0))
+
+
+@st.composite
+def engine_cases(draw):
+    """A random model (2-4 levels per well, sparse rates, optional leak),
+    kernel (optional lorentz_cutoff), drive and small grid.
+
+    Every excited level decays to its well's ground state and the two
+    ground states decay into each other, so each model has exactly one
+    stationary state.  With two closed classes of states the stationary
+    state is not unique, and the oracle itself returns whichever one
+    roundoff in its LU solve selects.
+
+    A/w stays at most 8, well inside the default n_margin of 20: there
+    the oracle's own photon window truncates nothing above roundoff, so
+    any gap is the engine's.  As A/w nears n_margin, the wider window of
+    the engine starts to pick up terms the per-point window drops.
+    """
+    nl, nr = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+
+    def block(rows, cols, to_ground=()):
+        flat = draw(st.lists(sparse_rates, min_size=rows * cols, max_size=rows * cols))
+        rates = np.array(flat).reshape(rows, cols)
+        for i, j in to_ground:
+            rates[i, j] = draw(st.floats(1e-4, 2.0))
+        return rates
+
+    def ladder(n):
+        steps = draw(st.lists(st.floats(0.5, 6.0), min_size=n - 1, max_size=n - 1))
+        return tuple(np.concatenate(([0.0], np.cumsum(steps))))
+
+    leaks = st.builds(LeakConfig, threshold=st.integers(0, 4), return_rate=st.floats(0.1, 2.0))
+    model = QubitModel(
+        left_offsets=ladder(nl),
+        right_offsets=ladder(nr),
+        crossings=block(nl, nr),
+        left_relax=np.tril(block(nl, nl, [(i, 0) for i in range(1, nl)]), -1),
+        right_relax=np.tril(block(nr, nr, [(j, 0) for j in range(1, nr)]), -1),
+        left_to_right=block(nl, nr, [(0, 0)]),
+        right_to_left=block(nr, nl, [(0, 0)]),
+        leak=draw(st.one_of(st.none(), leaks)),
+    )
+    cutoff = draw(st.one_of(st.none(), st.floats(0.5, 50.0)))
+    drive = DriveParams(
+        amplitude=0.0,
+        frequency=draw(st.floats(1.0, 3.0)),
+        dephasing=draw(st.floats(0.05, 0.5)),
+    )
+    eps_min, amp_min = draw(st.floats(-12.0, 8.0)), draw(st.floats(0.0, 4.0))
+    grid = SweepGrid(
+        eps_min,
+        eps_min + draw(st.floats(0.1, 8.0)),
+        draw(st.integers(2, 6)),
+        amp_min,
+        amp_min + draw(st.floats(0.1, 4.0)),
+        draw(st.integers(2, 3)),
+    )
+    return model, RateKernelParams(lorentz_cutoff=cutoff), drive, grid
+
+
+def pointwise_map(model, drive_base, grid, kernel=RateKernelParams()):
+    """The map from one scalar oracle solve per point."""
+    values = np.empty(grid.shape)
+    for k, amp in enumerate(grid.amp_values):
+        drive = DriveParams(float(amp), drive_base.frequency, drive_base.dephasing)
+        for m, eps in enumerate(grid.eps_values):
+            rm = build_rate_matrix(model, float(eps), drive, kernel)
+            values[k, m] = stationary_solve(rm).p_left
+    return values
+
+
+class TestRowEngine:
+    @given(engine_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_oracle(self, case):
+        model, kernel, drive, grid = case
+        pmap = run_sweep(model, drive, grid, kernel)
+        oracle = pointwise_map(model, drive, grid, kernel)
+        assert np.max(np.abs(pmap.values - oracle)) <= 1e-10
+
+    def test_reducible_model_takes_scalar_path(self, monkeypatch):
+        # Two non-interacting pairs, 0L<->0R and 1L<->1R: every generator
+        # in the stack is singular, so each point goes to the relaxation
+        # fallback of stationary_solve.
+        model = QubitModel(
+            left_offsets=(0.0, 5.0),
+            right_offsets=(0.0, 5.0),
+            crossings=np.array([[0.2, 0.0], [0.0, 0.5]]),
+        )
+        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return stationary_solve(matrix)
+
+        monkeypatch.setattr(sweep_mod, "stationary_solve", counting)
+        pmap = run_sweep(model, DRIVE, grid)
+        assert len(calls) == grid.n_eps * grid.n_amp
+        assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid))
+        assert pmap.values == pytest.approx(np.full(grid.shape, 0.5), abs=1e-9)
 
 
 class TestFrequencyBatch:
