@@ -232,11 +232,12 @@ def rate_matrix_stack(
 def stationary_stack(mats: np.ndarray):
     """Direct stationary solves of a generator stack (M, n, n).
 
-    Returns (p, ok): p[m] solves mats[m] p = 0 with sum(p) = 1 by the
-    same LU solve as ``stationary_solve``, and ok[m] says whether it
-    passes that function's acceptance check.  Points that fail, or all
-    of them when the stack holds an exactly singular matrix, are left
-    to ``stationary_solve``.
+    Returns (p, ok): p[m] solves mats[m] p = 0 with sum(p) = 1 by one
+    LU solve, the last (redundant) row replaced by the normalization,
+    and ok[m] says whether it passes the acceptance check that
+    ``stationary_solve`` also applies.  Points that fail, or all of them
+    when the stack holds an exactly singular matrix, are left to the
+    caller.
     """
     m, n = mats.shape[:2]
     a = mats.copy()
@@ -267,17 +268,6 @@ def left_population(p: np.ndarray, n_left: int) -> np.ndarray:
     totals = np.array([math.fsum(row) for row in p.tolist()])
     q = np.clip(p / totals[:, None], 0.0, 1.0)
     return np.array([math.fsum(row) for row in q[:, :n_left].tolist()])
-
-
-def _solve_normalized(mat: np.ndarray) -> np.ndarray:
-    """Solve M p = 0 with the last (redundant) row replaced by sum(p) = 1.
-
-    A single dense LU solve; ``stationary_solve`` checks the result."""
-    a = mat.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(mat.shape[0])
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
 
 
 def _finalize(p: np.ndarray, states) -> PopulationVector:
@@ -327,26 +317,15 @@ def _relax_to_stationary(mat: np.ndarray, p0: np.ndarray) -> np.ndarray:
 def stationary_solve(m: RateMatrix) -> PopulationVector:
     """Stationary population distribution of a rate matrix.
 
-    Solves the dense linear system directly; if that is singular,
-    unstable, or produces negative probabilities, relaxes in time from
-    the right-well ground state instead.
+    Solves the dense linear system directly (``stationary_stack`` on a
+    stack of one); if that is singular or fails the acceptance check,
+    relaxes in time from the right-well ground state instead.  A
+    generator with two or more closed classes of states has no unique
+    stationary state: the result is then one of several valid ones, and
+    which one can turn on the last bit of a rate.
     """
-    mat = m.matrix
-    scale = np.linalg.norm(mat, np.inf) if mat.size else 0.0
-    x = None
-    try:
-        cand = _solve_normalized(mat)
-        if (
-            np.all(np.isfinite(cand))
-            and np.min(cand) >= -_NEGATIVITY_TOL
-            and np.max(np.abs(mat @ cand)) <= _RESIDUAL_REL * max(scale, 1e-300)
-            and abs(math.fsum(cand) - 1.0) <= 1e-9
-        ):
-            x = cand
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None:
-        x = _relax_to_stationary(mat, _initial_ground_right(m))
+    p, ok = stationary_stack(m.matrix[None])
+    x = p[0] if ok[0] else _relax_to_stationary(m.matrix, _initial_ground_right(m))
     return _finalize(x, m.states)
 
 

@@ -4,10 +4,12 @@ A row of the map (one amplitude) is computed as arrays: the pumped rates
 of every crossing at every detuning of the row come from one photon sum
 (``rates.row_rates``), the generators are stacked on one static part,
 and one batched LU solve gives every point's populations.  A point whose
-solution fails ``stationary_solve``'s acceptance check, or every point
-of a row whose stack holds a singular generator, is solved again on its
-own by ``stationary_solve(build_rate_matrix(...))``, which falls back to
-relaxation in time.
+solution fails the acceptance check, or every point of a row whose stack
+holds a singular generator, is solved again from its own generator in
+the stack by ``stationary_solve``, which falls back to relaxation in
+time.  The photon window and the acceptance check are those of the
+single-point functions, so wherever the direct solve is accepted the map
+agrees with ``probe`` to roundoff.
 
 Rows are farmed out to worker processes and reassembled by index.  Each
 row is computed by the same pure function regardless of worker count,
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import NonConvergent, ValidationError
 from .master import (
-    build_rate_matrix,
+    RateMatrix,
     left_population,
     rate_matrix_stack,
     stationary_solve,
@@ -151,13 +153,14 @@ def _row_worker(payload) -> np.ndarray:
         frequency=drive_base.frequency,
         dephasing=drive_base.dephasing,
     )
-    p, ok = stationary_stack(rate_matrix_stack(model, eps_values, drive, kernel))
+    mats = rate_matrix_stack(model, eps_values, drive, kernel)
+    p, ok = stationary_stack(mats)
     row = np.empty(eps_values.size)
     row[ok] = left_population(p[ok], model.n_left)
     for m in np.flatnonzero(~ok):
         eps = float(eps_values[m])
         try:
-            pv = stationary_solve(build_rate_matrix(model, eps, drive, kernel))
+            pv = stationary_solve(RateMatrix(mats[m], model.states()))
         except NonConvergent as exc:
             raise NonConvergent(str(exc), eps=eps, amp=float(amp)) from exc
         row[m] = pv.p_left

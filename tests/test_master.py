@@ -307,8 +307,9 @@ class TestRowEngineParts:
     )
     @settings(max_examples=150, deadline=None)
     def test_stack_matches_build_rate_matrix(self, model, eps, drive):
-        # Given the same rates, the stack holds build_rate_matrix's bits,
-        # and each direct solve that passes the check gives its P_L.
+        # Given the same rates, the stack holds build_rate_matrix's bits;
+        # each direct solve that passes the check has the bits of solving
+        # its generator alone, and gives stationary_solve's P_L.
         kernel = RateKernelParams()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(master_mod, "row_rates", pointwise_rates)
@@ -320,8 +321,10 @@ class TestRowEngineParts:
             rm = build_rate_matrix(model, e, drive, kernel)
             assert np.array_equal(mats[m], rm.matrix)
             if ok[m]:
-                assert np.array_equal(p[m], master_mod._solve_normalized(rm.matrix))
-                expected.append(master_mod._finalize(p[m], rm.states).p_left)
+                alone, ok_alone = master_mod.stationary_stack(mats[m : m + 1])
+                assert ok_alone[0]
+                assert np.array_equal(alone[0], p[m])
+                expected.append(stationary_solve(rm).p_left)
         assert list(p_left) == expected
 
     def test_check_rejects_a_large_residual(self):

@@ -26,9 +26,20 @@ from lzs_sim import (
 )
 from lzs_sim import rates as rates_mod
 from lzs_sim.cli import parse_config
-from lzs_sim.rates import _photon_window, row_rates
+from lzs_sim.rates import _photon_range, row_rates
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
+# (config, text replacements) for the truncation bound: every shipped
+# config as is, and second_diamond driven slowly enough that A/w reaches
+# 23, beyond the default n_margin.
+TRUNCATION_INPUTS = [pytest.param(path, {}, id=path.stem) for path in CONFIGS] + [
+    pytest.param(
+        CONFIG_DIR / "second_diamond.cfg",
+        {"frequency = 1.0": "frequency = 0.6", "amp = 0 12 201": "amp = 0 14 201"},
+        id="second_diamond_slow_drive",
+    )
+]
 
 # (n, x, J_n(x)) from mpmath.besselj, 60 significant digits.
 MPMATH_REFERENCE = [
@@ -159,22 +170,35 @@ class TestBesselJn:
 
 class TestPhotonWindow:
     def test_merged_window(self):
-        ns = _photon_window(1.5, 3.0, 20)
-        assert ns[0] == -20 and ns[-1] == 20
-        assert np.array_equal(ns, np.arange(-20, 21))
+        # A resonance inside the Bessel support: one range around both.
+        ns = _photon_range(1.5, 1.5, 23.0)
+        assert np.array_equal(ns, np.arange(-23, 25))
 
-    def test_disjoint_windows_sorted(self):
-        ns = _photon_window(100.0, 2.0, 5)
-        assert list(ns) == list(range(-5, 6)) + list(range(98, 103))
-        assert np.all(np.diff(ns) > 0)
-
-    def test_adjacent_windows_fused(self):
-        ns = _photon_window(8.0, 2.0, 5)
-        assert list(ns) == list(range(-5, 11))
+    def test_far_resonance_keeps_bessel_support(self):
+        # |n| <= half and the resonant window, and every n between them.
+        assert np.array_equal(_photon_range(100.0, 100.0, 7.0), np.arange(-7, 108))
+        assert np.array_equal(_photon_range(-60.0, -40.5, 3.5), np.arange(-63, 4))
 
     def test_zero_margin_keeps_n0(self):
-        ns = _photon_window(50.0, 0.5, 0)
+        ns = _photon_range(50.0, 50.0, 0.5)
         assert 0 in ns and 50 in ns
+
+    @given(
+        c_lo=st.floats(-200.0, 200.0),
+        width=st.floats(0.0, 50.0),
+        half=st.floats(0.0, 60.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_contiguous_cover_of_every_window(self, c_lo, width, half):
+        c_hi = c_lo + width
+        ns = _photon_range(c_lo, c_hi, half)
+        assert np.all(np.diff(ns) == 1)
+        for center in (c_lo, c_hi, 0.0):
+            window = range(math.ceil(center - half), math.floor(center + half) + 1)
+            assert ns[0] <= window.start and window.stop - 1 <= ns[-1]
+        # and nothing beyond them
+        assert ns[0] - 1 < min(c_lo, 0.0) - half
+        assert ns[-1] + 1 > max(c_hi, 0.0) + half
 
 
 DRIVE = DriveParams(amplitude=2.0, frequency=1.0, dephasing=0.05)
@@ -270,11 +294,15 @@ class TestLzsRate:
             ref = lzs_rate(0.1, eps, DRIVE, wide)
             assert base == pytest.approx(ref, rel=1e-9)
 
-    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-    def test_truncation_bound_on_shipped_grids(self, path):
+    @pytest.mark.parametrize("path, edits", TRUNCATION_INPUTS)
+    def test_truncation_bound_on_shipped_grids(self, path, edits):
         # The bounds stated in the rates module docstring, on a 9 x 9
-        # sample (corners included) of each shipped grid and frequency.
-        config = parse_config(path.read_text())
+        # sample (corners included) of each grid and frequency.
+        text = path.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        config = parse_config(text)
         grid, model = config.grid, config.model
         pick = np.linspace(0.0, 1.0, 9)
         eps_sample = grid.eps_values[(pick * (grid.n_eps - 1)).round().astype(int)]
@@ -357,9 +385,23 @@ class TestRowRates:
         split = row_rates(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
         assert np.array_equal(whole, split)
 
+    @given(
+        delta=st.floats(1e-3, 1.0),
+        eps=st.floats(-40.0, 40.0),
+        amp=st.floats(0.0, 20.0),
+        frequency=st.floats(0.3, 17.0),
+        gamma2=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_point_row_is_lzs_rate(self, delta, eps, amp, frequency, gamma2):
+        # Both sum the same window in the same order, so the bits agree.
+        drive = DriveParams(amplitude=amp, frequency=frequency, dephasing=gamma2)
+        row = row_rates([delta], [0.0], [eps], drive)
+        assert row[0, 0] == lzs_rate(delta, eps, drive)
+
     def test_far_row_keeps_bessel_support(self):
         # Every resonant window of the row misses n = 0, the only term at
-        # A = 0; the [-n_margin, n_margin] part of the window keeps it.
+        # A = 0; the Bessel support |n| <= A/w + n_margin keeps it.
         drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
         got = row_rates([0.1], [60.0], self.EPS, drive)
         for m, eps in enumerate(self.EPS):

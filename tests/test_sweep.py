@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lzs_sim.sweep as sweep_mod
@@ -174,10 +174,11 @@ def engine_cases(draw):
     state is not unique, and the oracle itself returns whichever one
     roundoff in its LU solve selects.
 
-    A/w stays at most 8, well inside the default n_margin of 20: there
-    the oracle's own photon window truncates nothing above roundoff, so
-    any gap is the engine's.  As A/w nears n_margin, the wider window of
-    the engine starts to pick up terms the per-point window drops.
+    A/w reaches 40, twice the default n_margin of 20.  The engine and
+    the oracle truncate the photon sum by the same rule; the row's window
+    adds to a point's own only photon numbers beyond A/w + n_margin,
+    whose Bessel weights are negligible, so any gap above roundoff is
+    the engine's.
     """
     nl, nr = draw(st.integers(2, 4)), draw(st.integers(2, 4))
 
@@ -206,10 +207,10 @@ def engine_cases(draw):
     cutoff = draw(st.one_of(st.none(), st.floats(0.5, 50.0)))
     drive = DriveParams(
         amplitude=0.0,
-        frequency=draw(st.floats(1.0, 3.0)),
+        frequency=draw(st.floats(0.5, 3.0)),
         dephasing=draw(st.floats(0.05, 0.5)),
     )
-    eps_min, amp_min = draw(st.floats(-12.0, 8.0)), draw(st.floats(0.0, 4.0))
+    eps_min, amp_min = draw(st.floats(-12.0, 8.0)), draw(st.floats(0.0, 16.0))
     grid = SweepGrid(
         eps_min,
         eps_min + draw(st.floats(0.1, 8.0)),
@@ -234,6 +235,22 @@ def pointwise_map(model, drive_base, grid, kernel=RateKernelParams()):
 
 class TestRowEngine:
     @given(engine_cases())
+    @example(  # A/w up to 14; the row lies 6-14 photons from the crossing
+        (
+            QubitModel(
+                left_offsets=(0.0, 3.0),
+                right_offsets=(0.0, 1.0),
+                crossings=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                left_relax=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                right_relax=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                left_to_right=np.eye(2),
+                right_to_left=np.eye(2),
+            ),
+            RateKernelParams(),
+            DriveParams(amplitude=0.0, frequency=0.5, dephasing=0.5),
+            SweepGrid(0.0, 4.0, 2, 3.0, 7.0, 2),
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_oracle(self, case):
         model, kernel, drive, grid = case
@@ -260,7 +277,12 @@ class TestRowEngine:
         monkeypatch.setattr(sweep_mod, "stationary_solve", counting)
         pmap = run_sweep(model, DRIVE, grid)
         assert len(calls) == grid.n_eps * grid.n_amp
-        assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid))
+        # The fallback relaxes the row's own generator, whose rates may
+        # differ from build_rate_matrix's in the last bits.  Relaxation
+        # stops once the population flow is below 1e-12 GHz, so the two
+        # can stop a step apart; the engine's 1e-10 bound still holds.
+        oracle = pointwise_map(model, DRIVE, grid)
+        assert pmap.values == pytest.approx(oracle, abs=1e-10)
         assert pmap.values == pytest.approx(np.full(grid.shape, 0.5), abs=1e-9)
 
 
