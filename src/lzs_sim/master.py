@@ -39,7 +39,7 @@ __all__ = [
 
 _RESIDUAL_REL = 1e-10
 _NEGATIVITY_TOL = 1e-12
-_FALLBACK_RATE_TOL = 1e-12
+_FALLBACK_STEP_TOL = 1e-14
 _FALLBACK_MAX_STEPS = 300
 
 
@@ -290,13 +290,22 @@ def _initial_ground_right(m: RateMatrix) -> np.ndarray:
 
 def _relax_to_stationary(mat: np.ndarray, p0: np.ndarray) -> np.ndarray:
     """Implicit relaxation with geometrically growing steps until the
-    population flow stalls below the stationarity tolerance."""
+    populations stop moving.
+
+    The relaxation ends once a step moves no population by more than
+    _FALLBACK_STEP_TOL, whatever the generator's rate scale: a tolerance
+    on the flow M p in GHz would accept a slow generator long before it
+    settles.  At the longest step, 1e12 / max|M|, a step that moves more
+    than half as much as the one before has stalled (roundoff shifting
+    population between closed classes, or rates too slow to resolve),
+    and the populations are returned as they are.
+    """
     scale = np.max(np.abs(mat))
     if scale == 0.0:
         return p0
     eye = np.eye(mat.shape[0])
-    dt = 1.0 / scale
-    p = p0
+    dt, dt_max = 1.0 / scale, 1e12 / scale
+    p, last = p0, np.inf
     for _ in range(_FALLBACK_MAX_STEPS):
         try:
             q = np.linalg.solve(eye - dt * mat, p)
@@ -304,13 +313,15 @@ def _relax_to_stationary(mat: np.ndarray, p0: np.ndarray) -> np.ndarray:
             raise StepRejected(f"implicit relaxation step failed: {exc}") from exc
         q = np.where(q < 0.0, 0.0, q)
         q = q / math.fsum(q)
+        moved = np.max(np.abs(q - p))
         p = q
-        if np.max(np.abs(mat @ p)) < _FALLBACK_RATE_TOL:
+        if moved <= _FALLBACK_STEP_TOL or moved > 0.5 * last:
             return p
-        dt = min(2.0 * dt, 1e12 / scale)
+        last = moved if dt == dt_max else np.inf
+        dt = min(2.0 * dt, dt_max)
     raise NonConvergent(
         "relaxation fallback did not reach a stationary population "
-        f"(best residual {np.max(np.abs(mat @ p)):.3e} GHz)"
+        f"(last step moved {moved:.3e})"
     )
 
 

@@ -19,7 +19,9 @@ default n_margin = 20, every rate is within a relative 1e-7 of the rate
 with n_margin = 80, and P_L within 1e-10 absolute, on the grids of the
 shipped configs and on second_diamond driven at w = 0.6 GHz up to
 A = 14 GHz (A/w = 23); the largest gaps seen there are 3.5e-15 and
-7.8e-16, roundoff.
+7.8e-16, roundoff.  The range, and so the cost, grows with |eps|/w away
+from the crossing: every n between the Bessel support and the resonance
+is kept, although J_n is negligible on nearly all of them.
 
 ``row_rates`` evaluates the same sum for many crossings and detunings at
 one drive, over the one window that serves the whole set.

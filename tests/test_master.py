@@ -373,6 +373,43 @@ class TestStationarySolve:
         assert p.probability_of(L0) == pytest.approx(0.5, abs=1e-12)
         assert p.probability_of(R0) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "w_ground, w_upper",
+        [(2.0**-9, 2.0**-8), (2.0**-16, 2.0**-15), (2.0**-22, 0.5)],
+    )
+    def test_slow_disconnected_graph_settles(self, w_ground, w_upper):
+        # The same two pairs with slow rates, and one pair 2e6 times slower
+        # than the other: the fallback's answer must not depend on how
+        # fast the rates are.  Power-of-two rates keep the direct solve
+        # exactly singular, so the point always reaches the fallback.
+        channels = [
+            (L1, R1, w_upper), (R1, L1, w_upper), (R0, L0, w_ground), (L0, R0, w_ground)
+        ]
+        m = RateMatrix.from_channels((L0, L1, R0, R1), channels)
+        assert not master_mod.stationary_stack(m.matrix[None])[1][0]
+        p = stationary_solve(m)
+        assert p.probability_of(L0) == pytest.approx(0.5, abs=1e-12)
+        assert p.probability_of(R0) == pytest.approx(0.5, abs=1e-12)
+
+    def test_relaxation_returns_when_roundoff_keeps_moving(self):
+        # Two closed classes, {3} and {0, 4}, both fed by the transient
+        # states 1, 2 and 5.  At the longest step, roundoff in the solve
+        # moves about 1e-8 of population between the classes on every
+        # step; the relaxation returns instead of chasing it.
+        mat = np.array([
+            [0.0, 1.335, 5.845e-3, 0.0, 6.352e-3, 0.0],
+            [0.0, 0.0, 0.1582, 0.0, 0.0, 0.0],
+            [0.0, 0.1026, 0.0, 0.0, 0.0, 2.339e-2],
+            [0.0, 0.0, 2.697e-2, 0.0, 0.0, 0.0],
+            [3.112, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 6.471, 2.168e-3, 0.0, 0.0, 0.0],
+        ])
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        p = master_mod._relax_to_stationary(mat, np.eye(6)[5])
+        assert math.fsum(p) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(p[[1, 2, 5]]) <= 1e-12
+        assert np.max(np.abs(mat @ p)) <= 1e-15
+
     @given(st.lists(rates_01, min_size=4, max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_residual_and_simplex_invariants(self, rs):

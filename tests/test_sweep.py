@@ -12,6 +12,7 @@ from lzs_sim import (
     NonConvergent,
     QubitModel,
     RateKernelParams,
+    RateMatrix,
     SweepGrid,
     ValidationError,
     build_rate_matrix,
@@ -20,6 +21,7 @@ from lzs_sim import (
     run_sweep,
     stationary_solve,
 )
+from lzs_sim.master import rate_matrix_stack
 
 TWO_STATE = QubitModel(
     left_offsets=(0.0,),
@@ -277,12 +279,23 @@ class TestRowEngine:
         monkeypatch.setattr(sweep_mod, "stationary_solve", counting)
         pmap = run_sweep(model, DRIVE, grid)
         assert len(calls) == grid.n_eps * grid.n_amp
-        # The fallback relaxes the row's own generator, whose rates may
-        # differ from build_rate_matrix's in the last bits.  Relaxation
-        # stops once the population flow is below 1e-12 GHz, so the two
-        # can stop a step apart; the engine's 1e-10 bound still holds.
+        # Each point is solved from its own slice of the row's stack.
+        routed = np.array([
+            [
+                stationary_solve(RateMatrix(mat, model.states())).p_left
+                for mat in rate_matrix_stack(
+                    model,
+                    grid.eps_values,
+                    DriveParams(float(amp), DRIVE.frequency, DRIVE.dephasing),
+                )
+            ]
+            for amp in grid.amp_values
+        ])
+        assert np.array_equal(pmap.values, routed)
+        # That generator may differ from build_rate_matrix's in the last
+        # bits; both relaxations settle to the same populations.
         oracle = pointwise_map(model, DRIVE, grid)
-        assert pmap.values == pytest.approx(oracle, abs=1e-10)
+        assert pmap.values == pytest.approx(oracle, abs=1e-12)
         assert pmap.values == pytest.approx(np.full(grid.shape, 0.5), abs=1e-9)
 
 
