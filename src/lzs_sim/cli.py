@@ -366,14 +366,12 @@ def _write_artifact(path: Path, data: bytes) -> str:
 
 def csv_bytes(pmap: PopulationMap) -> bytes:
     """Row-major CSV, outer loop over amplitude, 17 significant digits."""
-    eps = pmap.grid.eps_values
-    amps = pmap.grid.amp_values
+    # Each axis value is formatted once per map, not once per line.
+    eps_text = [f"{e:.17g}," for e in pmap.grid.eps_values.tolist()]
     lines = [_CSV_HEADER]
-    for k, amp in enumerate(amps):
-        row = pmap.values[k]
-        amp_text = format(amp, ".17g")
-        for m, e in enumerate(eps):
-            lines.append(f"{e:.17g},{amp_text},{row[m]:.17g}")
+    for amp, row in zip(pmap.grid.amp_values.tolist(), pmap.values.tolist()):
+        amp_text = f"{amp:.17g},"
+        lines.extend(f"{e}{amp_text}{v:.17g}" for e, v in zip(eps_text, row))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

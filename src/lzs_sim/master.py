@@ -22,10 +22,9 @@ from .model import (
     QubitModel,
     StateIndex,
     Well,
-    crossing_position,
     local_detuning,
 )
-from .rates import RateKernelParams, lzs_rate, row_rates
+from .rates import RateKernelParams, lzs_rate
 
 __all__ = [
     "RateMatrix",
@@ -197,36 +196,6 @@ def build_rate_matrix(
             mat[to, frm] += w
     np.fill_diagonal(mat, -mat.sum(axis=0))
     return RateMatrix(matrix=mat, states=model.states())
-
-
-def rate_matrix_stack(
-    model: QubitModel,
-    eps_values,
-    drive: DriveParams,
-    kernel: RateKernelParams = RateKernelParams(),
-) -> np.ndarray:
-    """Generators at every detuning of eps_values, stacked as (M, n, n).
-
-    Assembled like ``build_rate_matrix``, with the pumped rates of all
-    points from one ``row_rates`` call.
-    """
-    static, pumps = _generator_layout(model)
-    rates = row_rates(
-        [delta for _, _, delta, _ in pumps],
-        [crossing_position(model, i, j) for i, j, _, _ in pumps],
-        eps_values,
-        drive,
-        kernel,
-    )
-    mats = np.repeat(static[None], rates.shape[1], axis=0)
-    # One crossing at a time: a buffered fancy += would drop the second
-    # of two rates pumping into the same leak entry.
-    for (_, _, _, targets), w in zip(pumps, rates):
-        for to, frm in targets:
-            mats[:, to, frm] += w
-    diag = np.arange(static.shape[0])
-    mats[:, diag, diag] = -mats.sum(axis=1)
-    return mats
 
 
 def stationary_stack(mats: np.ndarray):

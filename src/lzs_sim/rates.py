@@ -9,22 +9,23 @@ by the squared Bessel function J_n(A/w)**2:
                                 / ((eps - n*w)**2 + gamma2**2)
 
 with eps the detuning from the crossing and gamma2 the dephasing rate.
-One rule, ``_photon_range``, truncates the infinite sum, for one point
-and for a row alike: keep the integers within A/w + n_margin of the
-interval from 0 to eps/w (to the extreme eps/w of a row).  That covers
-the Bessel support |n| <= A/w + n_margin, beyond which the summand is
-negligible because J_n(x) decays super-exponentially for |n| > x, and
-each point's resonant window |n - eps/w| <= A/w + n_margin.  With the
-default n_margin = 20, every rate is within a relative 1e-7 of the rate
-with n_margin = 80, and P_L within 1e-10 absolute, on the grids of the
-shipped configs and on second_diamond driven at w = 0.6 GHz up to
-A = 14 GHz (A/w = 23); the largest gaps seen there are 3.5e-15 and
-7.8e-16, roundoff.  The range, and so the cost, grows with |eps|/w away
-from the crossing: every n between the Bessel support and the resonance
-is kept, although J_n is negligible on nearly all of them.
+One rule, ``_photon_runs``, truncates the infinite sum, for one point
+and for a map row alike: keep the Bessel support |n| <= A/w + n_margin,
+beyond which the summand is negligible because J_n(x) decays
+super-exponentially for |n| > x, and the resonant window of the points
+summed, the integers within A/w + n_margin of [eps/w, eps/w] (of the
+extreme eps/w of a row), in ascending n.  A point far from its crossing
+thus sums two runs of photon numbers, not the stretch between them,
+whose J_n**2 is negligible.  With the default n_margin = 20, every rate
+is within a relative 1e-7 of the rate with n_margin = 80, and P_L within
+1e-10 absolute, on the grids of the shipped configs and on
+second_diamond driven at w = 0.6 GHz up to A = 14 GHz (A/w = 23); the
+largest gaps seen there are 3.5e-15 and 7.8e-16, roundoff.
 
-``row_rates`` evaluates the same sum for many crossings and detunings at
-one drive, over the one window that serves the whole set.
+``PhotonTable`` evaluates the same sum for many crossings and
+detunings at one drive frequency, over the one window that serves the
+whole set.  Its Lorentzian denominators are built once and serve every
+amplitude of a map; only the Bessel weights change from row to row.
 
 The Bessel kernel is self-contained: an ascending power series for
 x < 2 and Miller's normalized downward recurrence otherwise.
@@ -48,7 +49,7 @@ _START_PAD = 50
 _RESCALE_LIMIT = 1e250
 _RESCALE = 1e-250
 # Most elements in one (crossings x detunings x photons) temporary of
-# row_rates (1 MB of float64); longer rows are split into blocks.
+# PhotonTable.rates (1 MB of float64); longer rows are split into blocks.
 _BLOCK_TERMS = 1 << 17
 
 
@@ -147,16 +148,27 @@ def bessel_jn(n: int, x: float) -> float:
     return sign * float(_jn_array(n, x)[n])
 
 
-def _photon_range(c_lo: float, c_hi: float, half: float) -> np.ndarray:
-    """The integers within half of [min(c_lo, 0), max(c_hi, 0)].
+def _photon_runs(c_lo: float, c_hi: float, half: float) -> tuple[tuple[int, int], ...]:
+    """The photon numbers summed, as ascending runs [start, stop) of
+    consecutive integers.
 
     c_lo and c_hi are the extreme resonance centres eps/w of the points
-    summed; the range is contiguous and covers each centre's resonant
-    window and the Bessel support |n| <= half.
+    summed.  The runs cover the Bessel support |n| <= half and the
+    resonant window [c_lo - half, c_hi + half], and nothing else: one
+    run where the two meet, two where a gap lies between them.
     """
-    return np.arange(
-        math.ceil(min(c_lo, 0.0) - half), math.floor(max(c_hi, 0.0) + half) + 1
-    )
+    support = (math.ceil(-half), math.floor(half) + 1)
+    window = (math.ceil(c_lo - half), math.floor(c_hi + half) + 1)
+    if window[0] > support[1]:
+        return support, window
+    if window[1] < support[0]:
+        return window, support
+    return ((min(support[0], window[0]), max(support[1], window[1])),)
+
+
+def _photon_range(c_lo: float, c_hi: float, half: float) -> np.ndarray:
+    """The photon numbers of ``_photon_runs``, ascending, as one array."""
+    return np.concatenate([np.arange(*run) for run in _photon_runs(c_lo, c_hi, half)])
 
 
 def lzs_rate(
@@ -201,47 +213,82 @@ def lzs_rate(
     return 0.5 * delta * delta * total
 
 
-def row_rates(
-    deltas,
-    positions,
-    eps_values,
-    drive: DriveParams,
-    kernel: RateKernelParams = RateKernelParams(),
-) -> np.ndarray:
+class PhotonTable:
     """Rates W[c, m] (GHz) through crossings of size deltas[c] at
-    positions[c], at the global detunings eps_values[m], for one drive.
+    positions[c], at the global detunings eps_values[m], for any drive
+    amplitude up to drive.amplitude at the drive's frequency and
+    dephasing.
 
-    Each entry is the sum ``lzs_rate(deltas[c], eps_values[m] -
-    positions[c], drive, kernel)`` takes, by the same window rule, but
-    one window serves every crossing and detuning: ``_photon_range``
-    over the extreme local detunings of the set.  It contains each
+    The Lorentzian denominators are tabulated once, over the photon
+    range of the largest amplitude, which holds that of every smaller
+    one; ``rates`` divides one amplitude's squared Bessel weights by its
+    columns of the table, with the elementwise ops of lzs_rate.  Under
+    lorentz_cutoff a cut term's denominator is inf, so the term is
+    exactly 0.  One window, ``_photon_runs`` over the extreme local
+    detunings, serves every crossing and detuning; it contains each
     point's own window and adds only terms below the truncation bound,
-    so the result differs from lzs_rate by roundoff; for a single
-    point, without lorentz_cutoff, it has lzs_rate's bits.
-    The photon axis is summed by np.sum over the contiguous last axis,
-    never by BLAS, so the bits depend neither on the BLAS build nor on
-    how the detunings are split into blocks.
+    so the result differs from lzs_rate by roundoff, and for a single
+    point without lorentz_cutoff it has lzs_rate's bits.  The photon
+    axis is summed by np.sum over the contiguous last axis, never by
+    BLAS, so the bits depend neither on the BLAS build nor on how the
+    detunings are split into blocks.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    eps_local = np.asarray(eps_values, dtype=float)[None, :] - positions[:, None]
-    if eps_local.size == 0:
-        return np.zeros(eps_local.shape)
 
-    w = drive.frequency
-    gamma2 = drive.dephasing
-    x = drive.amplitude / w
-    centers = eps_local / w
-    ns = _photon_range(centers.min(), centers.max(), x + kernel.n_margin)
-    jn_sq = _jn_array(int(max(-ns[0], ns[-1])), x)[np.abs(ns)] ** 2
-    nw = ns * w
-
-    total = np.empty(eps_local.shape)
-    block = max(1, _BLOCK_TERMS // (ns.size * len(deltas)))
-    for start in range(0, eps_local.shape[1], block):
-        detune = eps_local[:, start : start + block, None] - nw
-        terms = jn_sq / (detune * detune + gamma2 * gamma2)
+    def __init__(
+        self,
+        deltas,
+        positions,
+        eps_values,
+        drive: DriveParams,
+        kernel: RateKernelParams = RateKernelParams(),
+    ):
+        self.deltas = np.asarray(deltas, dtype=float)
+        positions = np.asarray(positions, dtype=float)
+        self.eps_local = np.asarray(eps_values, dtype=float)[None, :] - positions[:, None]
+        self.drive = drive
+        self.kernel = kernel
+        w, gamma2 = drive.frequency, drive.dephasing
+        centers = self.eps_local / w
+        # Without a crossing the table is empty, whatever its range.
+        self.c_lo, self.c_hi = (centers.min(), centers.max()) if centers.size else (0.0, 0.0)
+        self.ns = _photon_range(self.c_lo, self.c_hi, drive.amplitude / w + kernel.n_margin)
+        # Built in place, with the elementwise ops lzs_rate uses.
+        table = self.eps_local[:, :, None] - self.ns * w
         if kernel.lorentz_cutoff is not None:
-            terms[np.abs(detune) > kernel.lorentz_cutoff * gamma2] = 0.0
-        total[:, start : start + block] = gamma2 * np.sum(terms, axis=-1)
-    return (0.5 * deltas * deltas)[:, None] * total
+            cut = np.abs(table) > kernel.lorentz_cutoff * gamma2
+        table *= table
+        table += gamma2 * gamma2
+        if kernel.lorentz_cutoff is not None:
+            table[cut] = np.inf
+        self.denominators = table
+
+    def rates(self, amp: float) -> np.ndarray:
+        """W[c, m] at drive amplitude amp, 0 <= amp <= drive.amplitude."""
+        if not 0.0 <= amp <= self.drive.amplitude:
+            raise ValidationError(
+                f"amplitude {amp!r} outside the table's range [0, {self.drive.amplitude!r}]"
+            )
+        n_c, n_m = self.eps_local.shape
+        if n_c == 0:
+            return np.zeros((n_c, n_m))
+        w, gamma2 = self.drive.frequency, self.drive.dephasing
+        x = amp / w
+        runs = _photon_runs(self.c_lo, self.c_hi, x + self.kernel.n_margin)
+        ns = np.concatenate([np.arange(*run) for run in runs])
+        jn_sq = _jn_array(int(max(-ns[0], ns[-1])), x)[np.abs(ns)] ** 2
+        # Each run's slice of the photon axis and of the table's columns.
+        pieces, done = [], 0
+        for lo, hi in runs:
+            col = int(np.searchsorted(self.ns, lo))
+            pieces.append((slice(done, done + hi - lo), slice(col, col + hi - lo)))
+            done += hi - lo
+
+        total = np.empty((n_c, n_m))
+        block = max(1, _BLOCK_TERMS // (ns.size * n_c))
+        for start in range(0, n_m, block):
+            denom = self.denominators[:, start : start + block]
+            terms = np.empty(denom.shape[:2] + ns.shape)
+            for part, cols in pieces:
+                np.divide(jn_sq[part], denom[..., cols], out=terms[..., part])
+            total[:, start : start + block] = gamma2 * np.sum(terms, axis=-1)
+        return (0.5 * self.deltas * self.deltas)[:, None] * total

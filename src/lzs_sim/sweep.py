@@ -1,23 +1,33 @@
 """Stationary well populations over a rectangular (detuning, amplitude) grid.
 
-A row of the map (one amplitude) is computed as arrays: the pumped rates
-of every crossing at every detuning of the row come from one photon sum
-(``rates.row_rates``), the generators are stacked on one static part,
-and one batched LU solve gives every point's populations.  A point whose
-solution fails the acceptance check, or every point of a row whose stack
-holds a singular generator, is solved again from its own generator in
-the stack by ``stationary_solve``, which falls back to relaxation in
-time.  The photon window and the acceptance check are those of the
-single-point functions, so wherever the direct solve is accepted the map
-agrees with ``probe`` to roundoff.  Where it is not, the two relax
-generators that differ in the last bits of a rate; the relaxation runs
-until the populations stop moving, so on a reducible model whose closed
-classes are kept apart by exact zeros they still agree within 1e-12.
+The rate is separable: the Bessel weights depend only on a row's
+amplitude, the Lorentzian denominators only on a column's detuning.  So
+each map is computed from one plan, built once from the model, drive
+frequency and dephasing, kernel, detuning axis and largest amplitude.
+It holds the static part of the generator, the pumped crossings'
+targets, and a ``rates.PhotonTable`` with every Lorentzian denominator
+of the map.  A row (one amplitude) then does only amplitude-dependent
+work: its Bessel weights divided by its slice of the table give the
+pumped rates of every crossing at every detuning, the generators are
+stacked on the static part, and one batched LU solve gives every
+point's populations.  A point whose solution fails the acceptance
+check, or every point of a row whose stack holds a singular generator,
+is solved again from its own generator in the stack by
+``stationary_solve``, which falls back to relaxation in time.  The
+photon window and the acceptance check are those of the single-point
+functions, so wherever the direct solve is accepted the map agrees with
+``probe`` to roundoff.  Where it is not, the two relax generators that
+differ in the last bits of a rate; the relaxation runs until the
+populations stop moving, so on a reducible model whose closed classes
+are kept apart by exact zeros they still agree within 1e-12.
 
-Rows are farmed out to worker processes and reassembled by index.  Each
-row is computed by the same pure function regardless of worker count,
-and no step depends on BLAS threading, which makes the result
-bit-identical for any parallel layout.
+With more than one worker, rows are farmed out to worker processes and
+reassembled by index: each worker receives the plan once, and each row
+only its amplitude.  The process pool is imported only then, so a
+one-worker run never loads it.  Each row is computed by the same pure
+function regardless of worker count, and no step depends on BLAS
+threading, which makes the result bit-identical for any parallel
+layout.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +42,13 @@ import numpy as np
 from .errors import NonConvergent, ValidationError
 from .master import (
     RateMatrix,
+    _generator_layout,
     left_population,
-    rate_matrix_stack,
     stationary_solve,
     stationary_stack,
 )
-from .model import DriveParams, QubitModel
-from .rates import RateKernelParams
+from .model import DriveParams, QubitModel, crossing_position
+from .rates import PhotonTable, RateKernelParams
 
 __all__ = ["SweepGrid", "PopulationMap", "run_sweep", "run_frequency_batch"]
 
@@ -149,25 +158,75 @@ def model_fingerprint(
     return digest.hexdigest()
 
 
-def _row_worker(payload) -> np.ndarray:
-    model, drive_base, kernel, eps_values, amp = payload
-    drive = DriveParams(
-        amplitude=float(amp),
-        frequency=drive_base.frequency,
-        dephasing=drive_base.dephasing,
-    )
-    mats = rate_matrix_stack(model, eps_values, drive, kernel)
-    p, ok = stationary_stack(mats)
-    row = np.empty(eps_values.size)
-    row[ok] = left_population(p[ok], model.n_left)
-    for m in np.flatnonzero(~ok):
-        eps = float(eps_values[m])
-        try:
-            pv = stationary_solve(RateMatrix(mats[m], model.states()))
-        except NonConvergent as exc:
-            raise NonConvergent(str(exc), eps=eps, amp=float(amp)) from exc
-        row[m] = pv.p_left
-    return row
+class SweepPlan:
+    """The amplitude-independent work of one map: the static generator,
+    the pumped crossings' targets and the Lorentzian denominator table,
+    for drive.frequency and drive.dephasing at amplitudes up to
+    drive.amplitude."""
+
+    def __init__(
+        self,
+        model: QubitModel,
+        drive: DriveParams,
+        kernel: RateKernelParams,
+        eps_values: np.ndarray,
+    ):
+        self.static, pumps = _generator_layout(model)
+        self.targets = [targets for _, _, _, targets in pumps]
+        self.photons = PhotonTable(
+            [delta for _, _, delta, _ in pumps],
+            [crossing_position(model, i, j) for i, j, _, _ in pumps],
+            eps_values,
+            drive,
+            kernel,
+        )
+        self.eps_values = eps_values
+        self.states = model.states()
+        self.n_left = model.n_left
+
+    def generators(self, amp: float) -> np.ndarray:
+        """Generators at every detuning, stacked as (M, n, n), with the
+        entries ``build_rate_matrix`` gives from the same rates."""
+        rates = self.photons.rates(amp)
+        mats = np.repeat(self.static[None], self.eps_values.size, axis=0)
+        # One crossing at a time: a buffered fancy += would drop the second
+        # of two rates pumping into the same leak entry.
+        for targets, w in zip(self.targets, rates):
+            for to, frm in targets:
+                mats[:, to, frm] += w
+        diag = np.arange(self.static.shape[0])
+        mats[:, diag, diag] = -mats.sum(axis=1)
+        return mats
+
+    def row(self, amp: float) -> np.ndarray:
+        """P_L at every detuning of amplitude amp."""
+        mats = self.generators(amp)
+        p, ok = stationary_stack(mats)
+        row = np.empty(self.eps_values.size)
+        row[ok] = left_population(p[ok], self.n_left)
+        for m in np.flatnonzero(~ok):
+            try:
+                pv = stationary_solve(RateMatrix(mats[m], self.states))
+            except NonConvergent as exc:
+                raise NonConvergent(
+                    str(exc), eps=float(self.eps_values[m]), amp=amp
+                ) from exc
+            row[m] = pv.p_left
+        return row
+
+
+# The plan of the map a pool worker computes rows of, set once per
+# worker by its initializer.
+_worker_plan = None
+
+
+def _init_worker(plan: SweepPlan):
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _worker_row(amp: float) -> np.ndarray:
+    return _worker_plan.row(amp)
 
 
 def run_sweep(
@@ -185,19 +244,22 @@ def run_sweep(
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValidationError("workers must be a positive integer")
-    eps_values = grid.eps_values
-    payloads = [
-        (model, drive_base, kernel, eps_values, amp) for amp in grid.amp_values
-    ]
+    amps = grid.amp_values.tolist()
+    top = DriveParams(amps[-1], drive_base.frequency, drive_base.dephasing)
+    plan = SweepPlan(model, top, kernel, grid.eps_values)
     values = np.empty(grid.shape)
     # The pool starts every worker at once, so never ask for more than rows.
     workers = min(workers, grid.n_amp)
     if workers == 1:
-        for k, payload in enumerate(payloads):
-            values[k] = _row_worker(payload)
+        for k, amp in enumerate(amps):
+            values[k] = plan.row(amp)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, row in enumerate(pool.map(_row_worker, payloads)):
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(plan,)
+        ) as pool:
+            for k, row in enumerate(pool.map(_worker_row, amps)):
                 values[k] = row
     return PopulationMap(
         grid=grid,

@@ -670,3 +670,28 @@ class TestMainEntry:
         assert "crossing 0L-0R position_ghz 0" in out
         assert "crossing 0L-1R position_ghz 6" in out
         assert "regime undetermined" in out
+
+    def test_one_worker_run_never_loads_the_pool(self, tmp_path):
+        # In a fresh interpreter: neither importing the CLI nor a run with
+        # one worker loads the process pool or multiprocessing.
+        path = self.write_config(tmp_path, THREE_STATE)
+        script = (
+            "import json, sys\n"
+            "import lzs_sim.cli\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "seen = [[m for m in pool if m in sys.modules]]\n"
+            "code = lzs_sim.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+            "seen.append([m for m in pool if m in sys.modules])\n"
+            "print(json.dumps([code, seen]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, path, str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, [[], []]]

@@ -27,6 +27,8 @@ from lzs_sim import (
     stationary_three_state,
     time_evolve,
 )
+from lzs_sim.rates import PhotonTable
+from lzs_sim.sweep import SweepPlan
 
 L0 = StateIndex(Well.LEFT, 0)
 L1 = StateIndex(Well.LEFT, 1)
@@ -292,11 +294,15 @@ class TestBuildRateMatrix:
         assert np.array_equal(rm.matrix, ref.matrix)
 
 
-def pointwise_rates(deltas, positions, eps_values, drive, kernel):
-    """row_rates computed by one lzs_rate call per entry."""
+def pointwise_rates(table, amp):
+    """PhotonTable.rates computed by one lzs_rate call per entry."""
+    drive = DriveParams(amp, table.drive.frequency, table.drive.dephasing)
     return np.array(
-        [[lzs_rate(d, e - p, drive, kernel) for e in eps_values] for d, p in zip(deltas, positions)]
-    ).reshape(len(deltas), len(eps_values))
+        [
+            [lzs_rate(d, float(e), drive, table.kernel) for e in row]
+            for d, row in zip(table.deltas, table.eps_local)
+        ]
+    ).reshape(table.eps_local.shape)
 
 
 class TestRowEngineParts:
@@ -307,13 +313,14 @@ class TestRowEngineParts:
     )
     @settings(max_examples=150, deadline=None)
     def test_stack_matches_build_rate_matrix(self, model, eps, drive):
-        # Given the same rates, the stack holds build_rate_matrix's bits;
-        # each direct solve that passes the check has the bits of solving
-        # its generator alone, and gives stationary_solve's P_L.
+        # Given the same rates, the plan's stack holds build_rate_matrix's
+        # bits; each direct solve that passes the check has the bits of
+        # solving its generator alone, and gives stationary_solve's P_L.
         kernel = RateKernelParams()
+        plan = SweepPlan(model, drive, kernel, np.array(eps))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(master_mod, "row_rates", pointwise_rates)
-            mats = master_mod.rate_matrix_stack(model, np.array(eps), drive, kernel)
+            mp.setattr(PhotonTable, "rates", pointwise_rates)
+            mats = plan.generators(drive.amplitude)
         p, ok = master_mod.stationary_stack(mats)
         p_left = master_mod.left_population(p[ok], model.n_left)
         expected = []

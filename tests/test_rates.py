@@ -8,6 +8,7 @@ the kernel is never compared against itself.
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from lzs_sim import (
 )
 from lzs_sim import rates as rates_mod
 from lzs_sim.cli import parse_config
-from lzs_sim.rates import _photon_range, row_rates
+from lzs_sim.rates import PhotonTable, _jn_array, _photon_range
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
@@ -167,6 +168,22 @@ class TestBesselJn:
         # orders far above the argument are negligible
         assert abs(bessel_jn(int(x) + 40, x)) < 1e-20
 
+    # Both branches of _jn_array: the series below x = 2, Miller's
+    # recurrence from there on, up to A/w = 60.
+    @pytest.mark.parametrize(
+        "x", [1e-3, 0.05, 0.7, 1.5, 1.999, 2.0, 2.4048, 5.52, 13.7, 30.0, 40.0, 59.9, 60.0]
+    )
+    def test_row_against_mpmath(self, x):
+        # Every order n <= 200: abs 1e-15, as the docstring states, and a
+        # relative 1e-12 on the decaying tail n > x + 2, whose squares the
+        # far resonances weigh.
+        got = _jn_array(200, x)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(n, x)) for n in range(201)])
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        tail = (np.arange(201) > x + 2) & (np.abs(ref) > 1e-290)
+        assert np.all(np.abs(got - ref)[tail] <= 1e-12 * np.abs(ref[tail]))
+
 
 class TestPhotonWindow:
     def test_merged_window(self):
@@ -175,9 +192,34 @@ class TestPhotonWindow:
         assert np.array_equal(ns, np.arange(-23, 25))
 
     def test_far_resonance_keeps_bessel_support(self):
-        # |n| <= half and the resonant window, and every n between them.
-        assert np.array_equal(_photon_range(100.0, 100.0, 7.0), np.arange(-7, 108))
-        assert np.array_equal(_photon_range(-60.0, -40.5, 3.5), np.arange(-63, 4))
+        # |n| <= half and the resonant window, without the stretch between.
+        assert np.array_equal(
+            _photon_range(100.0, 100.0, 7.0),
+            np.r_[np.arange(-7, 8), np.arange(93, 108)],
+        )
+        assert np.array_equal(
+            _photon_range(-60.0, -40.5, 3.5),
+            np.r_[np.arange(-63, -36), np.arange(-3, 4)],
+        )
+
+    def test_far_point_sums_two_runs(self, monkeypatch):
+        # 300 GHz from the crossing at w = 0.3 GHz: the 53 photon numbers of
+        # the Bessel support and the 53 of the resonance, 106 in all,
+        # against 1,053 with the stretch between them; the rate is that of
+        # a far wider truncation.
+        sizes = []
+
+        def spy(*args):
+            ns = _photon_range(*args)
+            sizes.append(ns.size)
+            return ns
+
+        monkeypatch.setattr(rates_mod, "_photon_range", spy)
+        drive = DriveParams(2.0, 0.3, 0.1)
+        rate = lzs_rate(0.1, 300.0, drive)
+        assert sizes == [106]
+        wide = lzs_rate(0.1, 300.0, drive, RateKernelParams(n_margin=80))
+        assert rate == pytest.approx(wide, rel=1e-12)
 
     def test_zero_margin_keeps_n0(self):
         ns = _photon_range(50.0, 50.0, 0.5)
@@ -189,16 +231,13 @@ class TestPhotonWindow:
         half=st.floats(0.0, 60.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_contiguous_cover_of_every_window(self, c_lo, width, half):
+    def test_runs_cover_every_window_and_nothing_else(self, c_lo, width, half):
         c_hi = c_lo + width
         ns = _photon_range(c_lo, c_hi, half)
-        assert np.all(np.diff(ns) == 1)
-        for center in (c_lo, c_hi, 0.0):
-            window = range(math.ceil(center - half), math.floor(center + half) + 1)
-            assert ns[0] <= window.start and window.stop - 1 <= ns[-1]
-        # and nothing beyond them
-        assert ns[0] - 1 < min(c_lo, 0.0) - half
-        assert ns[-1] + 1 > max(c_hi, 0.0) + half
+        assert np.all(np.diff(ns) >= 1)
+        support = set(range(math.ceil(-half), math.floor(half) + 1))
+        window = set(range(math.ceil(c_lo - half), math.floor(c_hi + half) + 1))
+        assert set(ns.tolist()) == support | window
 
 
 DRIVE = DriveParams(amplitude=2.0, frequency=1.0, dephasing=0.05)
@@ -360,6 +399,9 @@ class TestLzsRate:
 
 
 class TestRowRates:
+    """PhotonTable, the photon sum of a map: rows of any amplitude up to
+    the table's."""
+
     DELTAS = [0.08, 0.2, 0.0, 0.45]
     POSITIONS = [0.0, -2.1, 3.0, 6.75]
     EPS = np.linspace(-10.0, 10.0, 41)
@@ -367,10 +409,13 @@ class TestRowRates:
     @pytest.mark.parametrize("amp", [0.0, 1.5, 4.0, 9.0])
     @pytest.mark.parametrize("cutoff", [None, 3.0])
     def test_matches_lzs_rate(self, amp, cutoff):
-        drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
         kernel = RateKernelParams(lorentz_cutoff=cutoff)
-        got = row_rates(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
+        table = PhotonTable(
+            self.DELTAS, self.POSITIONS, self.EPS, DriveParams(9.0, 1.0, 0.1), kernel
+        )
+        got = table.rates(amp)
         assert got.shape == (4, self.EPS.size)
+        drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
         for c, (delta, pos) in enumerate(zip(self.DELTAS, self.POSITIONS)):
             for m, eps in enumerate(self.EPS):
                 ref = lzs_rate(delta, float(eps) - pos, drive, kernel)
@@ -380,34 +425,50 @@ class TestRowRates:
     def test_blocks_change_no_bit(self, monkeypatch, block_terms):
         drive = DriveParams(amplitude=12.0, frequency=0.7, dephasing=0.05)
         kernel = RateKernelParams(lorentz_cutoff=40.0)
-        whole = row_rates(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
+        table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
+        whole = [table.rates(amp) for amp in (12.0, 5.0)]
         monkeypatch.setattr(rates_mod, "_BLOCK_TERMS", block_terms)
-        split = row_rates(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
-        assert np.array_equal(whole, split)
+        split = [table.rates(amp) for amp in (12.0, 5.0)]
+        assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
     @given(
         delta=st.floats(1e-3, 1.0),
         eps=st.floats(-40.0, 40.0),
         amp=st.floats(0.0, 20.0),
+        extra=st.floats(0.0, 10.0),
         frequency=st.floats(0.3, 17.0),
         gamma2=st.floats(0.01, 1.0),
     )
     @settings(max_examples=300, deadline=None)
-    def test_one_point_row_is_lzs_rate(self, delta, eps, amp, frequency, gamma2):
-        # Both sum the same window in the same order, so the bits agree.
+    def test_one_point_row_is_lzs_rate(self, delta, eps, amp, extra, frequency, gamma2):
+        # Both sum the same window in the same order, so the bits agree,
+        # whatever larger amplitude the table was built for.
         drive = DriveParams(amplitude=amp, frequency=frequency, dephasing=gamma2)
-        row = row_rates([delta], [0.0], [eps], drive)
+        top = DriveParams(amplitude=amp + extra, frequency=frequency, dephasing=gamma2)
+        row = PhotonTable([delta], [0.0], [eps], top).rates(amp)
         assert row[0, 0] == lzs_rate(delta, eps, drive)
 
     def test_far_row_keeps_bessel_support(self):
         # Every resonant window of the row misses n = 0, the only term at
-        # A = 0; the Bessel support |n| <= A/w + n_margin keeps it.
-        drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
-        got = row_rates([0.1], [60.0], self.EPS, drive)
-        for m, eps in enumerate(self.EPS):
-            ref = lzs_rate(0.1, float(eps) - 60.0, drive)
-            assert ref > 0.0
-            assert got[0, m] == pytest.approx(ref, rel=1e-12)
+        # A = 0; the Bessel support |n| <= A/w + n_margin keeps it.  At the
+        # table's A = 9 the two runs meet; at A = 0 a gap lies between them.
+        table = PhotonTable([0.1], [60.0], self.EPS, DriveParams(9.0, 1.0, 0.1))
+        for amp in (0.0, 9.0):
+            got = table.rates(amp)
+            drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
+            for m, eps in enumerate(self.EPS):
+                ref = lzs_rate(0.1, float(eps) - 60.0, drive)
+                assert ref > 0.0
+                assert got[0, m] == pytest.approx(ref, rel=1e-12)
+
+    def test_cut_terms_are_exactly_zero(self):
+        # At eps = 5 nothing lies within 5 Gamma2 of a comb line: the rate
+        # is 0.0, not a sum of tiny terms.  At eps = 0 the n = 0 line is kept.
+        tight = RateKernelParams(lorentz_cutoff=5.0)
+        drive = DriveParams(amplitude=0.0, frequency=10.0, dephasing=0.01)
+        got = PhotonTable([0.1], [0.0], [5.0, 0.0], drive, tight).rates(0.0)
+        assert got[0, 0] == 0.0
+        assert got[0, 1] == pytest.approx(lzs_rate(0.1, 0.0, drive, tight), rel=1e-15)
 
     def test_no_crossings(self):
-        assert row_rates([], [], self.EPS, DRIVE).shape == (0, self.EPS.size)
+        assert PhotonTable([], [], self.EPS, DRIVE).rates(2.0).shape == (0, self.EPS.size)

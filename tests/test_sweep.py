@@ -1,5 +1,7 @@
 """Grid sweeps: determinism, closed-form rows, and parallel equality."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,6 @@ from lzs_sim import (
     run_sweep,
     stationary_solve,
 )
-from lzs_sim.master import rate_matrix_stack
 
 TWO_STATE = QubitModel(
     left_offsets=(0.0,),
@@ -105,10 +106,12 @@ class TestRunSweep:
         sizes = []
 
         class FakePool:
-            """Records its size and maps in this process."""
+            """Records its size, runs the worker initializer and maps in
+            this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -119,7 +122,8 @@ class TestRunSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(sweep_mod, "_worker_plan", None)
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
         pooled = run_sweep(TWO_STATE, DRIVE, grid, workers=8)
         assert sizes == [3]
@@ -280,14 +284,12 @@ class TestRowEngine:
         pmap = run_sweep(model, DRIVE, grid)
         assert len(calls) == grid.n_eps * grid.n_amp
         # Each point is solved from its own slice of the row's stack.
+        top = DriveParams(grid.amp_max, DRIVE.frequency, DRIVE.dephasing)
+        plan = sweep_mod.SweepPlan(model, top, RateKernelParams(), grid.eps_values)
         routed = np.array([
             [
                 stationary_solve(RateMatrix(mat, model.states())).p_left
-                for mat in rate_matrix_stack(
-                    model,
-                    grid.eps_values,
-                    DriveParams(float(amp), DRIVE.frequency, DRIVE.dephasing),
-                )
+                for mat in plan.generators(float(amp))
             ]
             for amp in grid.amp_values
         ])
