@@ -7,6 +7,16 @@ threshold levels and returns population to the two ground states with
 equal branching.  The resulting generator has nonnegative off-diagonal
 entries and (up to roundoff) zero column sums, so probability is
 conserved and stationary states exist.
+
+Stationary states come from Grassmann-Taksar-Heyman state reduction
+(Oper. Res. 33, 1107, 1985) on the generator's off-diagonal pattern
+(``GTHPlan``): subtraction-free, so each probability is accurate to a
+few roundoffs relative to itself (O'Cinneide, Numer. Math. 65, 109,
+1993), vectorised over any number of points that share the pattern.
+``stationary_solve`` runs it on a block of one; the map sweep runs it
+on blocks of rows.  A point the reduction cannot solve (a state with no
+outflow to the states left, as with two closed classes) or that fails
+the acceptance check relaxes in time from the right-well ground state.
 """
 
 from __future__ import annotations
@@ -115,9 +125,12 @@ class PopulationVector:
         object.__setattr__(self, "states", tuple(self.states))
 
     def _well_sum(self, well: Well) -> float:
-        return math.fsum(
-            p for p, s in zip(self.probabilities, self.states) if s.well is well
-        )
+        # Added in state order, as the map engine adds them (_chain).
+        total = 0.0
+        for p, s in zip(self.probabilities.tolist(), self.states):
+            if s.well is well:
+                total += p
+        return total
 
     @property
     def p_left(self) -> float:
@@ -198,63 +211,183 @@ def build_rate_matrix(
     return RateMatrix(matrix=mat, states=model.states())
 
 
-def stationary_stack(mats: np.ndarray):
-    """Direct stationary solves of a generator stack (M, n, n).
+def _chain(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... added in that order, elementwise over
+    the remaining axes.
 
-    Returns (p, ok): p[m] solves mats[m] p = 0 with sum(p) = 1 by one
-    LU solve, the last (redundant) row replaced by the normalization,
-    and ok[m] says whether it passes the acceptance check that
-    ``stationary_solve`` also applies.  Points that fail, or all of them
-    when the stack holds an exactly singular matrix, are left to the
-    caller.
+    Not np.sum: over a contiguous axis numpy adds eight or more terms
+    through unrolled partial sums, so a point's bits would depend on how
+    many points share its array.
     """
-    m, n = mats.shape[:2]
-    a = mats.copy()
-    a[:, -1, :] = 1.0
-    b = np.zeros((m, n, 1))
-    b[:, -1] = 1.0
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
+
+
+def _ranks(groups):
+    """Index pairs (terms, their groups) that sum terms into groups[t] in
+    term order, one pair per rank: the r-th pair holds each group's r-th
+    term, so no group repeats within a pair and each is one fancy add."""
+    seen, ranks = {}, []
+    for t, g in enumerate(groups):
+        r = seen[g] = seen.get(g, -1) + 1
+        if r == len(ranks):
+            ranks.append(([], []))
+        ranks[r][0].append(t)
+        ranks[r][1].append(g)
+    return [(np.array(t, dtype=np.intp), np.array(g, dtype=np.intp)) for t, g in ranks]
+
+
+def _sum_into(terms: np.ndarray, ranks, n: int) -> np.ndarray:
+    """Sums of terms into n groups by ``_ranks``, each group's terms added
+    in order."""
+    total = np.zeros((n,) + terms.shape[1:])
+    for t, g in ranks:
+        total[g] += terms[t]
+    return total
+
+
+def _closed_state(out) -> int:
+    """The highest state that lies in a closed class of the graph whose
+    edges run from s to every state in out[s]."""
+    reach = []
+    for s in range(len(out)):
+        seen, todo = {s}, [s]
+        while todo:
+            for j in out[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    return max(s for s, r in enumerate(reach) if all(s in reach[j] for j in r))
+
+
+class GTHPlan:
+    """Stationary solves of generators that share one off-diagonal
+    pattern, by Grassmann-Taksar-Heyman state reduction vectorised over
+    points.
+
+    The pattern lists the entries M[rows[e], cols[e]], each the rate from
+    state cols[e] into state rows[e], in row-major order; ``solve`` takes
+    their values as an (entries, points) array.  The plan depends on the
+    pattern alone.  States are eliminated in min-Markowitz order (fewest
+    in x out edges among the states left, ties to the lower index), and
+    the fill each elimination creates gets a slot of its own.  The state
+    kept last lies in a closed class of the pattern.  With exactly one
+    closed class the reduction is exact and subtraction-free, and
+    transient states come out as exactly 0.  With more, or where a
+    point's zero rates cut its own graph into several closed classes,
+    some state's outflow to the states left is exactly 0, and that point
+    is rejected.
+
+    Every sum is a fixed chain of elementwise adds, so a point's bits
+    depend neither on the other points of its block nor on BLAS.
+    """
+
+    def __init__(self, rows, cols, n: int):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.n = n
+        slot = {(int(f), int(t)): e for e, (t, f) in enumerate(zip(self.rows, self.cols))}
+        out = [set() for _ in range(n)]
+        into = [set() for _ in range(n)]
+        for f, t in slot:
+            out[f].add(t)
+            into[t].add(f)
+        self.root = _closed_state(out)
+        steps = []
+        left = set(range(n)) - {self.root}
+        while left:
+            k = min(left, key=lambda s: (len(into[s]) * len(out[s]), s))
+            ins, outs = sorted(into[k]), sorted(out[k])
+            update = []
+            for i in ins:
+                for j in outs:
+                    if i != j:
+                        if (i, j) not in slot:
+                            slot[i, j] = len(slot)
+                            out[i].add(j)
+                            into[j].add(i)
+                        update.append((slot[i, j], slot[i, k], slot[k, j]))
+            steps.append((
+                k,
+                np.array([slot[k, j] for j in outs], dtype=np.intp),
+                np.array(ins, dtype=np.intp),
+                np.array([slot[i, k] for i in ins], dtype=np.intp),
+                np.array(update, dtype=np.intp).reshape(-1, 3).T,
+            ))
+            for i in ins:
+                out[i].discard(k)
+            for j in outs:
+                into[j].discard(k)
+            left.discard(k)
+        self.steps = steps
+        self.n_slots = len(slot)
+        self._by_row = _ranks(self.rows.tolist())
+        self._by_col = _ranks(self.cols.tolist())
+
+    def solve(self, values: np.ndarray):
+        """Stationary populations q (n, points) of the generators whose
+        pattern entries are values (entries, points), and ok (points,):
+        whether each point passes the acceptance check (``accepts``) and
+        had no zero outflow.  Points not ok are left to the caller."""
+        n_points = values.shape[1]
+        v = np.zeros((self.n_slots, n_points))
+        v[: values.shape[0]] = values
+        blocked = np.zeros(n_points, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _, out_slots, _, in_slots, (dst, via_in, via_out) in self.steps:
+                outflow = _chain(v[out_slots])
+                blocked |= outflow == 0.0
+                v[in_slots] /= outflow
+                v[dst] += v[via_in] * v[via_out]
+            pi = np.empty((self.n, n_points))
+            pi[self.root] = 1.0
+            for k, _, ins, in_slots, _ in reversed(self.steps):
+                pi[k] = _chain(pi[ins] * v[in_slots])
+            q = pi / _chain(pi)
+        return q, ~blocked & self.accepts(values, q)
+
+    def accepts(self, values: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The acceptance check of populations q (n, points) against the
+        generators of values (entries, points): finite, q >= -1e-12,
+        |sum(q) - 1| <= 1e-9 and ||M q||_inf <= 1e-10 ||M||_inf, with
+        M q and ||M||_inf taken over the pattern and the diagonal."""
+        diag = -_sum_into(values, self._by_col, self.n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            flow = _sum_into(values * q[self.cols], self._by_row, self.n) + diag * q
+            # Rates are >= 0, so the row sums of |M| need no abs.
+            scale = _sum_into(values, self._by_row, self.n) - diag
+            return (
+                np.isfinite(q).all(axis=0)
+                & (q.min(axis=0) >= -_NEGATIVITY_TOL)
+                & (np.abs(flow).max(axis=0) <= _RESIDUAL_REL * np.maximum(scale.max(axis=0), 1e-300))
+                & (np.abs(_chain(q) - 1.0) <= 1e-9)
+            )
+
+    def generator(self, values: np.ndarray) -> np.ndarray:
+        """The dense generator of one point's pattern values, with the
+        diagonal ``build_rate_matrix`` gives."""
+        mat = np.zeros((self.n, self.n))
+        mat[self.rows, self.cols] = values
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        return mat
+
+
+def _relaxed(mat: np.ndarray, states) -> PopulationVector:
+    """The relaxation fallback: populations of generator mat relaxed in
+    time from the right-well ground state 0R."""
     try:
-        p = np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        return np.full((m, n), np.nan), np.zeros(m, dtype=bool)
-    scale = np.abs(mats).sum(axis=2).max(axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # Elementwise, not BLAS: the check must not depend on thread count.
-        residual = np.abs(np.sum(mats * p[:, None, :], axis=2)).max(axis=1)
-        ok = (
-            np.isfinite(p).all(axis=1)
-            & (p.min(axis=1) >= -_NEGATIVITY_TOL)
-            & (residual <= _RESIDUAL_REL * np.maximum(scale, 1e-300))
-            & (np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
-        )
-    return p, ok
-
-
-def left_population(p: np.ndarray, n_left: int) -> np.ndarray:
-    """P_L of each row of direct solutions p, computed exactly as
-    ``stationary_solve(...).p_left`` computes it from the same solution."""
-    p = np.where(p < 0.0, 0.0, p)
-    totals = np.array([math.fsum(row) for row in p.tolist()])
-    q = np.clip(p / totals[:, None], 0.0, 1.0)
-    return np.array([math.fsum(row) for row in q[:, :n_left].tolist()])
-
-
-def _finalize(p: np.ndarray, states) -> PopulationVector:
-    p = np.where(p < 0.0, 0.0, p)
-    return PopulationVector(probabilities=p / math.fsum(p), states=states)
-
-
-def _initial_ground_right(m: RateMatrix) -> np.ndarray:
-    try:
-        idx = m.states.index(StateIndex(Well.RIGHT, 0))
+        start = states.index(StateIndex(Well.RIGHT, 0))
     except ValueError:
         raise NonConvergent(
             "stationary system is singular and has no right-well ground state "
             "to relax from"
         ) from None
-    p0 = np.zeros(len(m.states))
-    p0[idx] = 1.0
-    return p0
+    p = _relax_to_stationary(mat, np.eye(len(states))[start])
+    p = np.where(p < 0.0, 0.0, p)
+    return PopulationVector(probabilities=p / math.fsum(p), states=states)
 
 
 def _relax_to_stationary(mat: np.ndarray, p0: np.ndarray) -> np.ndarray:
@@ -297,16 +430,21 @@ def _relax_to_stationary(mat: np.ndarray, p0: np.ndarray) -> np.ndarray:
 def stationary_solve(m: RateMatrix) -> PopulationVector:
     """Stationary population distribution of a rate matrix.
 
-    Solves the dense linear system directly (``stationary_stack`` on a
-    stack of one); if that is singular or fails the acceptance check,
+    Runs the map's engine on a block of one: a ``GTHPlan`` built from
+    the matrix's own off-diagonal pattern, under the same acceptance
+    check.  If a state's outflow comes out exactly 0 or the check fails,
     relaxes in time from the right-well ground state instead.  A
     generator with two or more closed classes of states has no unique
-    stationary state: the result is then one of several valid ones, and
-    which one can turn on the last bit of a rate.
+    stationary state: the relaxation then returns one of several valid
+    ones, and which one can turn on the last bit of a rate.
     """
-    p, ok = stationary_stack(m.matrix[None])
-    x = p[0] if ok[0] else _relax_to_stationary(m.matrix, _initial_ground_right(m))
-    return _finalize(x, m.states)
+    mask = m.matrix != 0.0
+    np.fill_diagonal(mask, False)
+    rows, cols = np.nonzero(mask)
+    q, ok = GTHPlan(rows, cols, len(m.states)).solve(m.matrix[rows, cols][:, None])
+    if ok[0]:
+        return PopulationVector(probabilities=q[:, 0], states=m.states)
+    return _relaxed(m.matrix, m.states)
 
 
 def stationary_three_state(w_0r0l, w_0l1r, g_1r0r, g_0l0r):

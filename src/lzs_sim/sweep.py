@@ -1,33 +1,34 @@
 """Stationary well populations over a rectangular (detuning, amplitude) grid.
 
 The rate is separable: the Bessel weights depend only on a row's
-amplitude, the Lorentzian denominators only on a column's detuning.  So
-each map is computed from one plan, built once from the model, drive
-frequency and dephasing, kernel, detuning axis and largest amplitude.
-It holds the static part of the generator, the pumped crossings'
-targets, and a ``rates.PhotonTable`` with every Lorentzian denominator
-of the map.  A row (one amplitude) then does only amplitude-dependent
-work: its Bessel weights divided by its slice of the table give the
-pumped rates of every crossing at every detuning, the generators are
-stacked on the static part, and one batched LU solve gives every
-point's populations.  A point whose solution fails the acceptance
-check, or every point of a row whose stack holds a singular generator,
-is solved again from its own generator in the stack by
-``stationary_solve``, which falls back to relaxation in time.  The
-photon window and the acceptance check are those of the single-point
-functions, so wherever the direct solve is accepted the map agrees with
-``probe`` to roundoff.  Where it is not, the two relax generators that
-differ in the last bits of a rate; the relaxation runs until the
-populations stop moving, so on a reducible model whose closed classes
-are kept apart by exact zeros they still agree within 1e-12.
+amplitude, the Lorentzian denominators only on a column's detuning.  And
+every point of a map shares one generator pattern.  So each map is
+computed from one plan, built once from the model, drive frequency and
+dephasing, kernel, detuning axis and largest amplitude.  It holds the
+pattern's entries with their static values, the entries each pumped
+crossing adds to, a ``rates.PhotonTable`` with every Lorentzian
+denominator of the map, and the pattern's ``master.GTHPlan``.
 
-With more than one worker, rows are farmed out to worker processes and
-reassembled by index: each worker receives the plan once, and each row
-only its amplitude.  The process pool is imported only then, so a
-one-worker run never loads it.  Each row is computed by the same pure
-function regardless of worker count, and no step depends on BLAS
-threading, which makes the result bit-identical for any parallel
-layout.
+Rows are solved in blocks of whole rows, up to about 2048 points.  For
+each row the block divides the Bessel weights by the row's slice of the
+table; the pattern values are written as (entries, points), the static
+value first and then each crossing's rate in pump order, so each entry
+has ``build_rate_matrix``'s bits from the same rates.  One GTH solve then
+gives every point's populations.  A point with a zero outflow in the
+elimination, or that fails the acceptance check, relaxes in time from
+0R on its dense generator, rebuilt from the block's values.  The
+engine, the photon window and the acceptance check are those of the
+single-point functions, so a point's P_L equals what ``stationary_solve``
+gives on its generator, bit for bit wherever the point's pattern is the
+model's, and agrees with ``probe`` to roundoff.
+
+With more than one worker, blocks are capped at ceil(rows / workers)
+rows and farmed out to worker processes, then reassembled in order:
+each worker receives the plan once, and each block only its amplitudes.
+The process pool is imported only then, so a one-worker run never loads
+it.  A point's bits depend neither on its block nor on BLAS threading
+(no step uses BLAS), which makes the result bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -40,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
-from .master import (
-    RateMatrix,
-    _generator_layout,
-    left_population,
-    stationary_solve,
-    stationary_stack,
-)
+from .master import GTHPlan, _chain, _generator_layout, _relaxed
 from .model import DriveParams, QubitModel, crossing_position
 from .rates import PhotonTable, RateKernelParams
 
@@ -158,11 +153,16 @@ def model_fingerprint(
     return digest.hexdigest()
 
 
+# Rows are solved in blocks of about this many points: enough to spread
+# the engine's per-call cost, few enough to keep its buffers small.
+_BLOCK_POINTS = 2048
+
+
 class SweepPlan:
-    """The amplitude-independent work of one map: the static generator,
-    the pumped crossings' targets and the Lorentzian denominator table,
-    for drive.frequency and drive.dephasing at amplitudes up to
-    drive.amplitude."""
+    """The amplitude-independent work of one map, for drive.frequency and
+    drive.dephasing at amplitudes up to drive.amplitude: the generator's
+    pattern with its static values, each pumped crossing's entries, the
+    Lorentzian denominator table and the pattern's ``GTHPlan``."""
 
     def __init__(
         self,
@@ -171,8 +171,15 @@ class SweepPlan:
         kernel: RateKernelParams,
         eps_values: np.ndarray,
     ):
-        self.static, pumps = _generator_layout(model)
-        self.targets = [targets for _, _, _, targets in pumps]
+        static, pumps = _generator_layout(model)
+        pattern = static != 0.0
+        for _, _, _, targets in pumps:
+            for to, frm in targets:
+                pattern[to, frm] = True
+        rows, cols = np.nonzero(pattern)
+        entry = {(to, frm): e for e, (to, frm) in enumerate(zip(rows.tolist(), cols.tolist()))}
+        self.static = static[rows, cols]
+        self.pumped = [[entry[t] for t in targets] for _, _, _, targets in pumps]
         self.photons = PhotonTable(
             [delta for _, _, delta, _ in pumps],
             [crossing_position(model, i, j) for i, j, _, _ in pumps],
@@ -180,42 +187,45 @@ class SweepPlan:
             drive,
             kernel,
         )
+        self.solver = GTHPlan(rows, cols, static.shape[0])
         self.eps_values = eps_values
         self.states = model.states()
         self.n_left = model.n_left
 
-    def generators(self, amp: float) -> np.ndarray:
-        """Generators at every detuning, stacked as (M, n, n), with the
-        entries ``build_rate_matrix`` gives from the same rates."""
-        rates = self.photons.rates(amp)
-        mats = np.repeat(self.static[None], self.eps_values.size, axis=0)
+    def values(self, amps) -> np.ndarray:
+        """Pattern values (entries, len(amps) * n_eps) at every detuning of
+        each amplitude in amps, row after row, with the bits
+        ``build_rate_matrix`` gives from the same rates: the static value,
+        then each crossing's rate in pump order."""
+        rates = np.concatenate([self.photons.rates(amp) for amp in amps], axis=1)
+        values = np.repeat(self.static[:, None], rates.shape[1], axis=1)
         # One crossing at a time: a buffered fancy += would drop the second
         # of two rates pumping into the same leak entry.
-        for targets, w in zip(self.targets, rates):
-            for to, frm in targets:
-                mats[:, to, frm] += w
-        diag = np.arange(self.static.shape[0])
-        mats[:, diag, diag] = -mats.sum(axis=1)
-        return mats
+        for entries, w in zip(self.pumped, rates):
+            values[entries] += w
+        return values
 
-    def row(self, amp: float) -> np.ndarray:
-        """P_L at every detuning of amplitude amp."""
-        mats = self.generators(amp)
-        p, ok = stationary_stack(mats)
-        row = np.empty(self.eps_values.size)
-        row[ok] = left_population(p[ok], self.n_left)
-        for m in np.flatnonzero(~ok):
+    def block(self, amps) -> np.ndarray:
+        """P_L at every detuning of each amplitude in amps, as
+        (len(amps), n_eps)."""
+        values = self.values(amps)
+        q, ok = self.solver.solve(values)
+        p_left = _chain(q[: self.n_left])
+        n_eps = self.eps_values.size
+        for point in np.flatnonzero(~ok):
             try:
-                pv = stationary_solve(RateMatrix(mats[m], self.states))
+                pv = _relaxed(self.solver.generator(values[:, point]), self.states)
             except NonConvergent as exc:
                 raise NonConvergent(
-                    str(exc), eps=float(self.eps_values[m]), amp=amp
+                    str(exc),
+                    eps=float(self.eps_values[point % n_eps]),
+                    amp=amps[point // n_eps],
                 ) from exc
-            row[m] = pv.p_left
-        return row
+            p_left[point] = pv.p_left
+        return p_left.reshape(len(amps), n_eps)
 
 
-# The plan of the map a pool worker computes rows of, set once per
+# The plan of the map a pool worker computes blocks of, set once per
 # worker by its initializer.
 _worker_plan = None
 
@@ -225,8 +235,8 @@ def _init_worker(plan: SweepPlan):
     _worker_plan = plan
 
 
-def _worker_row(amp: float) -> np.ndarray:
-    return _worker_plan.row(amp)
+def _worker_block(amps) -> np.ndarray:
+    return _worker_plan.block(amps)
 
 
 def run_sweep(
@@ -247,20 +257,21 @@ def run_sweep(
     amps = grid.amp_values.tolist()
     top = DriveParams(amps[-1], drive_base.frequency, drive_base.dephasing)
     plan = SweepPlan(model, top, kernel, grid.eps_values)
-    values = np.empty(grid.shape)
-    # The pool starts every worker at once, so never ask for more than rows.
-    workers = min(workers, grid.n_amp)
+    rows = max(1, _BLOCK_POINTS // grid.n_eps)
+    if workers > 1:
+        rows = min(rows, -(-grid.n_amp // workers))
+    blocks = [amps[k : k + rows] for k in range(0, grid.n_amp, rows)]
+    # The pool starts every worker at once, so never ask for more than blocks.
+    workers = min(workers, len(blocks))
     if workers == 1:
-        for k, amp in enumerate(amps):
-            values[k] = plan.row(amp)
+        values = np.concatenate([plan.block(block) for block in blocks])
     else:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(plan,)
         ) as pool:
-            for k, row in enumerate(pool.map(_worker_row, amps)):
-                values[k] = row
+            values = np.concatenate(list(pool.map(_worker_block, blocks)))
     return PopulationMap(
         grid=grid,
         values=values,

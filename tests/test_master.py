@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -305,6 +306,16 @@ def pointwise_rates(table, amp):
     ).reshape(table.eps_local.shape)
 
 
+def engine_solve(mat):
+    """q and ok of the map engine on one generator, planned from its own
+    off-diagonal pattern, as stationary_solve plans it."""
+    mask = mat != 0.0
+    np.fill_diagonal(mask, False)
+    rows, cols = np.nonzero(mask)
+    q, ok = master_mod.GTHPlan(rows, cols, len(mat)).solve(mat[rows, cols][:, None])
+    return q[:, 0], ok[0]
+
+
 class TestRowEngineParts:
     @given(
         model=random_models(),
@@ -313,40 +324,45 @@ class TestRowEngineParts:
     )
     @settings(max_examples=150, deadline=None)
     def test_stack_matches_build_rate_matrix(self, model, eps, drive):
-        # Given the same rates, the plan's stack holds build_rate_matrix's
-        # bits; each direct solve that passes the check has the bits of
-        # solving its generator alone, and gives stationary_solve's P_L.
+        # Given the same rates, the plan's pattern values rebuild
+        # build_rate_matrix's generator bit for bit; each point the engine
+        # accepts has the bits of solving it alone, and every point of
+        # the block gives stationary_solve's P_L.
         kernel = RateKernelParams()
         plan = SweepPlan(model, drive, kernel, np.array(eps))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(PhotonTable, "rates", pointwise_rates)
-            mats = plan.generators(drive.amplitude)
-        p, ok = master_mod.stationary_stack(mats)
-        p_left = master_mod.left_population(p[ok], model.n_left)
-        expected = []
+            values = plan.values([drive.amplitude])
+            row = plan.block([drive.amplitude])[0]
+        q, ok = plan.solver.solve(values)
         for m, e in enumerate(eps):
             rm = build_rate_matrix(model, e, drive, kernel)
-            assert np.array_equal(mats[m], rm.matrix)
+            assert np.array_equal(plan.solver.generator(values[:, m]), rm.matrix)
             if ok[m]:
-                alone, ok_alone = master_mod.stationary_stack(mats[m : m + 1])
+                alone, ok_alone = plan.solver.solve(values[:, m : m + 1])
                 assert ok_alone[0]
-                assert np.array_equal(alone[0], p[m])
-                expected.append(stationary_solve(rm).p_left)
-        assert list(p_left) == expected
+                assert np.array_equal(alone[:, 0], q[:, m])
+            assert row[m] == stationary_solve(rm).p_left
 
     def test_check_rejects_a_large_residual(self):
-        # Finite, nonnegative and normalized, but the last row of M p is
-        # far from zero: only the residual test can reject it.
-        mats = np.array([[[-1.0, 2.0], [5.0, 7.0]], [[-1.0, 1.0], [1.0, -1.0]]])
-        p, ok = master_mod.stationary_stack(mats)
-        assert p[0] == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
-        assert list(ok) == [False, True]
+        # Finite, nonnegative and normalized, but M q is far from zero at
+        # the first point: only the residual test can reject it.
+        plan = master_mod.GTHPlan([0, 1], [1, 0], 2)
+        values = np.array([[2.0, 1.0], [1.0, 1.0]])
+        q = np.full((2, 2), 0.5)
+        assert list(plan.accepts(values, q)) == [False, True]
+        solved, ok = plan.solve(values)
+        assert solved[:, 0] == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
+        assert list(ok) == [True, True]
 
     def test_singular_stack_is_left_to_the_caller(self):
-        mats = np.zeros((3, 2, 2))
-        p, ok = master_mod.stationary_stack(mats)
-        assert p.shape == (3, 2)
-        assert not ok.any()
+        # Zero rates on a connected pattern, or no pattern at all: some
+        # state's outflow is exactly 0 at every point.
+        for rows, cols in (([0, 1], [1, 0]), ([], [])):
+            plan = master_mod.GTHPlan(rows, cols, 2)
+            q, ok = plan.solve(np.zeros((len(rows), 3)))
+            assert q.shape == (2, 3)
+            assert not ok.any()
 
 
 class TestStationarySolve:
@@ -387,13 +403,14 @@ class TestStationarySolve:
     def test_slow_disconnected_graph_settles(self, w_ground, w_upper):
         # The same two pairs with slow rates, and one pair 2e6 times slower
         # than the other: the fallback's answer must not depend on how
-        # fast the rates are.  Power-of-two rates keep the direct solve
-        # exactly singular, so the point always reaches the fallback.
+        # fast the rates are.  The two closed classes leave one state
+        # with no outflow in the elimination, so the point always reaches
+        # the fallback.
         channels = [
             (L1, R1, w_upper), (R1, L1, w_upper), (R0, L0, w_ground), (L0, R0, w_ground)
         ]
         m = RateMatrix.from_channels((L0, L1, R0, R1), channels)
-        assert not master_mod.stationary_stack(m.matrix[None])[1][0]
+        assert not engine_solve(m.matrix)[1]
         p = stationary_solve(m)
         assert p.probability_of(L0) == pytest.approx(0.5, abs=1e-12)
         assert p.probability_of(R0) == pytest.approx(0.5, abs=1e-12)
@@ -630,3 +647,100 @@ class TestPopulationVector:
             probabilities=np.array([1.0 + 1e-13, -1e-13]), states=(L0, R0)
         )
         assert p.probabilities[1] == 0.0
+
+
+def random_generator(rng, n, closed):
+    """A stiff random generator on n states, rates log-uniform over
+    1e-9 to 1e3 GHz, whose only closed class is the states in closed
+    (in an irreducible cycle); every other state is transient.  Edges
+    never leave the closed class, and each transient state has an edge
+    towards the closed class or an earlier transient one."""
+    closed = list(closed)
+    transient = [s for s in rng.permutation(n).tolist() if s not in closed]
+    mat = np.zeros((n, n))
+
+    def rate():
+        return 10.0 ** rng.uniform(-9.0, 3.0)
+
+    for a, b in zip(closed, closed[1:] + closed[:1]):
+        if a != b:
+            mat[b, a] = rate()
+    for t, s in enumerate(transient):
+        mat[rng.choice(closed + transient[:t]), s] = rate()
+    for frm in range(n):
+        targets = closed if frm in closed else range(n)
+        for to in targets:
+            if to != frm and rng.random() < 0.4:
+                mat[to, frm] = rate()
+    np.fill_diagonal(mat, -mat.sum(axis=0))
+    return mat
+
+
+def mp_stationary(mat):
+    """Stationary vector of a generator with one closed class, by a
+    40-digit solve of M p = 0 with the last row replaced by sum(p) = 1."""
+    n = len(mat)
+    with mpmath.workdps(40):
+        a = mpmath.matrix(n, n)
+        for to in range(n):
+            for frm in range(n):
+                if to != frm:
+                    a[to, frm] = mpmath.mpf(float(mat[to, frm]))
+        for k in range(n):
+            a[k, k] = -mpmath.fsum(a[to, k] for to in range(n) if to != k)
+        b = mpmath.matrix(n, 1)
+        for k in range(n):
+            a[n - 1, k] = 1
+        b[n - 1] = 1
+        return np.array([float(x) for x in mpmath.lu_solve(a, b)])
+
+
+class TestGTHAccuracy:
+    def test_stiff_irreducible_generators(self):
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        for _ in range(250):
+            n = int(rng.integers(3, 8))
+            mat = random_generator(rng, n, rng.permutation(n).tolist())
+            q, ok = engine_solve(mat)
+            assert ok
+            worst = max(worst, np.max(np.abs(q - mp_stationary(mat))))
+        assert worst <= 1e-10
+
+    def test_one_closed_class_with_transient_states(self):
+        # The state kept last must lie in the closed class; draws where
+        # the highest state is transient check that it is not simply the
+        # last one.  Transient states come out as exactly 0.
+        rng = np.random.default_rng(1985)
+        last_transient = 0
+        worst = 0.0
+        for _ in range(270):
+            n = int(rng.integers(3, 8))
+            closed = rng.permutation(n)[: rng.integers(1, n)].tolist()
+            last_transient += n - 1 not in closed
+            mat = random_generator(rng, n, closed)
+            q, ok = engine_solve(mat)
+            assert ok
+            transient = [s for s in range(n) if s not in closed]
+            assert np.all(q[transient] == 0.0)
+            worst = max(worst, np.max(np.abs(q - mp_stationary(mat))))
+        assert last_transient >= 50
+        assert worst <= 1e-10
+
+    def test_two_closed_classes_reach_the_fallback(self):
+        # Two closed classes leave a state with no outflow to the states
+        # left, at every point: the engine rejects them all, and
+        # stationary_solve returns the relaxation from 0R.
+        rng = np.random.default_rng(1107)
+        states = (L0, L1, R0, R1, StateIndex(Well.RIGHT, 2))
+        for _ in range(60):
+            mat = random_generator(rng, 5, [0, 1])
+            # A transient state made absorbing is a second closed class.
+            mat[:, int(rng.choice([2, 3, 4]))] = 0.0
+            np.fill_diagonal(mat, 0.0)
+            np.fill_diagonal(mat, -mat.sum(axis=0))
+            assert not engine_solve(mat)[1]
+            m = RateMatrix(mat, states)
+            expected = master_mod._relax_to_stationary(mat, np.eye(5)[2])
+            got = stationary_solve(m).probabilities
+            assert np.array_equal(got, np.clip(expected / math.fsum(expected), 0.0, 1.0))

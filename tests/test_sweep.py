@@ -1,12 +1,15 @@
 """Grid sweeps: determinism, closed-form rows, and parallel equality."""
 
 import concurrent.futures
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lzs_sim.cli as cli
 import lzs_sim.sweep as sweep_mod
 from lzs_sim import (
     DriveParams,
@@ -60,17 +63,25 @@ class TestSweepGrid:
 
 class TestRunSweep:
     def test_matches_pointwise_solves(self):
+        # Solving each point's generator alone gives the map's bits; the
+        # row's photon window changes a rate in its last bits at a few
+        # points, so build_rate_matrix's generator agrees to roundoff.
         grid = SweepGrid(-1.5, 1.5, 7, 0.0, 2.0, 4)
         pmap = run_sweep(TWO_STATE, DRIVE, grid)
+        top = DriveParams(grid.amp_max, DRIVE.frequency, DRIVE.dephasing)
+        plan = sweep_mod.SweepPlan(TWO_STATE, top, RateKernelParams(), grid.eps_values)
         for k, amp in enumerate(grid.amp_values):
             drive = DriveParams(
                 amplitude=float(amp), frequency=1.0, dephasing=0.1
             )
+            values = plan.values([float(amp)])
             for m, eps in enumerate(grid.eps_values):
+                own = RateMatrix(plan.solver.generator(values[:, m]), TWO_STATE.states())
+                assert pmap.values[k, m] == stationary_solve(own).p_left
                 p = stationary_solve(
                     build_rate_matrix(TWO_STATE, float(eps), drive)
                 )
-                assert pmap.values[k, m] == p.p_left
+                assert pmap.values[k, m] == pytest.approx(p.p_left, rel=1e-15, abs=0)
 
     def test_zero_coupling_keeps_initial_state(self):
         pmap = run_sweep(ZERO_COUPLING, DRIVE, SweepGrid(-1.0, 1.0, 2, 0.0, 1.0, 2))
@@ -137,12 +148,12 @@ class TestRunSweep:
     def test_nonconvergent_carries_coordinates(self, monkeypatch):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 2.0, 3)
 
-        def explode(matrix):
+        def explode(matrix, states):
             raise NonConvergent("forced failure")
 
-        # Zero coupling makes every generator singular, so every point
-        # reaches the scalar path through the module's stationary_solve.
-        monkeypatch.setattr(sweep_mod, "stationary_solve", explode)
+        # Zero coupling leaves 0L with no outflow, so every point reaches
+        # the relaxation fallback.
+        monkeypatch.setattr(sweep_mod, "_relaxed", explode)
         with pytest.raises(NonConvergent) as err:
             run_sweep(ZERO_COUPLING, DRIVE, grid)
         assert err.value.eps == -1.0
@@ -265,9 +276,9 @@ class TestRowEngine:
         assert np.max(np.abs(pmap.values - oracle)) <= 1e-10
 
     def test_reducible_model_takes_scalar_path(self, monkeypatch):
-        # Two non-interacting pairs, 0L<->0R and 1L<->1R: every generator
-        # in the stack is singular, so each point goes to the relaxation
-        # fallback of stationary_solve.
+        # Two non-interacting pairs, 0L<->0R and 1L<->1R: two closed
+        # classes leave a state with no outflow at every point, so each
+        # point goes to the relaxation fallback.
         model = QubitModel(
             left_offsets=(0.0, 5.0),
             right_offsets=(0.0, 5.0),
@@ -276,20 +287,22 @@ class TestRowEngine:
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
         calls = []
 
-        def counting(matrix):
+        def counting(matrix, states):
             calls.append(matrix)
-            return stationary_solve(matrix)
+            return relaxed(matrix, states)
 
-        monkeypatch.setattr(sweep_mod, "stationary_solve", counting)
+        relaxed = sweep_mod._relaxed
+        monkeypatch.setattr(sweep_mod, "_relaxed", counting)
         pmap = run_sweep(model, DRIVE, grid)
         assert len(calls) == grid.n_eps * grid.n_amp
-        # Each point is solved from its own slice of the row's stack.
+        # Each point relaxes the generator rebuilt from its block's values,
+        # as stationary_solve does on that generator.
         top = DriveParams(grid.amp_max, DRIVE.frequency, DRIVE.dephasing)
         plan = sweep_mod.SweepPlan(model, top, RateKernelParams(), grid.eps_values)
         routed = np.array([
             [
-                stationary_solve(RateMatrix(mat, model.states())).p_left
-                for mat in plan.generators(float(amp))
+                stationary_solve(RateMatrix(plan.solver.generator(v), model.states())).p_left
+                for v in plan.values([float(amp)]).T
             ]
             for amp in grid.amp_values
         ])
@@ -299,6 +312,80 @@ class TestRowEngine:
         oracle = pointwise_map(model, DRIVE, grid)
         assert pmap.values == pytest.approx(oracle, abs=1e-12)
         assert pmap.values == pytest.approx(np.full(grid.shape, 0.5), abs=1e-9)
+
+    def test_cutoff_zeroed_points_take_the_fallback(self, monkeypatch):
+        # One pumped pair with decay R0 -> L0.  Where lorentz_cutoff zeroes
+        # the pumped rate, 0R only drains, the pattern's last state is
+        # transient at that point, and 0L's outflow is exactly 0: those
+        # points, and only those, relax from 0R into 0L.
+        model = QubitModel(
+            left_offsets=(0.0,),
+            right_offsets=(0.0,),
+            crossings=np.array([[0.05]]),
+            right_to_left=np.array([[0.01]]),
+        )
+        kernel = RateKernelParams(lorentz_cutoff=2.0)
+        grid = SweepGrid(-3.0, 3.0, 13, 0.0, 1.0, 2)
+        calls = []
+
+        def counting(matrix, states):
+            calls.append(matrix)
+            return relaxed(matrix, states)
+
+        relaxed = sweep_mod._relaxed
+        monkeypatch.setattr(sweep_mod, "_relaxed", counting)
+        pmap = run_sweep(model, DRIVE, grid, kernel)
+        cut = np.array([
+            [
+                lzs_rate(0.05, float(eps), DriveParams(float(amp), 1.0, 0.1), kernel) == 0.0
+                for eps in grid.eps_values
+            ]
+            for amp in grid.amp_values
+        ])
+        assert 0 < cut.sum() < cut.size
+        assert len(calls) == cut.sum()
+        assert pmap.values[cut] == pytest.approx(1.0, abs=1e-12)
+        oracle = pointwise_map(model, DRIVE, grid, kernel)
+        assert pmap.values == pytest.approx(oracle, abs=1e-12)
+
+
+TEN_LEVEL_CFG = (Path(__file__).resolve().parents[1] / "configs" / "ten_level.cfg").read_text()
+
+
+def ten_level_config(n_eps, n_amp):
+    """configs/ten_level.cfg on an n_eps x n_amp grid."""
+    text = re.sub(r"eps = .*", f"eps = -10 10 {n_eps}", TEN_LEVEL_CFG)
+    return cli.parse_config(re.sub(r"amp = .*", f"amp = 0 15 {n_amp}", text))
+
+
+class TestBlocks:
+    def test_point_bits_do_not_depend_on_its_block(self):
+        # A point's P_L has the same bits solved alone (stationary_solve on
+        # its generator), in its row, and in a block of the whole map.
+        config = ten_level_config(9, 5)
+        grid, drive = config.grid, config.drives[0]
+        amps = grid.amp_values.tolist()
+        top = DriveParams(amps[-1], drive.frequency, drive.dephasing)
+        plan = sweep_mod.SweepPlan(config.model, top, config.kernel, grid.eps_values)
+        whole = plan.block(amps)
+        for k, amp in enumerate(amps):
+            row = plan.block([amp])[0]
+            assert np.array_equal(row, whole[k])
+            for m, v in enumerate(plan.values([amp]).T):
+                alone = RateMatrix(plan.solver.generator(v), plan.states)
+                assert stationary_solve(alone).p_left == row[m]
+        assert np.array_equal(whole, run_sweep(config.model, drive, grid, config.kernel).values)
+
+    def test_worker_counts_give_identical_bytes(self, tmp_path):
+        # 27 rows are split into blocks of 27, 14 and 4 rows.
+        config = ten_level_config(27, 27)
+        outputs = []
+        for workers in (1, 2, 8):
+            out = tmp_path / f"w{workers}"
+            assert cli.run(config, workers, out) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["manifest.json", "map_00.csv", "map_00.pgm"]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestFrequencyBatch:
