@@ -21,6 +21,7 @@ the acceptance check relaxes in time from the right-well ground state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,12 +218,12 @@ def _chain(terms: np.ndarray) -> np.ndarray:
 
     Not np.sum: over a contiguous axis numpy adds eight or more terms
     through unrolled partial sums, so a point's bits would depend on how
-    many points share its array.
+    many points share its array.  np.add.accumulate returns every
+    prefix sum, so it cannot regroup the terms.
     """
-    total = np.zeros(terms.shape[1:])
-    for term in terms:
-        total += term
-    return total
+    if len(terms) == 0:
+        return np.zeros(terms.shape[1:])
+    return np.add.accumulate(terms)[-1]
 
 
 def _ranks(groups):
@@ -359,10 +360,11 @@ class GTHPlan:
             flow = _sum_into(values * q[self.cols], self._by_row, self.n) + diag * q
             # Rates are >= 0, so the row sums of |M| need no abs.
             scale = _sum_into(values, self._by_row, self.n) - diag
+            bound = _RESIDUAL_REL * np.maximum(scale.max(axis=0), 1e-300)
             return (
                 np.isfinite(q).all(axis=0)
                 & (q.min(axis=0) >= -_NEGATIVITY_TOL)
-                & (np.abs(flow).max(axis=0) <= _RESIDUAL_REL * np.maximum(scale.max(axis=0), 1e-300))
+                & (np.abs(flow).max(axis=0) <= bound)
                 & (np.abs(_chain(q) - 1.0) <= 1e-9)
             )
 
@@ -430,21 +432,37 @@ def _relax_to_stationary(mat: np.ndarray, p0: np.ndarray) -> np.ndarray:
 def stationary_solve(m: RateMatrix) -> PopulationVector:
     """Stationary population distribution of a rate matrix.
 
-    Runs the map's engine on a block of one: a ``GTHPlan`` built from
-    the matrix's own off-diagonal pattern, under the same acceptance
-    check.  If a state's outflow comes out exactly 0 or the check fails,
-    relaxes in time from the right-well ground state instead.  A
+    Runs the map's engine on a block of one: the ``GTHPlan`` of the
+    matrix's own off-diagonal pattern, planned once per pattern, under
+    the same acceptance check.  If a state's outflow comes out exactly 0
+    or the check fails, relaxes in time from the right-well ground state
+    instead.  A
     generator with two or more closed classes of states has no unique
     stationary state: the relaxation then returns one of several valid
     ones, and which one can turn on the last bit of a rate.
     """
-    mask = m.matrix != 0.0
-    np.fill_diagonal(mask, False)
-    rows, cols = np.nonzero(mask)
-    q, ok = GTHPlan(rows, cols, len(m.states)).solve(m.matrix[rows, cols][:, None])
-    if ok[0]:
-        return PopulationVector(probabilities=q[:, 0], states=m.states)
+    q, ok = _solve_own_pattern(m.matrix)
+    if ok:
+        return PopulationVector(probabilities=q, states=m.states)
     return _relaxed(m.matrix, m.states)
+
+
+def _solve_own_pattern(mat: np.ndarray):
+    """q (n,) and ok of the engine on one generator, planned from its own
+    off-diagonal pattern."""
+    mask = mat != 0.0
+    np.fill_diagonal(mask, False)
+    plan = _pattern_plan(mask.tobytes(), len(mat))
+    q, ok = plan.solve(mat[plan.rows, plan.cols][:, None])
+    return q[:, 0], bool(ok[0])
+
+
+@functools.lru_cache(maxsize=128)
+def _pattern_plan(mask: bytes, n: int) -> GTHPlan:
+    """The GTHPlan of an (n, n) off-diagonal pattern given as mask bytes,
+    planned once for repeated single-point solves on one model."""
+    rows, cols = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(n, n))
+    return GTHPlan(rows, cols, n)
 
 
 def stationary_three_state(w_0r0l, w_0l1r, g_1r0r, g_0l0r):

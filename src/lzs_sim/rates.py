@@ -22,13 +22,17 @@ is within a relative 1e-7 of the rate with n_margin = 80, and P_L within
 second_diamond driven at w = 0.6 GHz up to A = 14 GHz (A/w = 23); the
 largest gaps seen there are 3.5e-15 and 7.8e-16, roundoff.
 
-``PhotonTable`` evaluates the same sum for many crossings and
-detunings at one drive frequency, over the one window that serves the
-whole set.  Its Lorentzian denominators are built once and serve every
-amplitude of a map; only the Bessel weights change from row to row.
+Every sum adds its terms one after another in ascending n.
+``PhotonTable`` evaluates the same sums for many crossings, detunings
+and amplitudes at one drive frequency: its Lorentzian denominators are
+built once, over the one window that serves a whole map, and each point
+adds the terms of its own window in that order, so every rate has
+lzs_rate's bits.
 
 The Bessel kernel is self-contained: an ascending power series for
-x < 2 and Miller's normalized downward recurrence otherwise.
+x < 2 and Miller's normalized downward recurrence otherwise, run in
+fixed chunks of orders so that J_n(x) does not depend on how many
+orders are asked for.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ __all__ = ["RateKernelParams", "bessel_jn", "lzs_rate"]
 _START_PAD = 50
 _RESCALE_LIMIT = 1e250
 _RESCALE = 1e-250
-# Most elements in one (crossings x detunings x photons) temporary of
-# PhotonTable.rates (1 MB of float64); longer rows are split into blocks.
+# Most elements in one (crossings x amplitudes x detunings) temporary of
+# PhotonTable.rates (1 MB of float64); wider blocks are split over the
+# detunings.
 _BLOCK_TERMS = 1 << 17
 
 
@@ -93,24 +98,19 @@ def _jn_series(n: int, x: float) -> float:
     return total
 
 
-def _jn_array(nmax: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_nmax(x) for x >= 0, abs accuracy ~1e-15 per entry."""
-    if 0.5 * x == 0.0:  # includes subnormals whose half underflows
-        out = np.zeros(nmax + 1)
-        out[0] = 1.0
-        return out
-    if x < 2.0:
-        return np.array([_jn_series(n, x) for n in range(nmax + 1)])
-
-    start = max(nmax, int(x)) + _START_PAD + int(15.0 * x ** (1.0 / 3.0))
-    out = np.empty(nmax + 1)
+def _miller(lo: int, hi: int, x: float):
+    """Miller's downward recurrence for J_lo(x) .. J_hi(x) up to a common
+    factor, seeded a pad above hi, and the normalization sum
+    f_0 + 2 * sum_{k even > 0} f_k, complete when lo == 0."""
+    start = hi + _START_PAD + int(15.0 * x ** (1.0 / 3.0))
+    out = np.empty(hi - lo + 1)
     fp = 0.0  # f_{k+1}
     fc = 1.0  # f_k
-    norm = 0.0  # accumulates f_0 + 2*sum_{k even>0} f_k
+    norm = 0.0
     two_over_x = 2.0 / x
-    for k in range(start, -1, -1):
-        if k <= nmax:
-            out[k] = fc
+    for k in range(start, lo - 1, -1):
+        if k <= hi:
+            out[k - lo] = fc
         if k % 2 == 0:
             norm += fc if k == 0 else 2.0 * fc
         fm = k * two_over_x * fc - fp
@@ -120,10 +120,35 @@ def _jn_array(nmax: int, x: float) -> np.ndarray:
             fc *= _RESCALE
             fp *= _RESCALE
             norm *= _RESCALE
-            if k <= nmax:
-                out[k:] *= _RESCALE
-    out /= norm
-    return out
+            if k <= hi:
+                out[k - lo :] *= _RESCALE
+    return out, norm
+
+
+def _jn_array(nmax: int, x: float) -> np.ndarray:
+    """J_0(x) .. J_nmax(x) for x >= 0, abs accuracy ~1e-15 per entry.
+
+    Each J_n(x) has the same bits whatever nmax, so a photon sum over a
+    wider window weighs each of its terms exactly as a narrower one does.
+    Above x = 2 the orders come in fixed chunks: 0 .. x + pad from one
+    normalized recurrence, then pad more orders at a time, each chunk
+    from its own recurrence scaled to meet the chunk below.
+    """
+    if 0.5 * x == 0.0:  # includes subnormals whose half underflows
+        out = np.zeros(nmax + 1)
+        out[0] = 1.0
+        return out
+    if x < 2.0:
+        return np.array([_jn_series(n, x) for n in range(nmax + 1)])
+
+    pad = _START_PAD + int(15.0 * x ** (1.0 / 3.0))
+    f, norm = _miller(0, int(x) + pad, x)
+    out = f / norm
+    while out.size <= nmax and out[-1] != 0.0:
+        f, _ = _miller(out.size - 1, out.size - 1 + pad, x)
+        out = np.concatenate([out, f[1:] * (out[-1] / f[0])])
+    # Past an underflow every chunk would be scaled by 0.0.
+    return np.concatenate([out, np.zeros(max(0, nmax + 1 - out.size))])[: nmax + 1]
 
 
 def bessel_jn(n: int, x: float) -> float:
@@ -207,31 +232,30 @@ def lzs_rate(
     jn = _jn_array(int(np.abs(ns).max()), x)
     jn_sq = jn[np.abs(ns)] ** 2
     detune = eps_local - ns * w
-    total = gamma2 * float(np.sum(jn_sq / (detune * detune + gamma2 * gamma2)))
+    # Added one term after another in ascending n (accumulate, unlike
+    # np.sum, never pairs them up), as PhotonTable adds them.
+    terms = jn_sq / (detune * detune + gamma2 * gamma2)
+    total = gamma2 * float(np.add.accumulate(terms)[-1])
     # delta enters only as a final power-of-two-friendly scale so that
     # doubling delta quadruples W exactly.
     return 0.5 * delta * delta * total
 
 
 class PhotonTable:
-    """Rates W[c, m] (GHz) through crossings of size deltas[c] at
-    positions[c], at the global detunings eps_values[m], for any drive
-    amplitude up to drive.amplitude at the drive's frequency and
+    """Rates W[c, k, m] (GHz) through crossings of size deltas[c] at
+    positions[c], at the global detunings eps_values[m], for drive
+    amplitudes amps[k] up to drive.amplitude at the drive's frequency and
     dephasing.
 
-    The Lorentzian denominators are tabulated once, over the photon
-    range of the largest amplitude, which holds that of every smaller
-    one; ``rates`` divides one amplitude's squared Bessel weights by its
-    columns of the table, with the elementwise ops of lzs_rate.  Under
-    lorentz_cutoff a cut term's denominator is inf, so the term is
-    exactly 0.  One window, ``_photon_runs`` over the extreme local
-    detunings, serves every crossing and detuning; it contains each
-    point's own window and adds only terms below the truncation bound,
-    so the result differs from lzs_rate by roundoff, and for a single
-    point without lorentz_cutoff it has lzs_rate's bits.  The photon
-    axis is summed by np.sum over the contiguous last axis, never by
-    BLAS, so the bits depend neither on the BLAS build nor on how the
-    detunings are split into blocks.
+    The Lorentzian denominators are tabulated once, photon by photon,
+    over the photon range of the largest amplitude, which holds that of
+    every smaller one; ``rates`` divides each amplitude's squared Bessel
+    weights by the table.  Under lorentz_cutoff a cut term's denominator
+    is inf, so the term is exactly 0.  Each point adds the terms of its
+    own window, as lzs_rate sums it, in ascending n from 0.0, and skips
+    every other photon of the table, so W has lzs_rate's bits at every
+    point: the elementwise ops are lzs_rate's and the Bessel weights do
+    not depend on the window.
     """
 
     def __init__(
@@ -248,12 +272,16 @@ class PhotonTable:
         self.drive = drive
         self.kernel = kernel
         w, gamma2 = drive.frequency, drive.dephasing
-        centers = self.eps_local / w
+        self.centers = self.eps_local / w
         # Without a crossing the table is empty, whatever its range.
-        self.c_lo, self.c_hi = (centers.min(), centers.max()) if centers.size else (0.0, 0.0)
+        if self.centers.size:
+            self.c_lo, self.c_hi = self.centers.min(), self.centers.max()
+        else:
+            self.c_lo = self.c_hi = 0.0
         self.ns = _photon_range(self.c_lo, self.c_hi, drive.amplitude / w + kernel.n_margin)
-        # Built in place, with the elementwise ops lzs_rate uses.
-        table = self.eps_local[:, :, None] - self.ns * w
+        # denominators[i, c, m], built in place with the elementwise ops
+        # lzs_rate uses.
+        table = self.eps_local[None] - (self.ns * w)[:, None, None]
         if kernel.lorentz_cutoff is not None:
             cut = np.abs(table) > kernel.lorentz_cutoff * gamma2
         table *= table
@@ -262,33 +290,46 @@ class PhotonTable:
             table[cut] = np.inf
         self.denominators = table
 
-    def rates(self, amp: float) -> np.ndarray:
-        """W[c, m] at drive amplitude amp, 0 <= amp <= drive.amplitude."""
-        if not 0.0 <= amp <= self.drive.amplitude:
-            raise ValidationError(
-                f"amplitude {amp!r} outside the table's range [0, {self.drive.amplitude!r}]"
-            )
+    def rates(self, amps) -> np.ndarray:
+        """W[c, k, m] at drive amplitudes amps[k], each in
+        [0, drive.amplitude]."""
+        amps = [float(a) for a in amps]
+        for amp in amps:
+            if not 0.0 <= amp <= self.drive.amplitude:
+                raise ValidationError(
+                    f"amplitude {amp!r} outside the table's range [0, {self.drive.amplitude!r}]"
+                )
         n_c, n_m = self.eps_local.shape
-        if n_c == 0:
-            return np.zeros((n_c, n_m))
+        total = np.zeros((n_c, len(amps), n_m))
+        if n_c == 0 or not amps:
+            return total
         w, gamma2 = self.drive.frequency, self.drive.dephasing
-        x = amp / w
-        runs = _photon_runs(self.c_lo, self.c_hi, x + self.kernel.n_margin)
-        ns = np.concatenate([np.arange(*run) for run in runs])
-        jn_sq = _jn_array(int(max(-ns[0], ns[-1])), x)[np.abs(ns)] ** 2
-        # Each run's slice of the photon axis and of the table's columns.
-        pieces, done = [], 0
-        for lo, hi in runs:
-            col = int(np.searchsorted(self.ns, lo))
-            pieces.append((slice(done, done + hi - lo), slice(col, col + hi - lo)))
-            done += hi - lo
+        halves = np.array([amp / w + self.kernel.n_margin for amp in amps])
+        # weights[i, k]: amps[k]'s squared Bessel weight of photon ns[i], and
+        # 0 outside that amplitude's range, where its terms then vanish.
+        weights = np.zeros((self.ns.size, len(amps)))
+        for k, (amp, half) in enumerate(zip(amps, halves)):
+            ns = _photon_range(self.c_lo, self.c_hi, half)
+            jn = _jn_array(int(max(-ns[0], ns[-1])), amp / w)
+            weights[np.searchsorted(self.ns, ns), k] = jn[np.abs(ns)] ** 2
+        inner = np.abs(self.ns) <= halves.min()  # in every point's window
 
-        total = np.empty((n_c, n_m))
-        block = max(1, _BLOCK_TERMS // (ns.size * n_c))
+        block = max(1, _BLOCK_TERMS // (n_c * len(amps)))
         for start in range(0, n_m, block):
-            denom = self.denominators[:, start : start + block]
-            terms = np.empty(denom.shape[:2] + ns.shape)
-            for part, cols in pieces:
-                np.divide(jn_sq[part], denom[..., cols], out=terms[..., part])
-            total[:, start : start + block] = gamma2 * np.sum(terms, axis=-1)
-        return (0.5 * self.deltas * self.deltas)[:, None] * total
+            cols = slice(start, start + block)
+            centers = self.centers[:, None, cols]
+            # Each point's own resonant window, as _photon_runs bounds it.
+            lo, hi = centers - halves[:, None], centers + halves[:, None]
+            out = total[:, :, cols]
+            terms = np.empty_like(out)
+            for i, n in enumerate(self.ns.tolist()):
+                if not weights[i].any():
+                    continue
+                np.divide(weights[i, :, None], self.denominators[i, :, None, cols], out=terms)
+                if inner[i]:
+                    out += terms
+                else:
+                    own = (lo <= n) & (n <= hi)
+                    own |= (abs(n) <= halves)[:, None]
+                    np.add(out, terms, out=out, where=own)
+        return (0.5 * self.deltas * self.deltas)[:, None, None] * (gamma2 * total)

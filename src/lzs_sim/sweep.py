@@ -9,18 +9,18 @@ pattern's entries with their static values, the entries each pumped
 crossing adds to, a ``rates.PhotonTable`` with every Lorentzian
 denominator of the map, and the pattern's ``master.GTHPlan``.
 
-Rows are solved in blocks of whole rows, up to about 2048 points.  For
-each row the block divides the Bessel weights by the row's slice of the
-table; the pattern values are written as (entries, points), the static
-value first and then each crossing's rate in pump order, so each entry
-has ``build_rate_matrix``'s bits from the same rates.  One GTH solve then
-gives every point's populations.  A point with a zero outflow in the
-elimination, or that fails the acceptance check, relaxes in time from
-0R on its dense generator, rebuilt from the block's values.  The
-engine, the photon window and the acceptance check are those of the
-single-point functions, so a point's P_L equals what ``stationary_solve``
-gives on its generator, bit for bit wherever the point's pattern is the
-model's, and agrees with ``probe`` to roundoff.
+Rows are solved in blocks of whole rows, up to about 2048 points.  The
+table gives every rate of the block, with ``lzs_rate``'s bits; the
+pattern values are written as (entries, points), the static value first
+and then each crossing's rate in pump order, so each entry has
+``build_rate_matrix``'s bits.  One GTH solve then gives every point's
+populations.  A point with a zero outflow in the elimination, or that
+fails the acceptance check, relaxes in time from 0R on its dense
+generator, rebuilt from the block's values.  The engine, the photon
+window and the acceptance check are those of the single-point
+functions, so a point's P_L equals what ``probe`` gives
+(``stationary_solve`` of ``build_rate_matrix``), bit for bit wherever
+the point's pattern is the model's.
 
 With more than one worker, blocks are capped at ceil(rows / workers)
 rows and farmed out to worker processes, then reassembled in order:
@@ -195,10 +195,11 @@ class SweepPlan:
     def values(self, amps) -> np.ndarray:
         """Pattern values (entries, len(amps) * n_eps) at every detuning of
         each amplitude in amps, row after row, with the bits
-        ``build_rate_matrix`` gives from the same rates: the static value,
-        then each crossing's rate in pump order."""
-        rates = np.concatenate([self.photons.rates(amp) for amp in amps], axis=1)
-        values = np.repeat(self.static[:, None], rates.shape[1], axis=1)
+        ``build_rate_matrix`` gives: the static value, then each
+        crossing's rate in pump order."""
+        n_points = len(amps) * self.eps_values.size
+        rates = self.photons.rates(amps).reshape(len(self.pumped), n_points)
+        values = np.repeat(self.static[:, None], n_points, axis=1)
         # One crossing at a time: a buffered fancy += would drop the second
         # of two rates pumping into the same leak entry.
         for entries, w in zip(self.pumped, rates):

@@ -295,25 +295,15 @@ class TestBuildRateMatrix:
         assert np.array_equal(rm.matrix, ref.matrix)
 
 
-def pointwise_rates(table, amp):
+def pointwise_rates(table, amps):
     """PhotonTable.rates computed by one lzs_rate call per entry."""
-    drive = DriveParams(amp, table.drive.frequency, table.drive.dephasing)
+    drives = [DriveParams(amp, table.drive.frequency, table.drive.dephasing) for amp in amps]
     return np.array(
         [
-            [lzs_rate(d, float(e), drive, table.kernel) for e in row]
+            [[lzs_rate(d, float(e), drive, table.kernel) for e in row] for drive in drives]
             for d, row in zip(table.deltas, table.eps_local)
         ]
-    ).reshape(table.eps_local.shape)
-
-
-def engine_solve(mat):
-    """q and ok of the map engine on one generator, planned from its own
-    off-diagonal pattern, as stationary_solve plans it."""
-    mask = mat != 0.0
-    np.fill_diagonal(mask, False)
-    rows, cols = np.nonzero(mask)
-    q, ok = master_mod.GTHPlan(rows, cols, len(mat)).solve(mat[rows, cols][:, None])
-    return q[:, 0], ok[0]
+    ).reshape(len(table.deltas), len(drives), table.eps_local.shape[1])
 
 
 class TestRowEngineParts:
@@ -410,7 +400,7 @@ class TestStationarySolve:
             (L1, R1, w_upper), (R1, L1, w_upper), (R0, L0, w_ground), (L0, R0, w_ground)
         ]
         m = RateMatrix.from_channels((L0, L1, R0, R1), channels)
-        assert not engine_solve(m.matrix)[1]
+        assert not master_mod._solve_own_pattern(m.matrix)[1]
         p = stationary_solve(m)
         assert p.probability_of(L0) == pytest.approx(0.5, abs=1e-12)
         assert p.probability_of(R0) == pytest.approx(0.5, abs=1e-12)
@@ -702,7 +692,7 @@ class TestGTHAccuracy:
         for _ in range(250):
             n = int(rng.integers(3, 8))
             mat = random_generator(rng, n, rng.permutation(n).tolist())
-            q, ok = engine_solve(mat)
+            q, ok = master_mod._solve_own_pattern(mat)
             assert ok
             worst = max(worst, np.max(np.abs(q - mp_stationary(mat))))
         assert worst <= 1e-10
@@ -719,7 +709,7 @@ class TestGTHAccuracy:
             closed = rng.permutation(n)[: rng.integers(1, n)].tolist()
             last_transient += n - 1 not in closed
             mat = random_generator(rng, n, closed)
-            q, ok = engine_solve(mat)
+            q, ok = master_mod._solve_own_pattern(mat)
             assert ok
             transient = [s for s in range(n) if s not in closed]
             assert np.all(q[transient] == 0.0)
@@ -739,7 +729,7 @@ class TestGTHAccuracy:
             mat[:, int(rng.choice([2, 3, 4]))] = 0.0
             np.fill_diagonal(mat, 0.0)
             np.fill_diagonal(mat, -mat.sum(axis=0))
-            assert not engine_solve(mat)[1]
+            assert not master_mod._solve_own_pattern(mat)[1]
             m = RateMatrix(mat, states)
             expected = master_mod._relax_to_stationary(mat, np.eye(5)[2])
             got = stationary_solve(m).probabilities

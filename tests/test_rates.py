@@ -184,6 +184,14 @@ class TestBesselJn:
         tail = (np.arange(201) > x + 2) & (np.abs(ref) > 1e-290)
         assert np.all(np.abs(got - ref)[tail] <= 1e-12 * np.abs(ref[tail]))
 
+    @pytest.mark.parametrize("x", [0.7, 2.0, 13.7, 60.0])
+    def test_orders_do_not_depend_on_nmax(self, x):
+        # A wider photon window weighs each order it shares with a
+        # narrower one by the same bits.
+        full = _jn_array(400, x)
+        for nmax in (0, 1, int(x), int(x) + 80, 250):
+            assert np.array_equal(_jn_array(nmax, x), full[: nmax + 1])
+
 
 class TestPhotonWindow:
     def test_merged_window(self):
@@ -399,8 +407,8 @@ class TestLzsRate:
 
 
 class TestRowRates:
-    """PhotonTable, the photon sum of a map: rows of any amplitude up to
-    the table's."""
+    """PhotonTable, the photon sum of a map: rows of any amplitudes up
+    to the table's."""
 
     DELTAS = [0.08, 0.2, 0.0, 0.45]
     POSITIONS = [0.0, -2.1, 3.0, 6.75]
@@ -413,23 +421,38 @@ class TestRowRates:
         table = PhotonTable(
             self.DELTAS, self.POSITIONS, self.EPS, DriveParams(9.0, 1.0, 0.1), kernel
         )
-        got = table.rates(amp)
-        assert got.shape == (4, self.EPS.size)
+        # Every point sums its own window in lzs_rate's order: the same bits.
+        got = table.rates([amp])
+        assert got.shape == (4, 1, self.EPS.size)
         drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
         for c, (delta, pos) in enumerate(zip(self.DELTAS, self.POSITIONS)):
             for m, eps in enumerate(self.EPS):
-                ref = lzs_rate(delta, float(eps) - pos, drive, kernel)
-                assert got[c, m] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+                assert got[c, 0, m] == lzs_rate(delta, float(eps) - pos, drive, kernel)
+
+    def test_wide_windows_match_lzs_rate(self):
+        # At A/w up to 47 the terms of the table's window that lie outside
+        # a point's own window are no longer below its last bit: each
+        # point must skip them to keep lzs_rate's bits.
+        drive = DriveParams(14.0, 0.3, 0.1)
+        table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive)
+        amps = [0.0, 14.0 / 3.0, 14.0]
+        got = table.rates(amps)
+        for k, amp in enumerate(amps):
+            point_drive = DriveParams(amp, 0.3, 0.1)
+            for c, (delta, pos) in enumerate(zip(self.DELTAS, self.POSITIONS)):
+                for m, eps in enumerate(self.EPS):
+                    assert got[c, k, m] == lzs_rate(delta, float(eps) - pos, point_drive)
 
     @pytest.mark.parametrize("block_terms", [1, 100, 5000])
     def test_blocks_change_no_bit(self, monkeypatch, block_terms):
         drive = DriveParams(amplitude=12.0, frequency=0.7, dephasing=0.05)
         kernel = RateKernelParams(lorentz_cutoff=40.0)
         table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
-        whole = [table.rates(amp) for amp in (12.0, 5.0)]
+        whole = table.rates([12.0, 5.0])
+        alone = [table.rates([amp])[:, 0] for amp in (12.0, 5.0)]
+        assert all(np.array_equal(whole[:, k], a) for k, a in enumerate(alone))
         monkeypatch.setattr(rates_mod, "_BLOCK_TERMS", block_terms)
-        split = [table.rates(amp) for amp in (12.0, 5.0)]
-        assert all(np.array_equal(a, b) for a, b in zip(whole, split))
+        assert np.array_equal(table.rates([12.0, 5.0]), whole)
 
     @given(
         delta=st.floats(1e-3, 1.0),
@@ -445,8 +468,8 @@ class TestRowRates:
         # whatever larger amplitude the table was built for.
         drive = DriveParams(amplitude=amp, frequency=frequency, dephasing=gamma2)
         top = DriveParams(amplitude=amp + extra, frequency=frequency, dephasing=gamma2)
-        row = PhotonTable([delta], [0.0], [eps], top).rates(amp)
-        assert row[0, 0] == lzs_rate(delta, eps, drive)
+        row = PhotonTable([delta], [0.0], [eps], top).rates([amp])
+        assert row[0, 0, 0] == lzs_rate(delta, eps, drive)
 
     def test_far_row_keeps_bessel_support(self):
         # Every resonant window of the row misses n = 0, the only term at
@@ -454,21 +477,21 @@ class TestRowRates:
         # table's A = 9 the two runs meet; at A = 0 a gap lies between them.
         table = PhotonTable([0.1], [60.0], self.EPS, DriveParams(9.0, 1.0, 0.1))
         for amp in (0.0, 9.0):
-            got = table.rates(amp)
+            got = table.rates([amp])
             drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
             for m, eps in enumerate(self.EPS):
                 ref = lzs_rate(0.1, float(eps) - 60.0, drive)
                 assert ref > 0.0
-                assert got[0, m] == pytest.approx(ref, rel=1e-12)
+                assert got[0, 0, m] == ref
 
     def test_cut_terms_are_exactly_zero(self):
         # At eps = 5 nothing lies within 5 Gamma2 of a comb line: the rate
         # is 0.0, not a sum of tiny terms.  At eps = 0 the n = 0 line is kept.
         tight = RateKernelParams(lorentz_cutoff=5.0)
         drive = DriveParams(amplitude=0.0, frequency=10.0, dephasing=0.01)
-        got = PhotonTable([0.1], [0.0], [5.0, 0.0], drive, tight).rates(0.0)
-        assert got[0, 0] == 0.0
-        assert got[0, 1] == pytest.approx(lzs_rate(0.1, 0.0, drive, tight), rel=1e-15)
+        got = PhotonTable([0.1], [0.0], [5.0, 0.0], drive, tight).rates([0.0])
+        assert got[0, 0, 0] == 0.0
+        assert got[0, 0, 1] == lzs_rate(0.1, 0.0, drive, tight)
 
     def test_no_crossings(self):
-        assert PhotonTable([], [], self.EPS, DRIVE).rates(2.0).shape == (0, self.EPS.size)
+        assert PhotonTable([], [], self.EPS, DRIVE).rates([2.0]).shape == (0, 1, self.EPS.size)
