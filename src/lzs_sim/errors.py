@@ -6,8 +6,9 @@ class SimulationError(Exception):
 
 
 class NonConvergent(SimulationError):
-    """Neither the direct stationary solve nor the relaxation fallback
-    reached the required residual.
+    """The stationary solve of a point failed its acceptance check, or
+    the point has several closed classes of states and no right-well
+    ground state to start from.
 
     Carries the (eps, amp) grid coordinates when raised from a sweep.
     """

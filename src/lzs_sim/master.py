@@ -13,10 +13,11 @@ Stationary states come from Grassmann-Taksar-Heyman state reduction
 (``GTHPlan``): subtraction-free, so each probability is accurate to a
 few roundoffs relative to itself (O'Cinneide, Numer. Math. 65, 109,
 1993), vectorised over any number of points that share the pattern.
+With several closed classes of states the same reduction gives the
+probabilities of absorption into each from the right-well ground state
+0R, and the stationary state is the one reached from 0R.
 ``stationary_solve`` runs it on a block of one; the map sweep runs it
-on blocks of rows.  A point the reduction cannot solve (a state with no
-outflow to the states left, as with two closed classes) or that fails
-the acceptance check relaxes in time from the right-well ground state.
+on blocks of rows.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ __all__ = [
 
 _RESIDUAL_REL = 1e-10
 _NEGATIVITY_TOL = 1e-12
-_FALLBACK_STEP_TOL = 1e-14
-_FALLBACK_MAX_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -249,9 +248,9 @@ def _sum_into(terms: np.ndarray, ranks, n: int) -> np.ndarray:
     return total
 
 
-def _closed_state(out) -> int:
-    """The highest state that lies in a closed class of the graph whose
-    edges run from s to every state in out[s]."""
+def _closed_classes(out) -> list[list[int]]:
+    """The closed classes of the graph whose edges run from s to every
+    state in out[s], each sorted, in order of their lowest state."""
     reach = []
     for s in range(len(out)):
         seen, todo = {s}, [s]
@@ -261,7 +260,12 @@ def _closed_state(out) -> int:
                     seen.add(j)
                     todo.append(j)
         reach.append(seen)
-    return max(s for s, r in enumerate(reach) if all(s in reach[j] for j in r))
+    # s lies in a closed class, reach[s], when every state it reaches
+    # reaches it back.
+    return [
+        sorted(r) for s, r in enumerate(reach)
+        if s == min(r) and all(s in reach[j] for j in r)
+    ]
 
 
 class GTHPlan:
@@ -272,21 +276,25 @@ class GTHPlan:
     The pattern lists the entries M[rows[e], cols[e]], each the rate from
     state cols[e] into state rows[e], in row-major order; ``solve`` takes
     their values as an (entries, points) array.  The plan depends on the
-    pattern alone.  States are eliminated in min-Markowitz order (fewest
-    in x out edges among the states left, ties to the lower index), and
-    the fill each elimination creates gets a slot of its own.  The state
-    kept last lies in a closed class of the pattern.  With exactly one
-    closed class the reduction is exact and subtraction-free, and
-    transient states come out as exactly 0.  With more, or where a
-    point's zero rates cut its own graph into several closed classes,
-    some state's outflow to the states left is exactly 0, and that point
-    is rejected.
+    pattern and start alone.  Each closed class of the pattern keeps its
+    highest state, its root.  With several classes the populations are
+    the ones reached from the state start (0R): a transient start is kept
+    as well, and its reduced flow into each root gives the probabilities
+    of absorption into each class (Kemeny and Snell, Finite Markov
+    Chains, ch. III); a start inside a class puts everything there.  All
+    other states are eliminated in min-Markowitz order (fewest in x out
+    edges among the states left, ties to the lower index), and the fill
+    each elimination creates gets a slot of its own.  Each class's vector
+    is normalized on its own and weighted by its absorption probability;
+    transient states come out as exactly 0.  The reduction never
+    subtracts.  A point where some state's outflow to the states left is
+    exactly 0 (a zero rate cuts its own graph apart) is rejected.
 
     Every sum is a fixed chain of elementwise adds, so a point's bits
     depend neither on the other points of its block nor on BLAS.
     """
 
-    def __init__(self, rows, cols, n: int):
+    def __init__(self, rows, cols, n: int, start: int | None = None):
         self.rows = np.asarray(rows, dtype=np.intp)
         self.cols = np.asarray(cols, dtype=np.intp)
         self.n = n
@@ -296,9 +304,19 @@ class GTHPlan:
         for f, t in slot:
             out[f].add(t)
             into[t].add(f)
-        self.root = _closed_state(out)
+        self.classes = _closed_classes(out)
+        self.roots = [c[-1] for c in self.classes]
+        # All weight on the only class or on start's class.  Several
+        # classes and no start give none, so every point fails the check.
+        self.weights = np.array(
+            [[len(self.classes) == 1 or start in c] for c in self.classes], dtype=float
+        )
+        transient_start = start is not None and not self.weights.any()
+        kept = set(self.roots)
+        if transient_start:
+            kept.add(start)
         steps = []
-        left = set(range(n)) - {self.root}
+        left = set(range(n)) - kept
         while left:
             k = min(left, key=lambda s: (len(into[s]) * len(out[s]), s))
             ins, outs = sorted(into[k]), sorted(out[k])
@@ -324,6 +342,11 @@ class GTHPlan:
                 into[j].discard(k)
             left.discard(k)
         self.steps = steps
+        # Start's reduced flow into each root, a zero slot where it has none.
+        self.absorb = (
+            np.array([slot.setdefault((start, r), len(slot)) for r in self.roots])
+            if transient_start else None
+        )
         self.n_slots = len(slot)
         self._by_row = _ranks(self.rows.tolist())
         self._by_col = _ranks(self.cols.tolist())
@@ -343,11 +366,19 @@ class GTHPlan:
                 blocked |= outflow == 0.0
                 v[in_slots] /= outflow
                 v[dst] += v[via_in] * v[via_out]
-            pi = np.empty((self.n, n_points))
-            pi[self.root] = 1.0
+            pi = np.zeros((self.n, n_points))
+            pi[self.roots] = 1.0
             for k, _, ins, in_slots, _ in reversed(self.steps):
                 pi[k] = _chain(pi[ins] * v[in_slots])
-            q = pi / _chain(pi)
+            weights = self.weights
+            if self.absorb is not None:
+                flow = v[self.absorb]
+                total = _chain(flow)
+                blocked |= total == 0.0
+                weights = flow / total
+            q = np.zeros((self.n, n_points))
+            for c, a in zip(self.classes, weights):
+                q[c] = a * (pi[c] / _chain(pi[c]))
         return q, ~blocked & self.accepts(values, q)
 
     def accepts(self, values: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -377,56 +408,7 @@ class GTHPlan:
         return mat
 
 
-def _relaxed(mat: np.ndarray, states) -> PopulationVector:
-    """The relaxation fallback: populations of generator mat relaxed in
-    time from the right-well ground state 0R."""
-    try:
-        start = states.index(StateIndex(Well.RIGHT, 0))
-    except ValueError:
-        raise NonConvergent(
-            "stationary system is singular and has no right-well ground state "
-            "to relax from"
-        ) from None
-    p = _relax_to_stationary(mat, np.eye(len(states))[start])
-    p = np.where(p < 0.0, 0.0, p)
-    return PopulationVector(probabilities=p / math.fsum(p), states=states)
-
-
-def _relax_to_stationary(mat: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """Implicit relaxation with geometrically growing steps until the
-    populations stop moving.
-
-    The relaxation ends once a step moves no population by more than
-    _FALLBACK_STEP_TOL, whatever the generator's rate scale: a tolerance
-    on the flow M p in GHz would accept a slow generator long before it
-    settles.  At the longest step, 1e12 / max|M|, a step that moves more
-    than half as much as the one before has stalled (roundoff shifting
-    population between closed classes, or rates too slow to resolve),
-    and the populations are returned as they are.
-    """
-    scale = np.max(np.abs(mat))
-    if scale == 0.0:
-        return p0
-    eye = np.eye(mat.shape[0])
-    dt, dt_max = 1.0 / scale, 1e12 / scale
-    p, last = p0, np.inf
-    for _ in range(_FALLBACK_MAX_STEPS):
-        try:
-            q = np.linalg.solve(eye - dt * mat, p)
-        except np.linalg.LinAlgError as exc:
-            raise StepRejected(f"implicit relaxation step failed: {exc}") from exc
-        q = np.where(q < 0.0, 0.0, q)
-        q = q / math.fsum(q)
-        moved = np.max(np.abs(q - p))
-        p = q
-        if moved <= _FALLBACK_STEP_TOL or moved > 0.5 * last:
-            return p
-        last = moved if dt == dt_max else np.inf
-        dt = min(2.0 * dt, dt_max)
-    raise NonConvergent(
-        "relaxation fallback did not reach a stationary population "
-        f"(last step moved {moved:.3e})"
-    )
+_GROUND_RIGHT = StateIndex(Well.RIGHT, 0)
 
 
 def stationary_solve(m: RateMatrix) -> PopulationVector:
@@ -434,35 +416,45 @@ def stationary_solve(m: RateMatrix) -> PopulationVector:
 
     Runs the map's engine on a block of one: the ``GTHPlan`` of the
     matrix's own off-diagonal pattern, planned once per pattern, under
-    the same acceptance check.  If a state's outflow comes out exactly 0
-    or the check fails, relaxes in time from the right-well ground state
-    instead.  A
-    generator with two or more closed classes of states has no unique
-    stationary state: the relaxation then returns one of several valid
-    ones, and which one can turn on the last bit of a rate.
+    the same acceptance check.  With several closed classes of states
+    the answer is the one reached from the right-well ground state 0R:
+    each class's stationary vector, weighted by the probability of
+    absorption into it from 0R.  Raises NonConvergent if the point fails
+    the check, or has several closed classes and no 0R state.
     """
-    q, ok = _solve_own_pattern(m.matrix)
+    start = m.states.index(_GROUND_RIGHT) if _GROUND_RIGHT in m.states else None
+    q, ok = _solve_own_pattern(m.matrix, start)
     if ok:
         return PopulationVector(probabilities=q, states=m.states)
-    return _relaxed(m.matrix, m.states)
+    if start is None and len(_own_plan(m.matrix, None).classes) > 1:
+        raise NonConvergent(
+            "stationary system is singular and has no right-well ground state "
+            "to relax from"
+        )
+    raise NonConvergent("stationary solve failed the acceptance check")
 
 
-def _solve_own_pattern(mat: np.ndarray):
-    """q (n,) and ok of the engine on one generator, planned from its own
-    off-diagonal pattern."""
+def _own_plan(mat: np.ndarray, start) -> GTHPlan:
+    """The GTHPlan of one generator's own off-diagonal pattern."""
     mask = mat != 0.0
     np.fill_diagonal(mask, False)
-    plan = _pattern_plan(mask.tobytes(), len(mat))
+    return _pattern_plan(mask.tobytes(), len(mat), start)
+
+
+def _solve_own_pattern(mat: np.ndarray, start: int | None = None):
+    """q (n,) and ok of the engine on one generator, planned from its own
+    off-diagonal pattern, with start as 0R."""
+    plan = _own_plan(mat, start)
     q, ok = plan.solve(mat[plan.rows, plan.cols][:, None])
     return q[:, 0], bool(ok[0])
 
 
 @functools.lru_cache(maxsize=128)
-def _pattern_plan(mask: bytes, n: int) -> GTHPlan:
+def _pattern_plan(mask: bytes, n: int, start) -> GTHPlan:
     """The GTHPlan of an (n, n) off-diagonal pattern given as mask bytes,
     planned once for repeated single-point solves on one model."""
     rows, cols = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(n, n))
-    return GTHPlan(rows, cols, n)
+    return GTHPlan(rows, cols, n, start)
 
 
 def stationary_three_state(w_0r0l, w_0l1r, g_1r0r, g_0l0r):
@@ -479,7 +471,7 @@ def stationary_three_state(w_0r0l, w_0l1r, g_1r0r, g_0l0r):
     den = 3.0 * a * b + 2.0 * a * g + b * g + b * h + g * h
     if den > 0.0:
         return ((a * b + a * g + b * g + b * h + g * h) / den, a * (b + g) / den, a * b / den)
-    # Degenerate corners, resolved by relaxing from the 0R ground state.
+    # Degenerate corners: the state reached from the 0R ground state.
     if a == 0.0:
         return (1.0, 0.0, 0.0)
     # a > 0 forces b = g = 0: plain two-state balance, 1R disconnected.
@@ -503,7 +495,7 @@ def stationary_four_state(w_0r1l, w_0l1r, g_1r0r, g_0l0r, g_1l0l):
     den = (2.0 * v + k) * s + k * v * (2.0 * b + g)
     if den > 0.0:
         return ((v + k) * s / den, k * v * (b + g) / den, k * v * b / den, v * s / den)
-    # Degenerate corners with v > 0, resolved by relaxing from 0R.
+    # Degenerate corners with v > 0: the state reached from 0R.
     if k == 0.0:
         return (0.5, 0.0, 0.0, 0.5)  # 0R<->1L equilibrate, left branch unreachable
     if h > 0.0:

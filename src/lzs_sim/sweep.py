@@ -14,13 +14,14 @@ table gives every rate of the block, with ``lzs_rate``'s bits; the
 pattern values are written as (entries, points), the static value first
 and then each crossing's rate in pump order, so each entry has
 ``build_rate_matrix``'s bits.  One GTH solve then gives every point's
-populations.  A point with a zero outflow in the elimination, or that
-fails the acceptance check, relaxes in time from 0R on its dense
-generator, rebuilt from the block's values.  The engine, the photon
-window and the acceptance check are those of the single-point
-functions, so a point's P_L equals what ``probe`` gives
-(``stationary_solve`` of ``build_rate_matrix``), bit for bit wherever
-the point's pattern is the model's.
+populations; with several closed classes, the ones reached from 0R.  A
+point with a zero outflow in the elimination (a ``lorentz_cutoff`` zero
+that changes its pattern), or that fails the acceptance check, is
+solved again on its own pattern, from its generator rebuilt from the
+block's values.  The engine, the photon window and the acceptance
+check are those of the single-point functions, so a point's P_L equals
+what ``probe`` gives (``stationary_solve`` of ``build_rate_matrix``),
+bit for bit wherever the point's pattern is the model's.
 
 With more than one worker, blocks are capped at ceil(rows / workers)
 rows and farmed out to worker processes, then reassembled in order:
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
-from .master import GTHPlan, _chain, _generator_layout, _relaxed
+from .master import GTHPlan, _chain, _generator_layout, _solve_own_pattern
 from .model import DriveParams, QubitModel, crossing_position
 from .rates import PhotonTable, RateKernelParams
 
@@ -187,9 +188,8 @@ class SweepPlan:
             drive,
             kernel,
         )
-        self.solver = GTHPlan(rows, cols, static.shape[0])
+        self.solver = GTHPlan(rows, cols, static.shape[0], start=model.n_left)
         self.eps_values = eps_values
-        self.states = model.states()
         self.n_left = model.n_left
 
     def values(self, amps) -> np.ndarray:
@@ -214,15 +214,15 @@ class SweepPlan:
         p_left = _chain(q[: self.n_left])
         n_eps = self.eps_values.size
         for point in np.flatnonzero(~ok):
-            try:
-                pv = _relaxed(self.solver.generator(values[:, point]), self.states)
-            except NonConvergent as exc:
+            mat = self.solver.generator(values[:, point])
+            q_point, ok_point = _solve_own_pattern(mat, self.n_left)
+            if not ok_point:
                 raise NonConvergent(
-                    str(exc),
+                    "stationary solve failed the acceptance check",
                     eps=float(self.eps_values[point % n_eps]),
                     amp=amps[point // n_eps],
-                ) from exc
-            p_left[point] = pv.p_left
+                )
+            p_left[point] = _chain(q_point[: self.n_left])
         return p_left.reshape(len(amps), n_eps)
 
 

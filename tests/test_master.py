@@ -1,5 +1,6 @@
 """Rate-matrix assembly, stationary solvers, and the closed forms."""
 
+import itertools
 import math
 
 import mpmath
@@ -376,15 +377,15 @@ class TestStationarySolve:
         assert p.probability_of(L0) == pytest.approx(a / (2 * a + h), rel=1e-12)
 
     def test_disconnected_graph_resolved_from_ground_right(self):
-        # two non-interacting pairs: direct solve is singular, fallback
-        # keeps all population in the component holding 0R
+        # two non-interacting pairs, two closed classes: all population
+        # stays in the one holding 0R
         channels = [(L0, R0, 0.0), (L1, R1, 0.5), (R1, L1, 0.5), (R0, L0, 0.2), (L0, R0, 0.2)]
         m = RateMatrix.from_channels((L0, L1, R0, R1), channels)
         p = stationary_solve(m)
-        assert p.probability_of(L1) == pytest.approx(0.0, abs=1e-15)
-        assert p.probability_of(R1) == pytest.approx(0.0, abs=1e-15)
-        assert p.probability_of(L0) == pytest.approx(0.5, abs=1e-12)
-        assert p.probability_of(R0) == pytest.approx(0.5, abs=1e-12)
+        assert p.probability_of(L1) == 0.0
+        assert p.probability_of(R1) == 0.0
+        assert p.probability_of(L0) == 0.5
+        assert p.probability_of(R0) == 0.5
 
     @pytest.mark.parametrize(
         "w_ground, w_upper",
@@ -392,24 +393,21 @@ class TestStationarySolve:
     )
     def test_slow_disconnected_graph_settles(self, w_ground, w_upper):
         # The same two pairs with slow rates, and one pair 2e6 times slower
-        # than the other: the fallback's answer must not depend on how
-        # fast the rates are.  The two closed classes leave one state
-        # with no outflow in the elimination, so the point always reaches
-        # the fallback.
+        # than the other: the answer must not depend on how fast the
+        # rates are.
         channels = [
             (L1, R1, w_upper), (R1, L1, w_upper), (R0, L0, w_ground), (L0, R0, w_ground)
         ]
         m = RateMatrix.from_channels((L0, L1, R0, R1), channels)
-        assert not master_mod._solve_own_pattern(m.matrix)[1]
         p = stationary_solve(m)
-        assert p.probability_of(L0) == pytest.approx(0.5, abs=1e-12)
-        assert p.probability_of(R0) == pytest.approx(0.5, abs=1e-12)
+        assert p.probability_of(L0) == 0.5
+        assert p.probability_of(R0) == 0.5
 
     def test_relaxation_returns_when_roundoff_keeps_moving(self):
         # Two closed classes, {3} and {0, 4}, both fed by the transient
-        # states 1, 2 and 5.  At the longest step, roundoff in the solve
-        # moves about 1e-8 of population between the classes on every
-        # step; the relaxation returns instead of chasing it.
+        # states 1, 2 and 5.  Relaxing in time from state 5, roundoff
+        # kept moving about 1e-8 of population between the classes; the
+        # absorption weights from the reduction need no time steps.
         mat = np.array([
             [0.0, 1.335, 5.845e-3, 0.0, 6.352e-3, 0.0],
             [0.0, 0.0, 0.1582, 0.0, 0.0, 0.0],
@@ -419,10 +417,10 @@ class TestStationarySolve:
             [0.0, 6.471, 2.168e-3, 0.0, 0.0, 0.0],
         ])
         np.fill_diagonal(mat, -mat.sum(axis=0))
-        p = master_mod._relax_to_stationary(mat, np.eye(6)[5])
-        assert math.fsum(p) == pytest.approx(1.0, abs=1e-15)
-        assert np.max(p[[1, 2, 5]]) <= 1e-12
-        assert np.max(np.abs(mat @ p)) <= 1e-15
+        p, ok = master_mod._solve_own_pattern(mat, 5)
+        assert ok
+        assert np.all(p[[1, 2, 5]] == 0.0)
+        assert np.max(np.abs(p - mp_absorbed(mat, 5))) <= 1e-15
 
     @given(st.lists(rates_01, min_size=4, max_size=4))
     @settings(max_examples=150, deadline=None)
@@ -548,6 +546,30 @@ class TestFourStateClosedForm:
             assert hi < lo
 
 
+CLOSED_FORMS = {
+    "three": (stationary_three_state, three_state_matrix, (R0, L0, R1)),
+    "four": (stationary_four_state, four_state_matrix, (R0, L0, R1, L1)),
+}
+
+
+@pytest.mark.parametrize(
+    "form, rates",
+    [
+        (form, rates)
+        for form, n_rates in (("three", 4), ("four", 5))
+        for rates in itertools.product((0.0, 0.3, 0.7), repeat=n_rates)
+        if any(rates)
+    ],
+)
+def test_closed_form_corners_match_stationary_solve(form, rates):
+    # Every zero-rate corner of the closed forms, where some give the
+    # state reached from 0R among several closed classes.
+    closed_form, matrix, order = CLOSED_FORMS[form]
+    p = stationary_solve(matrix(*rates))
+    got = [p.probability_of(s) for s in order]
+    assert np.max(np.abs(np.subtract(got, closed_form(*rates)))) <= 1e-15
+
+
 class TestTimeEvolve:
     def test_zero_time_returns_initial(self):
         m = RateMatrix.from_channels((L0, R0), [(L0, R0, 0.3), (R0, L0, 0.3)])
@@ -639,26 +661,27 @@ class TestPopulationVector:
         assert p.probabilities[1] == 0.0
 
 
-def random_generator(rng, n, closed):
+def random_generator(rng, n, *classes):
     """A stiff random generator on n states, rates log-uniform over
-    1e-9 to 1e3 GHz, whose only closed class is the states in closed
-    (in an irreducible cycle); every other state is transient.  Edges
-    never leave the closed class, and each transient state has an edge
-    towards the closed class or an earlier transient one."""
-    closed = list(closed)
+    1e-9 to 1e3 GHz, whose closed classes are the given lists of states
+    (each an irreducible cycle); every other state is transient.  Edges
+    never leave a closed class, and each transient state has an edge
+    towards a closed class or an earlier transient one."""
+    closed = [s for c in classes for s in c]
     transient = [s for s in rng.permutation(n).tolist() if s not in closed]
     mat = np.zeros((n, n))
 
     def rate():
         return 10.0 ** rng.uniform(-9.0, 3.0)
 
-    for a, b in zip(closed, closed[1:] + closed[:1]):
-        if a != b:
-            mat[b, a] = rate()
+    for c in classes:
+        for a, b in zip(c, c[1:] + c[:1]):
+            if a != b:
+                mat[b, a] = rate()
     for t, s in enumerate(transient):
         mat[rng.choice(closed + transient[:t]), s] = rate()
     for frm in range(n):
-        targets = closed if frm in closed else range(n)
+        targets = next((c for c in classes if frm in c), range(n))
         for to in targets:
             if to != frm and rng.random() < 0.4:
                 mat[to, frm] = rate()
@@ -683,6 +706,58 @@ def mp_stationary(mat):
             a[n - 1, k] = 1
         b[n - 1] = 1
         return np.array([float(x) for x in mpmath.lu_solve(a, b)])
+
+
+def mp_absorbed(mat, start):
+    """The stationary state reached from start of a generator with any
+    number of closed classes, by 50-digit solves: each closed class's
+    stationary vector, weighted by the probability of absorption into
+    the class from start (Kemeny and Snell, ch. III)."""
+    n = len(mat)
+    reach = np.eye(n, dtype=bool) | (mat.T > 0.0)  # reach[frm, to]
+    for k in range(n):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    classes = {
+        tuple(np.flatnonzero(reach[s])) for s in range(n) if reach[reach[s], s].all()
+    }
+    transient = [s for s in range(n) if not any(s in c for c in classes)]
+    with mpmath.workdps(50):
+        rate = [[mpmath.mpf(float(mat[to, frm])) if to != frm else 0 for frm in range(n)]
+                for to in range(n)]
+        out = [mpmath.fsum(rate[to][frm] for to in range(n)) for frm in range(n)]
+        q = [mpmath.mpf(0)] * n
+        for c in classes:
+            # Stationary vector of the class: balance with its last row
+            # replaced by sum(p) = 1.
+            a = mpmath.matrix(len(c), len(c))
+            for x, to in enumerate(c):
+                for y, frm in enumerate(c):
+                    a[x, y] = -out[frm] if to == frm else rate[to][frm]
+            b = mpmath.matrix(len(c), 1)
+            for y in range(len(c)):
+                a[len(c) - 1, y] = 1
+            b[len(c) - 1] = 1
+            pi = mpmath.lu_solve(a, b)
+            if start in c:
+                weight = mpmath.mpf(1)
+            elif start in transient:
+                # h[i], the absorption probability from transient i:
+                # out[i] h[i] = sum over j of rate(i -> j) h[j], with h = 1
+                # on the class and 0 on the others.
+                a = mpmath.matrix(len(transient), len(transient))
+                b = mpmath.matrix(len(transient), 1)
+                for x, i in enumerate(transient):
+                    a[x, x] = out[i]
+                    for y, j in enumerate(transient):
+                        if j != i:
+                            a[x, y] = -rate[j][i]
+                    b[x] = mpmath.fsum(rate[j][i] for j in c)
+                weight = mpmath.lu_solve(a, b)[transient.index(start)]
+            else:
+                weight = 0
+            for x, s in enumerate(c):
+                q[s] = weight * pi[x]
+        return np.array([float(x) for x in q])
 
 
 class TestGTHAccuracy:
@@ -718,19 +793,37 @@ class TestGTHAccuracy:
         assert worst <= 1e-10
 
     def test_two_closed_classes_reach_the_fallback(self):
-        # Two closed classes leave a state with no outflow to the states
-        # left, at every point: the engine rejects them all, and
-        # stationary_solve returns the relaxation from 0R.
+        # Two closed classes: stationary_solve returns the state reached
+        # from 0R, state 2.
         rng = np.random.default_rng(1107)
         states = (L0, L1, R0, R1, StateIndex(Well.RIGHT, 2))
+        worst = 0.0
         for _ in range(60):
             mat = random_generator(rng, 5, [0, 1])
             # A transient state made absorbing is a second closed class.
             mat[:, int(rng.choice([2, 3, 4]))] = 0.0
             np.fill_diagonal(mat, 0.0)
             np.fill_diagonal(mat, -mat.sum(axis=0))
-            assert not master_mod._solve_own_pattern(mat)[1]
-            m = RateMatrix(mat, states)
-            expected = master_mod._relax_to_stationary(mat, np.eye(5)[2])
-            got = stationary_solve(m).probabilities
-            assert np.array_equal(got, np.clip(expected / math.fsum(expected), 0.0, 1.0))
+            got = stationary_solve(RateMatrix(mat, states)).probabilities
+            worst = max(worst, np.max(np.abs(got - mp_absorbed(mat, 2))))
+        assert worst <= 1e-10
+
+    def test_several_closed_classes_against_absorption(self):
+        # Two or three closed classes, the start transient or inside a
+        # class, rates from 1e-9 to 1e3 GHz.
+        rng = np.random.default_rng(33)
+        starts = {"transient": 0, "closed": 0}
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(4, 9))
+            order = rng.permutation(n).tolist()
+            cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(2, 4)), replace=False))
+            classes = [order[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
+            mat = random_generator(rng, n, *classes)
+            start = int(rng.integers(n))
+            starts["closed" if start in order[: cuts[-1]] else "transient"] += 1
+            q, ok = master_mod._solve_own_pattern(mat, start)
+            assert ok
+            worst = max(worst, np.max(np.abs(q - mp_absorbed(mat, start))))
+        assert min(starts.values()) >= 50
+        assert worst <= 1e-10

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 import lzs_sim.cli as cli
 import lzs_sim.sweep as sweep_mod
+from lzs_sim.master import GTHPlan
 from lzs_sim import (
     DriveParams,
     LeakConfig,
     NonConvergent,
     QubitModel,
     RateKernelParams,
-    RateMatrix,
     SweepGrid,
     ValidationError,
     build_rate_matrix,
@@ -140,14 +140,14 @@ class TestRunSweep:
     def test_nonconvergent_carries_coordinates(self, monkeypatch):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 2.0, 3)
 
-        def explode(matrix, states):
-            raise NonConvergent("forced failure")
+        def reject(self, values, q):
+            return np.zeros(values.shape[1], dtype=bool)
 
-        # Zero coupling leaves 0L with no outflow, so every point reaches
-        # the relaxation fallback.
-        monkeypatch.setattr(sweep_mod, "_relaxed", explode)
+        # Every point fails the check, in the map's plan and again on its
+        # own pattern.
+        monkeypatch.setattr(GTHPlan, "accepts", reject)
         with pytest.raises(NonConvergent) as err:
-            run_sweep(ZERO_COUPLING, DRIVE, grid)
+            run_sweep(TWO_STATE, DRIVE, grid)
         assert err.value.eps == -1.0
         assert err.value.amp == 0.0
         assert "eps=-1.0" in str(err.value)
@@ -177,11 +177,10 @@ def engine_cases(draw):
     """A random model (2-4 levels per well, sparse rates, optional leak),
     kernel (optional lorentz_cutoff), drive and small grid.
 
-    Every excited level decays to its well's ground state and the two
-    ground states decay into each other, so each model has exactly one
-    stationary state.  With two closed classes of states the stationary
-    state is not unique, and the oracle itself returns whichever one
-    its relaxation fallback reaches.
+    The decays of excited levels to their well's ground state and
+    between the two ground states are each drawn as forced or not, so
+    some models have several closed classes of states.  The engine and
+    the oracle then both give the state reached from 0R.
 
     A/w reaches 40, twice the default n_margin of 20.  The engine and
     the oracle truncate the photon sum by the same rule, and each point
@@ -193,8 +192,9 @@ def engine_cases(draw):
     def block(rows, cols, to_ground=()):
         flat = draw(st.lists(sparse_rates, min_size=rows * cols, max_size=rows * cols))
         rates = np.array(flat).reshape(rows, cols)
-        for i, j in to_ground:
-            rates[i, j] = draw(st.floats(1e-4, 2.0))
+        if draw(st.booleans()):
+            for i, j in to_ground:
+                rates[i, j] = draw(st.floats(1e-4, 2.0))
         return rates
 
     def ladder(n):
@@ -280,8 +280,8 @@ class TestRowEngine:
 
     def test_reducible_model_takes_scalar_path(self, monkeypatch):
         # Two non-interacting pairs, 0L<->0R and 1L<->1R: two closed
-        # classes leave a state with no outflow at every point, so each
-        # point goes to the relaxation fallback.
+        # classes at every point.  The map's plan solves every point, with
+        # all population in the pair holding 0R.
         model = QubitModel(
             left_offsets=(0.0, 5.0),
             right_offsets=(0.0, 5.0),
@@ -289,38 +289,18 @@ class TestRowEngine:
         )
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
         calls = []
-
-        def counting(matrix, states):
-            calls.append(matrix)
-            return relaxed(matrix, states)
-
-        relaxed = sweep_mod._relaxed
-        monkeypatch.setattr(sweep_mod, "_relaxed", counting)
+        monkeypatch.setattr(sweep_mod, "_solve_own_pattern", counting(calls))
         pmap = run_sweep(model, DRIVE, grid)
-        assert len(calls) == grid.n_eps * grid.n_amp
-        # Each point relaxes the generator rebuilt from its block's values,
-        # as stationary_solve does on that generator.
-        top = DriveParams(grid.amp_max, DRIVE.frequency, DRIVE.dephasing)
-        plan = sweep_mod.SweepPlan(model, top, RateKernelParams(), grid.eps_values)
-        routed = np.array([
-            [
-                stationary_solve(RateMatrix(plan.solver.generator(v), model.states())).p_left
-                for v in plan.values([float(amp)]).T
-            ]
-            for amp in grid.amp_values
-        ])
-        assert np.array_equal(pmap.values, routed)
-        # That generator may differ from build_rate_matrix's in the last
-        # bits; both relaxations settle to the same populations.
-        oracle = pointwise_map(model, DRIVE, grid)
-        assert pmap.values == pytest.approx(oracle, abs=1e-12)
-        assert pmap.values == pytest.approx(np.full(grid.shape, 0.5), abs=1e-9)
+        assert calls == []
+        assert np.all(pmap.values == 0.5)
+        assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid))
 
     def test_cutoff_zeroed_points_take_the_fallback(self, monkeypatch):
         # One pumped pair with decay R0 -> L0.  Where lorentz_cutoff zeroes
         # the pumped rate, 0R only drains, the pattern's last state is
         # transient at that point, and 0L's outflow is exactly 0: those
-        # points, and only those, relax from 0R into 0L.
+        # points, and only those, are solved again on their own pattern,
+        # with all population in 0L.
         model = QubitModel(
             left_offsets=(0.0,),
             right_offsets=(0.0,),
@@ -330,13 +310,7 @@ class TestRowEngine:
         kernel = RateKernelParams(lorentz_cutoff=2.0)
         grid = SweepGrid(-3.0, 3.0, 13, 0.0, 1.0, 2)
         calls = []
-
-        def counting(matrix, states):
-            calls.append(matrix)
-            return relaxed(matrix, states)
-
-        relaxed = sweep_mod._relaxed
-        monkeypatch.setattr(sweep_mod, "_relaxed", counting)
+        monkeypatch.setattr(sweep_mod, "_solve_own_pattern", counting(calls))
         pmap = run_sweep(model, DRIVE, grid, kernel)
         cut = np.array([
             [
@@ -347,9 +321,47 @@ class TestRowEngine:
         ])
         assert 0 < cut.sum() < cut.size
         assert len(calls) == cut.sum()
-        assert pmap.values[cut] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(pmap.values[cut] == 1.0)
         oracle = pointwise_map(model, DRIVE, grid, kernel)
         assert pmap.values == pytest.approx(oracle, abs=1e-12)
+
+    def test_two_closed_classes_give_one_answer(self):
+        # L0, L1 and R0-R2: the pumped pair L0<->R0 and L0<->R1 form one
+        # closed class, and R2, fed only by L1, another.  From 0R the
+        # first class holds everything, in equal shares at any pumped
+        # rate.  Relaxing in time, the answer once turned on the last bit
+        # of a rate: P_L = 1/3 at eps = 0, but 0 at eps = 1.
+        l_to_r = np.zeros((2, 3))
+        l_to_r[0, 1] = l_to_r[1, 2] = 1.0
+        r_to_l = np.zeros((3, 2))
+        r_to_l[1, 0] = 1.0
+        crossings = np.zeros((2, 3))
+        crossings[0, 0] = 1.0
+        model = QubitModel(
+            left_offsets=(0.0, 2.0),
+            right_offsets=(0.0, 1.5, 3.0),
+            crossings=crossings,
+            left_to_right=l_to_r,
+            right_to_left=r_to_l,
+        )
+        drive = DriveParams(amplitude=3.5, frequency=1.0, dephasing=0.5)
+        probed = [
+            stationary_solve(build_rate_matrix(model, eps, drive)).p_left for eps in (0.0, 1.0)
+        ]
+        row = run_sweep(model, drive, SweepGrid(0.0, 1.0, 2, 3.5, 4.5, 2)).values[0]
+        assert probed == row.tolist() == [probed[0]] * 2
+        assert probed[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def counting(calls):
+    """sweep's _solve_own_pattern, recording each generator it solves."""
+    solve = sweep_mod._solve_own_pattern
+
+    def solve_counted(mat, start):
+        calls.append(mat)
+        return solve(mat, start)
+
+    return solve_counted
 
 
 TEN_LEVEL_CFG = (Path(__file__).resolve().parents[1] / "configs" / "ten_level.cfg").read_text()
