@@ -16,8 +16,9 @@ few roundoffs relative to itself (O'Cinneide, Numer. Math. 65, 109,
 With several closed classes of states the same reduction gives the
 probabilities of absorption into each from the right-well ground state
 0R, and the stationary state is the one reached from 0R.
-``stationary_solve`` runs it on a block of one; the map sweep runs it
-on blocks of rows.
+``solve_points`` solves each point on the plan of its own nonzero
+entries; ``stationary_solve`` calls it on a block of one and the map
+sweep on blocks of rows.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ __all__ = [
 
 _RESIDUAL_REL = 1e-10
 _NEGATIVITY_TOL = 1e-12
+# Back-substitution rescales a point's unnormalized vector past this.
+_RESCALE_ABOVE = 2.0**600
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,10 @@ class GTHPlan:
     is normalized on its own and weighted by its absorption probability;
     transient states come out as exactly 0.  The reduction never
     subtracts.  A point where some state's outflow to the states left is
-    exactly 0 (a zero rate cuts its own graph apart) is rejected.
+    exactly 0 (a zero rate cuts its own graph apart) is rejected; solve
+    such a point on the plan of its own nonzero entries (``solve_points``).
+    Back-substitution scales a point's unnormalized vector by 2**-600
+    whenever an entry passes 2**600, which is exact and keeps it finite.
 
     Every sum is a fixed chain of elementwise adds, so a point's bits
     depend neither on the other points of its block nor on BLAS.
@@ -370,6 +376,9 @@ class GTHPlan:
             pi[self.roots] = 1.0
             for k, _, ins, in_slots, _ in reversed(self.steps):
                 pi[k] = _chain(pi[ins] * v[in_slots])
+                big = pi[k] > _RESCALE_ABOVE
+                if big.any():
+                    pi[:, big] *= 1.0 / _RESCALE_ABOVE
             weights = self.weights
             if self.absorb is not None:
                 flow = v[self.absorb]
@@ -399,14 +408,6 @@ class GTHPlan:
                 & (np.abs(_chain(q) - 1.0) <= 1e-9)
             )
 
-    def generator(self, values: np.ndarray) -> np.ndarray:
-        """The dense generator of one point's pattern values, with the
-        diagonal ``build_rate_matrix`` gives."""
-        mat = np.zeros((self.n, self.n))
-        mat[self.rows, self.cols] = values
-        np.fill_diagonal(mat, -mat.sum(axis=0))
-        return mat
-
 
 _GROUND_RIGHT = StateIndex(Well.RIGHT, 0)
 
@@ -414,46 +415,59 @@ _GROUND_RIGHT = StateIndex(Well.RIGHT, 0)
 def stationary_solve(m: RateMatrix) -> PopulationVector:
     """Stationary population distribution of a rate matrix.
 
-    Runs the map's engine on a block of one: the ``GTHPlan`` of the
-    matrix's own off-diagonal pattern, planned once per pattern, under
-    the same acceptance check.  With several closed classes of states
-    the answer is the one reached from the right-well ground state 0R:
-    each class's stationary vector, weighted by the probability of
-    absorption into it from 0R.  Raises NonConvergent if the point fails
-    the check, or has several closed classes and no 0R state.
+    The map's engine on a block of one (``solve_points`` over every
+    off-diagonal entry), under the same acceptance check, so a map value
+    equals this point's answer bit for bit.  With several closed classes
+    of states the answer is the one reached from the right-well ground
+    state 0R: each class's stationary vector, weighted by the probability
+    of absorption into it from 0R.  Raises NonConvergent if the point
+    fails the check, or has several closed classes and no 0R state.
     """
+    n = len(m.states)
     start = m.states.index(_GROUND_RIGHT) if _GROUND_RIGHT in m.states else None
-    q, ok = _solve_own_pattern(m.matrix, start)
-    if ok:
-        return PopulationVector(probabilities=q, states=m.states)
-    if start is None and len(_own_plan(m.matrix, None).classes) > 1:
-        raise NonConvergent(
-            "stationary system is singular and has no right-well ground state "
-            "to relax from"
-        )
-    raise NonConvergent("stationary solve failed the acceptance check")
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    q, ok = solve_points(rows, cols, n, start, m.matrix[rows, cols][:, None])
+    if not ok[0]:
+        raise NonConvergent("stationary solve failed the acceptance check")
+    return PopulationVector(probabilities=q[:, 0], states=m.states)
 
 
-def _own_plan(mat: np.ndarray, start) -> GTHPlan:
-    """The GTHPlan of one generator's own off-diagonal pattern."""
-    mask = mat != 0.0
-    np.fill_diagonal(mask, False)
-    return _pattern_plan(mask.tobytes(), len(mat), start)
+def solve_points(rows, cols, n: int, start, values: np.ndarray):
+    """Stationary populations q (n, points) and ok (points,), as
+    ``GTHPlan.solve`` gives them, of the generators whose entries
+    M[rows[e], cols[e]] are values (entries, points), each point solved
+    on the plan of its own nonzero entries with start as 0R.
 
+    Points that share a pattern are solved in one call, so a point's
+    bits depend only on its own values.  The plans are cached per
+    pattern.
+    """
+    nonzero = values != 0.0
 
-def _solve_own_pattern(mat: np.ndarray, start: int | None = None):
-    """q (n,) and ok of the engine on one generator, planned from its own
-    off-diagonal pattern, with start as 0R."""
-    plan = _own_plan(mat, start)
-    q, ok = plan.solve(mat[plan.rows, plan.cols][:, None])
-    return q[:, 0], bool(ok[0])
+    def plan_of(point):
+        keep = np.flatnonzero(nonzero[:, point])
+        return keep, _pattern_plan(tuple(rows[keep].tolist()), tuple(cols[keep].tolist()), n, start)
+
+    # One pattern, as in every block of a map without cutoff zeros and at
+    # every single point: these skip the sort that grouping costs.
+    if (nonzero == nonzero[:, :1]).all():
+        keep, plan = plan_of(0)
+        return plan.solve(values if keep.size == len(values) else values[keep])
+    keys = np.packbits(nonzero, axis=0).T.copy()
+    keys = keys.view(f"V{keys.shape[1]}").ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    q = np.empty((n, values.shape[1]))
+    ok = np.empty(values.shape[1], dtype=bool)
+    for p, point in enumerate(first.tolist()):
+        points = np.flatnonzero(group == p)
+        keep, plan = plan_of(point)
+        q[:, points], ok[points] = plan.solve(values[np.ix_(keep, points)])
+    return q, ok
 
 
 @functools.lru_cache(maxsize=128)
-def _pattern_plan(mask: bytes, n: int, start) -> GTHPlan:
-    """The GTHPlan of an (n, n) off-diagonal pattern given as mask bytes,
-    planned once for repeated single-point solves on one model."""
-    rows, cols = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(n, n))
+def _pattern_plan(rows: tuple, cols: tuple, n: int, start) -> GTHPlan:
+    """The GTHPlan of one pattern, planned once per pattern."""
     return GTHPlan(rows, cols, n, start)
 
 

@@ -52,10 +52,6 @@ __all__ = ["RateKernelParams", "bessel_jn", "lzs_rate"]
 _START_PAD = 50
 _RESCALE_LIMIT = 1e250
 _RESCALE = 1e-250
-# Most elements in one (crossings x amplitudes x detunings) temporary of
-# PhotonTable.rates (1 MB of float64); wider blocks are split over the
-# detunings.
-_BLOCK_TERMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -313,23 +309,18 @@ class PhotonTable:
             jn = _jn_array(int(max(-ns[0], ns[-1])), amp / w)
             weights[np.searchsorted(self.ns, ns), k] = jn[np.abs(ns)] ** 2
         inner = np.abs(self.ns) <= halves.min()  # in every point's window
-
-        block = max(1, _BLOCK_TERMS // (n_c * len(amps)))
-        for start in range(0, n_m, block):
-            cols = slice(start, start + block)
-            centers = self.centers[:, None, cols]
-            # Each point's own resonant window, as _photon_runs bounds it.
-            lo, hi = centers - halves[:, None], centers + halves[:, None]
-            out = total[:, :, cols]
-            terms = np.empty_like(out)
-            for i, n in enumerate(self.ns.tolist()):
-                if not weights[i].any():
-                    continue
-                np.divide(weights[i, :, None], self.denominators[i, :, None, cols], out=terms)
-                if inner[i]:
-                    out += terms
-                else:
-                    own = (lo <= n) & (n <= hi)
-                    own |= (abs(n) <= halves)[:, None]
-                    np.add(out, terms, out=out, where=own)
+        # Each point's own resonant window, as _photon_runs bounds it.
+        centers = self.centers[:, None, :]
+        lo, hi = centers - halves[:, None], centers + halves[:, None]
+        terms = np.empty_like(total)
+        for i, n in enumerate(self.ns.tolist()):
+            if not weights[i].any():
+                continue
+            np.divide(weights[i, :, None], self.denominators[i, :, None], out=terms)
+            if inner[i]:
+                total += terms
+            else:
+                own = (lo <= n) & (n <= hi)
+                own |= (abs(n) <= halves)[:, None]
+                np.add(total, terms, out=total, where=own)
         return (0.5 * self.deltas * self.deltas)[:, None, None] * (gamma2 * total)

@@ -1,27 +1,24 @@
 """Stationary well populations over a rectangular (detuning, amplitude) grid.
 
 The rate is separable: the Bessel weights depend only on a row's
-amplitude, the Lorentzian denominators only on a column's detuning.  And
-every point of a map shares one generator pattern.  So each map is
-computed from one plan, built once from the model, drive frequency and
-dephasing, kernel, detuning axis and largest amplitude.  It holds the
-pattern's entries with their static values, the entries each pumped
-crossing adds to, a ``rates.PhotonTable`` with every Lorentzian
-denominator of the map, and the pattern's ``master.GTHPlan``.
+amplitude, the Lorentzian denominators only on a column's detuning.  So
+each map is computed from one plan, built once from the model, drive
+frequency and dephasing, kernel, detuning axis and largest amplitude.
+It holds the generator's pattern (every entry that is nonzero at some
+point) with its static values, the entries each pumped crossing adds to,
+and a ``rates.PhotonTable`` with every Lorentzian denominator of the map.
 
 Rows are solved in blocks of whole rows, up to about 2048 points.  The
 table gives every rate of the block, with ``lzs_rate``'s bits; the
 pattern values are written as (entries, points), the static value first
 and then each crossing's rate in pump order, so each entry has
-``build_rate_matrix``'s bits.  One GTH solve then gives every point's
-populations; with several closed classes, the ones reached from 0R.  A
-point with a zero outflow in the elimination (a ``lorentz_cutoff`` zero
-that changes its pattern), or that fails the acceptance check, is
-solved again on its own pattern, from its generator rebuilt from the
-block's values.  The engine, the photon window and the acceptance
-check are those of the single-point functions, so a point's P_L equals
-what ``probe`` gives (``stationary_solve`` of ``build_rate_matrix``),
-bit for bit wherever the point's pattern is the model's.
+``build_rate_matrix``'s bits.  ``master.solve_points`` then solves each
+point on the GTH plan of its own nonzero entries (a ``lorentz_cutoff``
+zero drops an entry), all points of one pattern in one call; with
+several closed classes it gives the populations reached from 0R.
+``probe`` (``stationary_solve`` of ``build_rate_matrix``) takes the same
+path on a block of one, so a map value equals what it gives, bit for
+bit.  A point that fails the acceptance check aborts the map.
 
 With more than one worker, blocks are capped at ceil(rows / workers)
 rows and farmed out to worker processes, then reassembled in order:
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
-from .master import GTHPlan, _chain, _generator_layout, _solve_own_pattern
+from .master import _chain, _generator_layout, solve_points
 from .model import DriveParams, QubitModel, crossing_position
 from .rates import PhotonTable, RateKernelParams
 
@@ -162,8 +159,8 @@ _BLOCK_POINTS = 2048
 class SweepPlan:
     """The amplitude-independent work of one map, for drive.frequency and
     drive.dephasing at amplitudes up to drive.amplitude: the generator's
-    pattern with its static values, each pumped crossing's entries, the
-    Lorentzian denominator table and the pattern's ``GTHPlan``."""
+    pattern (rows, cols) with its static values, each pumped crossing's
+    entries and the Lorentzian denominator table."""
 
     def __init__(
         self,
@@ -188,7 +185,7 @@ class SweepPlan:
             drive,
             kernel,
         )
-        self.solver = GTHPlan(rows, cols, static.shape[0], start=model.n_left)
+        self.rows, self.cols, self.n = rows, cols, static.shape[0]
         self.eps_values = eps_values
         self.n_left = model.n_left
 
@@ -208,22 +205,18 @@ class SweepPlan:
 
     def block(self, amps) -> np.ndarray:
         """P_L at every detuning of each amplitude in amps, as
-        (len(amps), n_eps)."""
-        values = self.values(amps)
-        q, ok = self.solver.solve(values)
-        p_left = _chain(q[: self.n_left])
+        (len(amps), n_eps).  Raises NonConvergent naming the block's first
+        point that fails the acceptance check."""
+        q, ok = solve_points(self.rows, self.cols, self.n, self.n_left, self.values(amps))
         n_eps = self.eps_values.size
-        for point in np.flatnonzero(~ok):
-            mat = self.solver.generator(values[:, point])
-            q_point, ok_point = _solve_own_pattern(mat, self.n_left)
-            if not ok_point:
-                raise NonConvergent(
-                    "stationary solve failed the acceptance check",
-                    eps=float(self.eps_values[point % n_eps]),
-                    amp=amps[point // n_eps],
-                )
-            p_left[point] = _chain(q_point[: self.n_left])
-        return p_left.reshape(len(amps), n_eps)
+        if not ok.all():
+            point = int(np.argmin(ok))
+            raise NonConvergent(
+                "stationary solve failed the acceptance check",
+                eps=float(self.eps_values[point % n_eps]),
+                amp=amps[point // n_eps],
+            )
+        return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
 
 
 # The plan of the map a pool worker computes blocks of, set once per

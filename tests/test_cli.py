@@ -635,6 +635,18 @@ class TestMainEntry:
             printed["P_left"] + printed["P_right"], 1.0, abs_tol=1e-9
         )
 
+    def test_probe_keeps_a_huge_unnormalized_vector_finite(self, tmp_path, capsys):
+        # configs/ten_level.cfg with lorentz_cutoff = 40: at eps = -10,
+        # A = 0.375 the vector built back from the leak state passes 1e297
+        # before it is normalized.  The reference is a 60-digit solve.
+        text = (Path(__file__).resolve().parents[1] / "configs" / "ten_level.cfg").read_text()
+        text = text.replace("[output]", "[kernel]\nlorentz_cutoff = 40\n\n[output]")
+        path = self.write_config(tmp_path, text)
+        assert main(["probe", path, "--eps", "-10", "--amp", "0.375"]) == 0
+        printed = dict(line.split() for line in capsys.readouterr().out.strip().split("\n"))
+        p_left = float(printed["P_left"])
+        assert p_left == pytest.approx(3.47953578213718826e-11, rel=0, abs=1e-15)
+
     def test_output_independent_of_blas_threads(self, tmp_path):
         path = self.write_config(tmp_path, LEAK_MODEL)
         src = str(Path(cli.__file__).resolve().parents[1])

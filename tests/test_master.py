@@ -315,22 +315,28 @@ class TestRowEngineParts:
     )
     @settings(max_examples=150, deadline=None)
     def test_stack_matches_build_rate_matrix(self, model, eps, drive):
-        # Given the same rates, the plan's pattern values rebuild
-        # build_rate_matrix's generator bit for bit; each point the engine
-        # accepts has the bits of solving it alone, and every point of
-        # the block gives stationary_solve's P_L.
+        # Given the same rates, the plan's pattern values are
+        # build_rate_matrix's entries bit for bit, and the generator has
+        # no other off-diagonal entry; each point the engine accepts has
+        # the bits of solving it alone, and every point of the block
+        # gives stationary_solve's P_L.
         kernel = RateKernelParams()
         plan = SweepPlan(model, drive, kernel, np.array(eps))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(PhotonTable, "rates", pointwise_rates)
             values = plan.values([drive.amplitude])
             row = plan.block([drive.amplitude])[0]
-        q, ok = plan.solver.solve(values)
+        args = plan.rows, plan.cols, plan.n, plan.n_left
+        q, ok = master_mod.solve_points(*args, values)
         for m, e in enumerate(eps):
             rm = build_rate_matrix(model, e, drive, kernel)
-            assert np.array_equal(plan.solver.generator(values[:, m]), rm.matrix)
+            assert np.array_equal(values[:, m], rm.matrix[plan.rows, plan.cols])
+            off_pattern = rm.matrix.copy()
+            off_pattern[plan.rows, plan.cols] = 0.0
+            np.fill_diagonal(off_pattern, 0.0)
+            assert not off_pattern.any()
             if ok[m]:
-                alone, ok_alone = plan.solver.solve(values[:, m : m + 1])
+                alone, ok_alone = master_mod.solve_points(*args, values[:, m : m + 1])
                 assert ok_alone[0]
                 assert np.array_equal(alone[:, 0], q[:, m])
             assert row[m] == stationary_solve(rm).p_left
@@ -403,7 +409,7 @@ class TestStationarySolve:
         assert p.probability_of(L0) == 0.5
         assert p.probability_of(R0) == 0.5
 
-    def test_relaxation_returns_when_roundoff_keeps_moving(self):
+    def test_classes_fed_by_transient_states_match_absorption(self):
         # Two closed classes, {3} and {0, 4}, both fed by the transient
         # states 1, 2 and 5.  Relaxing in time from state 5, roundoff
         # kept moving about 1e-8 of population between the classes; the
@@ -417,7 +423,7 @@ class TestStationarySolve:
             [0.0, 6.471, 2.168e-3, 0.0, 0.0, 0.0],
         ])
         np.fill_diagonal(mat, -mat.sum(axis=0))
-        p, ok = master_mod._solve_own_pattern(mat, 5)
+        p, ok = solve_alone(mat, 5)
         assert ok
         assert np.all(p[[1, 2, 5]] == 0.0)
         assert np.max(np.abs(p - mp_absorbed(mat, 5))) <= 1e-15
@@ -661,6 +667,15 @@ class TestPopulationVector:
         assert p.probabilities[1] == 0.0
 
 
+def solve_alone(mat, start=None):
+    """q (n,) and ok of ``solve_points`` on one dense generator, over
+    every off-diagonal entry, as stationary_solve calls it."""
+    n = len(mat)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    q, ok = master_mod.solve_points(rows, cols, n, start, mat[rows, cols][:, None])
+    return q[:, 0], bool(ok[0])
+
+
 def random_generator(rng, n, *classes):
     """A stiff random generator on n states, rates log-uniform over
     1e-9 to 1e3 GHz, whose closed classes are the given lists of states
@@ -767,7 +782,7 @@ class TestGTHAccuracy:
         for _ in range(250):
             n = int(rng.integers(3, 8))
             mat = random_generator(rng, n, rng.permutation(n).tolist())
-            q, ok = master_mod._solve_own_pattern(mat)
+            q, ok = solve_alone(mat)
             assert ok
             worst = max(worst, np.max(np.abs(q - mp_stationary(mat))))
         assert worst <= 1e-10
@@ -784,7 +799,7 @@ class TestGTHAccuracy:
             closed = rng.permutation(n)[: rng.integers(1, n)].tolist()
             last_transient += n - 1 not in closed
             mat = random_generator(rng, n, closed)
-            q, ok = master_mod._solve_own_pattern(mat)
+            q, ok = solve_alone(mat)
             assert ok
             transient = [s for s in range(n) if s not in closed]
             assert np.all(q[transient] == 0.0)
@@ -792,7 +807,7 @@ class TestGTHAccuracy:
         assert last_transient >= 50
         assert worst <= 1e-10
 
-    def test_two_closed_classes_reach_the_fallback(self):
+    def test_two_closed_classes_give_the_state_reached_from_0r(self):
         # Two closed classes: stationary_solve returns the state reached
         # from 0R, state 2.
         rng = np.random.default_rng(1107)
@@ -822,7 +837,7 @@ class TestGTHAccuracy:
             mat = random_generator(rng, n, *classes)
             start = int(rng.integers(n))
             starts["closed" if start in order[: cuts[-1]] else "transient"] += 1
-            q, ok = master_mod._solve_own_pattern(mat, start)
+            q, ok = solve_alone(mat, start)
             assert ok
             worst = max(worst, np.max(np.abs(q - mp_absorbed(mat, start))))
         assert min(starts.values()) >= 50

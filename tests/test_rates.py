@@ -443,16 +443,22 @@ class TestRowRates:
                 for m, eps in enumerate(self.EPS):
                     assert got[c, k, m] == lzs_rate(delta, float(eps) - pos, point_drive)
 
-    @pytest.mark.parametrize("block_terms", [1, 100, 5000])
-    def test_blocks_change_no_bit(self, monkeypatch, block_terms):
+    @pytest.mark.parametrize("n_extra", [1, 100, 5000])
+    def test_blocks_change_no_bit(self, n_extra):
+        # A point's rates depend neither on the amplitudes nor on the
+        # detunings that share its table: n_extra far detunings widen the
+        # table's photon range, and each point still skips the photons
+        # outside its own window.
         drive = DriveParams(amplitude=12.0, frequency=0.7, dephasing=0.05)
         kernel = RateKernelParams(lorentz_cutoff=40.0)
         table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
         whole = table.rates([12.0, 5.0])
         alone = [table.rates([amp])[:, 0] for amp in (12.0, 5.0)]
         assert all(np.array_equal(whole[:, k], a) for k, a in enumerate(alone))
-        monkeypatch.setattr(rates_mod, "_BLOCK_TERMS", block_terms)
-        assert np.array_equal(table.rates([12.0, 5.0]), whole)
+        wide_eps = np.concatenate((self.EPS, np.linspace(-60.0, 60.0, n_extra)))
+        wide = PhotonTable(self.DELTAS, self.POSITIONS, wide_eps, drive, kernel)
+        assert wide.ns.size > table.ns.size
+        assert np.array_equal(wide.rates([12.0, 5.0])[:, :, : self.EPS.size], whole)
 
     @given(
         delta=st.floats(1e-3, 1.0),

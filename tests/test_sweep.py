@@ -143,8 +143,8 @@ class TestRunSweep:
         def reject(self, values, q):
             return np.zeros(values.shape[1], dtype=bool)
 
-        # Every point fails the check, in the map's plan and again on its
-        # own pattern.
+        # Every point fails the check; the first block names its first
+        # point.
         monkeypatch.setattr(GTHPlan, "accepts", reject)
         with pytest.raises(NonConvergent) as err:
             run_sweep(TWO_STATE, DRIVE, grid)
@@ -261,46 +261,34 @@ class TestRowEngine:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_oracle(self, case):
-        # Bit for bit wherever a point's generator has the model's pattern,
-        # within 1e-10 where a zero rate changes it.
+        # Bit for bit at every point, also where a zero rate changes the
+        # point's pattern: both solve it on the plan of its own entries.
         model, kernel, drive, grid = case
         pmap = run_sweep(model, drive, grid, kernel)
-        oracle = pointwise_map(model, drive, grid, kernel)
-        assert np.max(np.abs(pmap.values - oracle)) <= 1e-10
-        solver = sweep_mod.SweepPlan(model, drive, kernel, grid.eps_values).solver
-        pattern = np.zeros((solver.n, solver.n), dtype=bool)
-        pattern[solver.rows, solver.cols] = True
-        for k, amp in enumerate(grid.amp_values):
-            point_drive = DriveParams(float(amp), drive.frequency, drive.dephasing)
-            for m, eps in enumerate(grid.eps_values):
-                own = build_rate_matrix(model, float(eps), point_drive, kernel).matrix != 0.0
-                np.fill_diagonal(own, False)
-                if np.array_equal(own, pattern):
-                    assert pmap.values[k, m] == oracle[k, m]
+        assert np.array_equal(pmap.values, pointwise_map(model, drive, grid, kernel))
 
-    def test_reducible_model_takes_scalar_path(self, monkeypatch):
+    def test_reducible_model_keeps_the_pair_holding_0r(self, monkeypatch):
         # Two non-interacting pairs, 0L<->0R and 1L<->1R: two closed
-        # classes at every point.  The map's plan solves every point, with
-        # all population in the pair holding 0R.
+        # classes at every point.  One plan solves every point, with all
+        # population in the pair holding 0R.
         model = QubitModel(
             left_offsets=(0.0, 5.0),
             right_offsets=(0.0, 5.0),
             crossings=np.array([[0.2, 0.0], [0.0, 0.5]]),
         )
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
-        calls = []
-        monkeypatch.setattr(sweep_mod, "_solve_own_pattern", counting(calls))
+        calls = count_solves(monkeypatch)
         pmap = run_sweep(model, DRIVE, grid)
-        assert calls == []
+        assert calls == [1]
         assert np.all(pmap.values == 0.5)
         assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid))
 
-    def test_cutoff_zeroed_points_take_the_fallback(self, monkeypatch):
+    def test_cutoff_zeroed_points_solve_on_their_own_pattern(self, monkeypatch):
         # One pumped pair with decay R0 -> L0.  Where lorentz_cutoff zeroes
-        # the pumped rate, 0R only drains, the pattern's last state is
-        # transient at that point, and 0L's outflow is exactly 0: those
-        # points, and only those, are solved again on their own pattern,
-        # with all population in 0L.
+        # the pumped rate, 0R only drains, and on the model's pattern 0L's
+        # outflow would be exactly 0.  Those points are solved together on
+        # their own pattern, the rest on the model's, with all population
+        # in 0L at the cut points.
         model = QubitModel(
             left_offsets=(0.0,),
             right_offsets=(0.0,),
@@ -309,8 +297,7 @@ class TestRowEngine:
         )
         kernel = RateKernelParams(lorentz_cutoff=2.0)
         grid = SweepGrid(-3.0, 3.0, 13, 0.0, 1.0, 2)
-        calls = []
-        monkeypatch.setattr(sweep_mod, "_solve_own_pattern", counting(calls))
+        calls = count_solves(monkeypatch)
         pmap = run_sweep(model, DRIVE, grid, kernel)
         cut = np.array([
             [
@@ -320,10 +307,44 @@ class TestRowEngine:
             for amp in grid.amp_values
         ])
         assert 0 < cut.sum() < cut.size
-        assert len(calls) == cut.sum()
+        assert calls == [2]
         assert np.all(pmap.values[cut] == 1.0)
-        oracle = pointwise_map(model, DRIVE, grid, kernel)
-        assert pmap.values == pytest.approx(oracle, abs=1e-12)
+        assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid, kernel))
+
+    def test_one_solve_per_pattern_in_each_block(self, monkeypatch):
+        # Ten levels with lorentz_cutoff = 4: most points have zero rates,
+        # in a few dozen patterns.  Each block solves each of its patterns
+        # in one call, and the map is the oracle's bit for bit.
+        config = ten_level_config(26, 9, "lorentz_cutoff = 4")
+        grid, drive = config.grid, config.drives[0]
+        monkeypatch.setattr(sweep_mod, "_BLOCK_POINTS", 2 * grid.n_eps)
+        calls = count_solves(monkeypatch)
+        pmap = run_sweep(config.model, drive, grid, config.kernel)
+        amps = grid.amp_values.tolist()
+        top = DriveParams(amps[-1], drive.frequency, drive.dephasing)
+        plan = sweep_mod.SweepPlan(config.model, top, config.kernel, grid.eps_values)
+        patterns = [
+            np.unique(plan.values(amps[k : k + 2]) != 0.0, axis=1).shape[1]
+            for k in range(0, grid.n_amp, 2)
+        ]
+        assert calls == patterns
+        assert len(patterns) == 5 and min(patterns) > 1
+        assert np.array_equal(
+            pmap.values, pointwise_map(config.model, drive, grid, config.kernel)
+        )
+
+    def test_large_unnormalized_vector_stays_finite(self):
+        # Ten levels with lorentz_cutoff = 40 at eps = -10: every outflow is
+        # positive, but the unnormalized vector built back from the leak
+        # state passes 1e297 at A = 0.375 and overflows unless it is
+        # rescaled.  The map matches probe bit for bit there.
+        config = ten_level_config(3, 41, "lorentz_cutoff = 40")
+        drive = config.drives[0]
+        assert config.grid.amp_values[1] == 0.375 and config.grid.eps_values[0] == -10.0
+        pmap = run_sweep(config.model, drive, config.grid, config.kernel)
+        oracle = pointwise_map(config.model, drive, config.grid, config.kernel)
+        assert np.array_equal(pmap.values, oracle)
+        assert pmap.values[1, 0] == pytest.approx(3.47953578213718826e-11, rel=0, abs=1e-15)
 
     def test_two_closed_classes_give_one_answer(self):
         # L0, L1 and R0-R2: the pumped pair L0<->R0 and L0<->R1 form one
@@ -353,23 +374,34 @@ class TestRowEngine:
         assert probed[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
-def counting(calls):
-    """sweep's _solve_own_pattern, recording each generator it solves."""
-    solve = sweep_mod._solve_own_pattern
+def count_solves(monkeypatch):
+    """A list that gets one entry per SweepPlan.block call: the number of
+    GTHPlan.solve calls the block makes."""
+    calls = []
+    block, solve = sweep_mod.SweepPlan.block, GTHPlan.solve
 
-    def solve_counted(mat, start):
-        calls.append(mat)
-        return solve(mat, start)
+    def block_counted(self, amps):
+        calls.append(0)
+        return block(self, amps)
 
-    return solve_counted
+    def solve_counted(self, values):
+        calls[-1] += 1
+        return solve(self, values)
+
+    monkeypatch.setattr(sweep_mod.SweepPlan, "block", block_counted)
+    monkeypatch.setattr(GTHPlan, "solve", solve_counted)
+    return calls
 
 
 TEN_LEVEL_CFG = (Path(__file__).resolve().parents[1] / "configs" / "ten_level.cfg").read_text()
 
 
-def ten_level_config(n_eps, n_amp):
-    """configs/ten_level.cfg on an n_eps x n_amp grid."""
+def ten_level_config(n_eps, n_amp, kernel=None):
+    """configs/ten_level.cfg on an n_eps x n_amp grid, with the [kernel]
+    line kernel if given."""
     text = re.sub(r"eps = .*", f"eps = -10 10 {n_eps}", TEN_LEVEL_CFG)
+    if kernel is not None:
+        text = text.replace("[output]", f"[kernel]\n{kernel}\n\n[output]")
     return cli.parse_config(re.sub(r"amp = .*", f"amp = 0 15 {n_amp}", text))
 
 
