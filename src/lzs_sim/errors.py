@@ -42,6 +42,11 @@ class ParseError(ValueError):
     """Malformed configuration text.  Reports 1-based line and column."""
 
     def __init__(self, message, line, column=1):
-        super().__init__(f"line {line}, column {column}: {message}")
+        # args are the constructor's, so the error pickles.
+        super().__init__(message, line, column)
         self.line = line
         self.column = column
+
+    def __str__(self):
+        message, line, column = self.args
+        return f"line {line}, column {column}: {message}"

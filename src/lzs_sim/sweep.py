@@ -21,24 +21,30 @@ path on a block of one, so a map value equals what it gives, bit for
 bit.  A point that fails the acceptance check aborts the map.
 
 With more than one worker, blocks are capped at ceil(rows / workers)
-rows and farmed out to worker processes, then reassembled in order:
-each worker receives the plan once, and each block only its amplitudes.
-The process pool is imported only then, so a one-worker run never loads
-it.  A point's bits depend neither on its block nor on BLAS threading
-(no step uses BLAS), which makes the result bit-identical for any
-worker count.
+rows, and W = min(workers, blocks) processes share them: this process
+forks W - 1 children, which inherit the plan, and every process writes
+the rows of its blocks (block k goes to process k mod W, this one
+included) into one shared anonymous mapping.  Nothing is pickled but
+each child's short report, None or its failure; each process stops at
+its first failing block, every child is reaped, and the failure of the
+lowest block index is raised, as a one-worker run raises it.  Without
+``os.fork`` (Windows) the same blocks run in this process.  A point's
+bits depend neither on its block nor on BLAS threading (no step uses
+BLAS), which makes the result bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, ValidationError
+from .errors import NonConvergent, SimulationError, ValidationError
 from .master import _chain, _generator_layout, solve_points
 from .model import DriveParams, QubitModel, crossing_position
 from .rates import PhotonTable, RateKernelParams
@@ -219,18 +225,97 @@ class SweepPlan:
         return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
 
 
-# The plan of the map a pool worker computes blocks of, set once per
-# worker by its initializer.
-_worker_plan = None
+def _compute_share(plan: SweepPlan, blocks, rows: int, out, first: int, step: int):
+    """Write blocks first, first + step, ... into their rows of out.  Stops
+    at the first block that raises and returns (block index, exception);
+    returns None once every block of the share is written."""
+    for k in range(first, len(blocks), step):
+        try:
+            out[k * rows : k * rows + len(blocks[k])] = plan.block(blocks[k])
+        except Exception as exc:
+            return k, exc
+    return None
 
 
-def _init_worker(plan: SweepPlan):
-    global _worker_plan
-    _worker_plan = plan
+def _child_share(plan: SweepPlan, blocks, rows: int, out, w: int, step: int, fd: int):
+    """The work of forked worker w: its share of the blocks, then one
+    report over the pipe fd: None, or (block index, repr, pickled
+    exception), with None for a pickle that fails."""
+    failure = _compute_share(plan, blocks, rows, out, w, step)
+    if failure is not None:
+        k, exc = failure
+        try:
+            data = pickle.dumps(exc)
+        except Exception:
+            data = None
+        failure = (k, repr(exc), data)
+    with os.fdopen(fd, "wb") as pipe:
+        pickle.dump(failure, pipe)
 
 
-def _worker_block(amps) -> np.ndarray:
-    return _worker_plan.block(amps)
+def _reap(pid: int, fd: int, first: int):
+    """Wait for the worker pid that computes blocks from first on; return
+    its failure as (block index, exception), or None.  A worker that ends
+    without a report, or with a nonzero status, fails at its first block;
+    an exception that does not unpickle becomes a SimulationError that
+    carries its repr."""
+    with os.fdopen(fd, "rb") as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not data:
+        return first, SimulationError(
+            f"sweep worker {pid} exited with status {code}"
+            + ("" if data else " without a report")
+        )
+    report = pickle.loads(data)
+    if report is None:
+        return None
+    k, text, exc = report
+    try:
+        return k, pickle.loads(exc)
+    except Exception:
+        return k, SimulationError(f"sweep worker failed: {text}")
+
+
+def _forked_blocks(plan: SweepPlan, blocks, rows: int, workers: int) -> np.ndarray:
+    """Every block's rows, computed by this process and workers - 1 forked
+    children into one shared anonymous mapping: process w takes the
+    blocks k = w (mod workers), this one those with k = 0.  The children
+    inherit the plan, so nothing is pickled but their reports.  Every
+    child is reaped before this returns or raises; the failure of the
+    lowest block index is raised, the error a one-worker run raises."""
+    import mmap  # here, so that a one-worker run never loads it
+
+    n_rows, n_eps = sum(map(len, blocks)), plan.eps_values.size
+    out = np.frombuffer(mmap.mmap(-1, n_rows * n_eps * 8), dtype=np.float64)
+    out = out.reshape(n_rows, n_eps)
+    children, failures = [], []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    _child_share(plan, blocks, rows, out, w, workers, write_fd)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd, w))
+        failures.append(_compute_share(plan, blocks, rows, out, 0, workers))
+    finally:
+        failures += [_reap(*child) for child in children]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return out
 
 
 def run_sweep(
@@ -255,17 +340,12 @@ def run_sweep(
     if workers > 1:
         rows = min(rows, -(-grid.n_amp // workers))
     blocks = [amps[k : k + rows] for k in range(0, grid.n_amp, rows)]
-    # The pool starts every worker at once, so never ask for more than blocks.
+    # Every worker gets a block, so never start more than there are blocks.
     workers = min(workers, len(blocks))
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         values = np.concatenate([plan.block(block) for block in blocks])
     else:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(plan,)
-        ) as pool:
-            values = np.concatenate(list(pool.map(_worker_block, blocks)))
+        values = _forked_blocks(plan, blocks, rows, workers)
     return PopulationMap(
         grid=grid,
         values=values,

@@ -685,16 +685,20 @@ class TestMainEntry:
 
     def test_one_worker_run_never_loads_the_pool(self, tmp_path):
         # In a fresh interpreter: neither importing the CLI nor a run with
-        # one worker loads the process pool or multiprocessing.
+        # one worker, nor one with two forked workers, loads
+        # multiprocessing or concurrent.futures.
         path = self.write_config(tmp_path, THREE_STATE)
         script = (
             "import json, sys\n"
             "import lzs_sim.cli\n"
-            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "pool = ('multiprocessing', 'concurrent.futures')\n"
             "seen = [[m for m in pool if m in sys.modules]]\n"
-            "code = lzs_sim.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
-            "seen.append([m for m in pool if m in sys.modules])\n"
-            "print(json.dumps([code, seen]))\n"
+            "codes = []\n"
+            "for workers in ('1', '2'):\n"
+            "    out = sys.argv[2] + workers\n"
+            "    codes.append(lzs_sim.cli.main(['run', sys.argv[1], '--out', out, '--workers', workers]))\n"
+            "    seen.append([m for m in pool if m in sys.modules])\n"
+            "print(json.dumps([codes, seen]))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -706,4 +710,4 @@ class TestMainEntry:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, [[], []]]
+        assert json.loads(proc.stdout) == [[0, 0], [[], [], []]]

@@ -1,6 +1,6 @@
 """Grid sweeps: determinism, closed-form rows, and parallel equality."""
 
-import concurrent.futures
+import os
 import re
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from lzs_sim import (
     NonConvergent,
     QubitModel,
     RateKernelParams,
+    SimulationError,
     SweepGrid,
     ValidationError,
     build_rate_matrix,
@@ -39,6 +40,13 @@ ZERO_COUPLING = QubitModel(
     crossings=np.zeros((1, 1)),
 )
 DRIVE = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
+
+
+class NeedsTwoArgs(Exception):
+    """Pickles, but does not unpickle: its args hold one of two values."""
+
+    def __init__(self, text, code):
+        super().__init__(f"{text} ({code})")
 
 
 class TestSweepGrid:
@@ -106,31 +114,28 @@ class TestRunSweep:
         assert np.array_equal(serial.values, parallel.values)
 
     def test_pool_never_exceeds_rows(self, monkeypatch):
-        sizes = []
+        forks = []
+        fork = os.fork
 
-        class FakePool:
-            """Records its size, runs the worker initializer and maps in
-            this process."""
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(sweep_mod, "_worker_plan", None)
+        monkeypatch.setattr(os, "fork", counting_fork)
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
         pooled = run_sweep(TWO_STATE, DRIVE, grid, workers=8)
-        assert sizes == [3]
+        # Three one-row blocks: two forked workers, and this process.
+        assert len(forks) == 2
         assert np.array_equal(pooled.values, run_sweep(TWO_STATE, DRIVE, grid).values)
+
+    def test_without_fork_workers_run_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
+        alone = run_sweep(TWO_STATE, DRIVE, grid, workers=2)
+        monkeypatch.undo()
+        assert np.array_equal(alone.values, run_sweep(TWO_STATE, DRIVE, grid).values)
 
     def test_workers_validation(self):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2)
@@ -151,6 +156,76 @@ class TestRunSweep:
         assert err.value.eps == -1.0
         assert err.value.amp == 0.0
         assert "eps=-1.0" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "workers, n_amp, failing_rows",
+        [
+            (2, 4, [2, 3]),  # only the child's block fails
+            (2, 4, [0, 1, 2, 3]),  # both fail: this process's block wins
+            (3, 6, [2, 3, 4, 5]),  # two children fail: the lower block wins
+        ],
+    )
+    def test_nonconvergent_from_a_worker(self, monkeypatch, workers, n_amp, failing_rows):
+        # Blocks hold two rows each.  Points of the failing rows are told
+        # apart by their generator values, whichever process solves them.
+        grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, n_amp)
+        amps = grid.amp_values.tolist()
+        top = DriveParams(amps[-1], DRIVE.frequency, DRIVE.dephasing)
+        plan = sweep_mod.SweepPlan(TWO_STATE, top, RateKernelParams(), grid.eps_values)
+        failing = {col.tobytes() for col in plan.values([amps[k] for k in failing_rows]).T}
+        accepts = GTHPlan.accepts
+
+        def reject_failing_rows(self, values, q):
+            ok = accepts(self, values, q)
+            return ok & np.array([col.tobytes() not in failing for col in values.T])
+
+        monkeypatch.setattr(GTHPlan, "accepts", reject_failing_rows)
+        errors = []
+        for w in (1, workers):
+            with pytest.raises(NonConvergent) as err:
+                run_sweep(TWO_STATE, DRIVE, grid, workers=w)
+            errors.append((err.value.eps, err.value.amp, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == (-1.0, amps[failing_rows[0]])
+
+    @pytest.mark.parametrize("kind", ["unpicklable", "fails_to_unpickle"])
+    def test_worker_exception_that_does_not_pickle(self, monkeypatch, kind):
+        class Local(Exception):
+            pass
+
+        parent = os.getpid()
+        block = sweep_mod.SweepPlan.block
+
+        def failing_in_child(self, amps):
+            if os.getpid() != parent:
+                raise Local("lost") if kind == "unpicklable" else NeedsTwoArgs("lost", 2)
+            return block(self, amps)
+
+        monkeypatch.setattr(sweep_mod.SweepPlan, "block", failing_in_child)
+        grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
+        with pytest.raises(SimulationError, match="sweep worker failed: .*lost"):
+            run_sweep(TWO_STATE, DRIVE, grid, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dying_worker_fails_the_run_and_is_reaped(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+        block = sweep_mod.SweepPlan.block
+
+        def dying_in_child(self, amps):
+            if os.getpid() != parent:
+                os._exit(3)
+            return block(self, amps)
+
+        monkeypatch.setattr(sweep_mod.SweepPlan, "block", dying_in_child)
+        grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
+        with pytest.raises(SimulationError, match="status 3 without a report"):
+            run_sweep(TWO_STATE, DRIVE, grid, workers=2)
+        config = tmp_path / "ten_level.cfg"
+        config.write_text(re.sub(r"amp = .*", "amp = 0 15 4", TEN_LEVEL_CFG))
+        assert cli.main(["run", str(config), "--workers", "2", "--out", str(tmp_path / "out")]) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_fingerprint_tracks_physics_not_grid(self):
         a = run_sweep(TWO_STATE, DRIVE, SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2))
