@@ -14,7 +14,6 @@ from .analysis import (
     RegimeReport,
     diamond_boundaries,
     regime_classify,
-    resonance_positions,
 )
 from .errors import (
     DegenerateSystem,
@@ -22,7 +21,6 @@ from .errors import (
     NonConvergent,
     ParseError,
     SimulationError,
-    StepRejected,
     ValidationError,
 )
 from .master import (
@@ -32,7 +30,6 @@ from .master import (
     stationary_four_state,
     stationary_solve,
     stationary_three_state,
-    time_evolve,
 )
 from .model import (
     DriveParams,
@@ -66,7 +63,6 @@ __all__ = [
     "RegimeReport",
     "SimulationError",
     "StateIndex",
-    "StepRejected",
     "SweepGrid",
     "ValidationError",
     "Well",
@@ -77,11 +73,9 @@ __all__ = [
     "local_detuning",
     "lzs_rate",
     "regime_classify",
-    "resonance_positions",
     "run_frequency_batch",
     "run_sweep",
     "stationary_four_state",
     "stationary_solve",
     "stationary_three_state",
-    "time_evolve",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "RegimeReport",
     "diamond_boundaries",
     "regime_classify",
-    "resonance_positions",
 ]
 
 
@@ -38,19 +37,6 @@ class DiamondBoundary:
     left_level: int
     right_level: int
     position: float
-
-    @property
-    def apex(self) -> tuple[float, float]:
-        """Meeting point (position, 0) of the two boundary rays."""
-        return (self.position, 0.0)
-
-    def amplitude_at(self, eps: float) -> float:
-        """Boundary amplitude above the given detuning."""
-        return abs(eps - self.position)
-
-    def reaches(self, eps: float, amp: float) -> bool:
-        """True when the drive at (eps, amp) sweeps across the crossing."""
-        return amp >= self.amplitude_at(eps)
 
 
 @dataclass(frozen=True)
@@ -133,16 +119,3 @@ def regime_classify(model: QubitModel, drive: DriveParams) -> RegimeReport:
         regime=regime,
         spacing_pair=(idx, idx + 1),
     )
-
-
-def resonance_positions(drive: DriveParams, eps_range) -> list[float]:
-    """Multiples of the drive frequency inside [lo, hi], sorted."""
-    lo, hi = (float(v) for v in eps_range)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("eps_range must be finite")
-    if lo > hi:
-        raise ValidationError("eps_range must satisfy lo <= hi")
-    w = drive.frequency
-    n_lo = math.floor(lo / w) - 1
-    n_hi = math.ceil(hi / w) + 1
-    return [n * w for n in range(n_lo, n_hi + 1) if lo <= n * w <= hi]

@@ -21,10 +21,6 @@ class NonConvergent(SimulationError):
         self.amp = amp
 
 
-class StepRejected(SimulationError):
-    """The linear solve inside an implicit integration step failed."""
-
-
 class DegenerateSystem(SimulationError):
     """A closed-form stationary solution was requested for an all-zero
     rate system, which has no distinguished stationary state."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSystem, NonConvergent, StepRejected, ValidationError
+from .errors import DegenerateSystem, NonConvergent, ValidationError
 from .model import (
     DriveParams,
     QubitModel,
@@ -46,12 +46,12 @@ __all__ = [
     "stationary_solve",
     "stationary_three_state",
     "stationary_four_state",
-    "time_evolve",
 ]
 
 _RESIDUAL_REL = 1e-10
 _NEGATIVITY_TOL = 1e-12
-# Back-substitution rescales a point's unnormalized vector past this.
+# Back-substitution rescales a point's unnormalized vector before an
+# entry would pass this.
 _RESCALE_ABOVE = 2.0**600
 
 
@@ -293,8 +293,11 @@ class GTHPlan:
     subtracts.  A point where some state's outflow to the states left is
     exactly 0 (a zero rate cuts its own graph apart) is rejected; solve
     such a point on the plan of its own nonzero entries (``solve_points``).
-    Back-substitution scales a point's unnormalized vector by 2**-600
-    whenever an entry passes 2**600, which is exact and keeps it finite.
+    Elimination divides only a state's outgoing rates by its outflow, so
+    every quotient lies in [0, 1] and none overflows, however small the
+    outflow; back-substitution divides each state's inflow by its stored
+    outflow, and scales the point's unnormalized vector by 2**-600 before
+    an entry would pass 2**600, which keeps it finite.
 
     Every sum is a fixed chain of elementwise adds, so a point's bits
     depend neither on the other points of its block nor on BLAS.
@@ -367,18 +370,26 @@ class GTHPlan:
         v[: values.shape[0]] = values
         blocked = np.zeros(n_points, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _, out_slots, _, in_slots, (dst, via_in, via_out) in self.steps:
-                outflow = _chain(v[out_slots])
+            outflows = np.empty((len(self.steps), n_points))
+            for s, (_, out_slots, _, _, (dst, via_in, via_out)) in enumerate(self.steps):
+                outflow = outflows[s] = _chain(v[out_slots])
                 blocked |= outflow == 0.0
-                v[in_slots] /= outflow
+                v[out_slots] /= outflow
                 v[dst] += v[via_in] * v[via_out]
             pi = np.zeros((self.n, n_points))
             pi[self.roots] = 1.0
-            for k, _, ins, in_slots, _ in reversed(self.steps):
-                pi[k] = _chain(pi[ins] * v[in_slots])
-                big = pi[k] > _RESCALE_ABOVE
-                if big.any():
+            for s in reversed(range(len(self.steps))):
+                k, _, ins, in_slots, _ = self.steps[s]
+                inflow, outflow = _chain(pi[ins] * v[in_slots]), outflows[s]
+                # inflow / outflow < 2**2098, so three rescales bring it
+                # below 2**600.
+                for _ in range(3):
+                    big = inflow > outflow * _RESCALE_ABOVE
+                    if not big.any():
+                        break
                     pi[:, big] *= 1.0 / _RESCALE_ABOVE
+                    inflow[big] *= 1.0 / _RESCALE_ABOVE
+                pi[k] = inflow / outflow
             weights = self.weights
             if self.absorb is not None:
                 flow = v[self.absorb]
@@ -517,41 +528,3 @@ def stationary_four_state(w_0r1l, w_0l1r, g_1r0r, g_0l0r, g_1l0l):
         den = h * (2.0 * v + k) + k * v
         return (h * (v + k) / den, k * v / den, 0.0, h * v / den)
     return (0.0, 1.0, 0.0, 0.0)  # population funnels into the dead-end 0L
-
-
-def time_evolve(
-    m: RateMatrix, p0: PopulationVector, t_final: float, dt: float
-) -> PopulationVector:
-    """Integrate dP/dt = M P with backward Euler steps of size dt (ns).
-
-    The implicit update is positivity preserving for any step size, and
-    the population is renormalized after every step.
-    """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError("dt must be positive and finite")
-    if not (math.isfinite(t_final) and t_final >= 0):
-        raise ValidationError("t_final must be >= 0 and finite")
-    if tuple(p0.states) != tuple(m.states):
-        raise ValidationError("population vector states do not match the matrix")
-    if t_final == 0.0:
-        return p0
-    mat = m.matrix
-    eye = np.eye(mat.shape[0])
-    n_full, remainder = divmod(t_final, dt)
-    steps = [dt] * int(n_full)
-    if remainder > 1e-12 * dt:
-        steps.append(remainder)
-    p = p0.probabilities.copy()
-    step_matrix = {}
-    for h in steps:
-        if h not in step_matrix:
-            step_matrix[h] = eye - h * mat
-        try:
-            q = np.linalg.solve(step_matrix[h], p)
-        except np.linalg.LinAlgError as exc:
-            raise StepRejected(f"implicit step of {h} ns failed: {exc}") from exc
-        if not np.all(np.isfinite(q)):
-            raise StepRejected(f"implicit step of {h} ns produced non-finite values")
-        q = np.where(q < 0.0, 0.0, q)
-        p = q / math.fsum(q)
-    return PopulationVector(probabilities=p, states=m.states)

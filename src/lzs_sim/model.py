@@ -55,7 +55,8 @@ class StateIndex:
             if self.level is not None:
                 raise ValidationError("leak state has no level index")
         else:
-            if not isinstance(self.level, int) or self.level < 0:
+            level = self.level
+            if not isinstance(level, int) or isinstance(level, bool) or level < 0:
                 raise ValidationError("level must be a nonnegative integer")
 
     @property
@@ -76,7 +77,8 @@ class LeakConfig:
     return_rate: float
 
     def __post_init__(self):
-        if not isinstance(self.threshold, int) or self.threshold < 0:
+        t = self.threshold
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise ValidationError("leak threshold must be a nonnegative integer")
         if not (math.isfinite(self.return_rate) and self.return_rate > 0):
             raise ValidationError("leak return rate must be positive and finite")

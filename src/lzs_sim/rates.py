@@ -68,7 +68,8 @@ class RateKernelParams:
     lorentz_cutoff: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_margin, int) or self.n_margin < 0:
+        n = self.n_margin
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValidationError("n_margin must be a nonnegative integer")
         if self.lorentz_cutoff is not None:
             if not (math.isfinite(self.lorentz_cutoff) and self.lorentz_cutoff > 0):
@@ -156,6 +157,8 @@ def bessel_jn(n: int, x: float) -> float:
     """
     if not (math.isfinite(n) and math.isfinite(x)):
         raise ValidationError("bessel_jn requires finite arguments")
+    if n != int(n):
+        raise ValidationError("bessel_jn requires an integer order n")
     n = int(n)
     sign = 1.0
     if n < 0:

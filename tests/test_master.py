@@ -27,7 +27,6 @@ from lzs_sim import (
     stationary_four_state,
     stationary_solve,
     stationary_three_state,
-    time_evolve,
 )
 from lzs_sim.rates import PhotonTable
 from lzs_sim.sweep import SweepPlan
@@ -576,57 +575,6 @@ def test_closed_form_corners_match_stationary_solve(form, rates):
     assert np.max(np.abs(np.subtract(got, closed_form(*rates)))) <= 1e-15
 
 
-class TestTimeEvolve:
-    def test_zero_time_returns_initial(self):
-        m = RateMatrix.from_channels((L0, R0), [(L0, R0, 0.3), (R0, L0, 0.3)])
-        p0 = PopulationVector(probabilities=np.array([1.0, 0.0]), states=(L0, R0))
-        assert time_evolve(m, p0, 0.0, 0.1) is p0
-
-    def test_symmetric_two_state_long_time(self):
-        m = RateMatrix.from_channels((L0, R0), [(L0, R0, 0.3), (R0, L0, 0.3)])
-        p0 = PopulationVector(probabilities=np.array([1.0, 0.0]), states=(L0, R0))
-        p = time_evolve(m, p0, 200.0, 0.5)
-        assert p.probabilities == pytest.approx([0.5, 0.5], abs=1e-10)
-
-    def test_against_analytic_exponential(self):
-        # dP_L/dt = -(w+g) P_L + w P_R has rate constant lam = 2w + g
-        w, g = 0.8, 0.4
-        lam = 2 * w + g
-        m = RateMatrix.from_channels((L0, R0), [(L0, R0, w + g), (R0, L0, w)])
-        p0 = PopulationVector(probabilities=np.array([1.0, 0.0]), states=(L0, R0))
-        t = 1.0 / lam
-        p_inf = w / lam
-        expected = p_inf + (1.0 - p_inf) * math.exp(-lam * t)
-        p = time_evolve(m, p0, t, t / 2000.0)
-        assert p.probability_of(L0) == pytest.approx(expected, abs=5e-4)
-
-    def test_conservation_and_positivity_with_large_steps(self):
-        m = three_state_matrix(0.9, 0.7, 1.0, 0.2)
-        p0 = PopulationVector(
-            probabilities=np.array([1.0, 0.0, 0.0]), states=m.states
-        )
-        p = time_evolve(m, p0, 50.0, 5.0)  # step far beyond 1/rate
-        assert np.min(p.probabilities) >= 0.0
-        assert math.fsum(p.probabilities) == pytest.approx(1.0, abs=1e-12)
-
-    def test_long_time_matches_stationary(self):
-        m = three_state_matrix(0.05, 0.3, 0.8, 0.01)
-        p0 = PopulationVector(
-            probabilities=np.array([0.0, 1.0, 0.0]), states=m.states
-        )
-        p_t = time_evolve(m, p0, 5000.0, 1.0)
-        p_s = stationary_solve(m)
-        assert p_t.probabilities == pytest.approx(p_s.probabilities, abs=1e-9)
-
-    def test_validation(self):
-        m = RateMatrix.from_channels((L0, R0), [(L0, R0, 0.3)])
-        p0 = PopulationVector(probabilities=np.array([1.0, 0.0]), states=(L0, R0))
-        with pytest.raises(ValidationError):
-            time_evolve(m, p0, 1.0, 0.0)
-        with pytest.raises(ValidationError):
-            time_evolve(m, p0, -1.0, 0.1)
-
-
 class TestWellPopulation:
     def test_all_in_right_ground(self):
         p = PopulationVector(probabilities=np.array([0.0, 1.0]), states=(L0, R0))
@@ -776,6 +724,30 @@ def mp_absorbed(mat, start):
 
 
 class TestGTHAccuracy:
+    def test_subnormal_outflow_from_a_transient_start(self):
+        # Start 2 feeds 0 at rate 1; 0 and 3 trade a subnormal rate, and 1
+        # is a closed class of its own.  1 / outflow(0) overflows, but no
+        # step of the reduction forms it.
+        mat = np.zeros((4, 4))
+        mat[0, 2] = 1.0
+        mat[3, 0] = mat[0, 3] = 3.547558e-317
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        q, ok = solve_alone(mat, start=2)
+        assert ok
+        assert np.array_equal(q, [0.5, 0.0, 0.0, 0.5])
+
+    def test_population_ratio_past_the_float_range(self):
+        # pi[0] / pi[2] = 1e600: the vector is rescaled before each divide
+        # that would pass 2**600, so pi[0] stays finite.
+        mat = np.zeros((3, 3))
+        mat[1, 2] = mat[0, 1] = 1e150
+        mat[2, 1] = mat[1, 0] = 1e-150
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        q, ok = solve_alone(mat)
+        assert ok
+        assert q[0] == 1.0 and q[2] == 0.0
+        assert q[1] == pytest.approx(1e-300, rel=1e-12)
+
     def test_stiff_irreducible_generators(self):
         rng = np.random.default_rng(20261018)
         worst = 0.0

@@ -98,6 +98,8 @@ class TestQubitModel:
         with pytest.raises(ValidationError):
             LeakConfig(threshold=-1, return_rate=1.0)
         with pytest.raises(ValidationError):
+            LeakConfig(threshold=True, return_rate=1.0)
+        with pytest.raises(ValidationError):
             LeakConfig(threshold=0, return_rate=0.0)
         with pytest.raises(ValidationError):
             LeakConfig(threshold=0, return_rate=-2.0)
@@ -116,6 +118,8 @@ class TestStateIndex:
             StateIndex(Well.LEFT, None)
         with pytest.raises(ValidationError):
             StateIndex(Well.LEFT, -1)
+        with pytest.raises(ValidationError):
+            StateIndex(Well.LEFT, True)
 
 
 class TestDriveParams:

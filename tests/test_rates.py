@@ -143,6 +143,9 @@ class TestBesselJn:
             bessel_jn(0, math.nan)
         with pytest.raises(ValidationError):
             bessel_jn(0, math.inf)
+        with pytest.raises(ValidationError):
+            bessel_jn(2.5, 1.0)
+        assert bessel_jn(2.0, 1.0) == bessel_jn(np.int64(2), 1.0) == bessel_jn(2, 1.0)
 
     def test_normalization_identity(self):
         # J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1; the unsquared tail decays
@@ -399,6 +402,8 @@ class TestLzsRate:
     def test_kernel_params_validation(self):
         with pytest.raises(ValidationError):
             RateKernelParams(n_margin=-1)
+        with pytest.raises(ValidationError):
+            RateKernelParams(n_margin=True)
         with pytest.raises(ValidationError):
             RateKernelParams(lorentz_cutoff=0.0)
         with pytest.raises(ValidationError):

@@ -334,6 +334,22 @@ class TestRowEngine:
             SweepGrid(0.0, 4.0, 2, 3.0, 7.0, 2),
         )
     )
+    @example(  # at the least amplitude 0L<->1R run at a subnormal rate
+        (
+            QubitModel(
+                left_offsets=(0.0, 1.0),
+                right_offsets=(0.0, 1.0),
+                crossings=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                left_relax=np.zeros((2, 2)),
+                right_relax=np.zeros((2, 2)),
+                left_to_right=np.zeros((2, 2)),
+                right_to_left=np.array([[1.0, 0.0], [0.0, 0.0]]),
+            ),
+            RateKernelParams(n_margin=20, lorentz_cutoff=1.0),
+            DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.5),
+            SweepGrid(0.0, 1.0, 2, 1.1912276104925003e-158, 1.0, 2),
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_oracle(self, case):
         # Bit for bit at every point, also where a zero rate changes the
