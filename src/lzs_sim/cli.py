@@ -386,9 +386,12 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if header != _CSV_HEADER:
             raise ValidationError(f"unexpected CSV header {header!r}")
         cols = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    eps_col = np.array([float(c[0]) for c in cols])
-    amp_col = np.array([float(c[1]) for c in cols])
-    p_col = np.array([float(c[2]) for c in cols])
+    if not cols:
+        raise ValidationError("CSV has no data rows")
+    try:
+        eps_col, amp_col, p_col = np.array(cols, dtype=float).T
+    except ValueError:
+        raise ValidationError("CSV rows must hold three numbers") from None
     n = len(cols)
     n_eps = 1
     while n_eps < n and amp_col[n_eps] == amp_col[0]:
@@ -419,7 +422,10 @@ def read_pgm(path) -> np.ndarray:
     maxval, _, raster = rest.partition(b"\n")
     if magic != b"P5" or maxval != b"255":
         raise ValidationError("not an 8-bit P5 graymap")
-    width, height = (int(t) for t in dims.split())
+    size = dims.split()
+    if len(size) != 2 or not all(t.isdigit() for t in size):
+        raise ValidationError("graymap size must be two integers")
+    width, height = map(int, size)
     if len(raster) != width * height:
         raise ValidationError("graymap raster size mismatch")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)

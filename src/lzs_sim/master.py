@@ -364,7 +364,22 @@ class GTHPlan:
         """Stationary populations q (n, points) of the generators whose
         pattern entries are values (entries, points), and ok (points,):
         whether each point passes the acceptance check (``accepts``) and
-        had no zero outflow.  Points not ok are left to the caller."""
+        had no zero outflow.  Points not ok are left to the caller.
+
+        A fill that multiplies two tiny rates can underflow, so that an
+        outflow that should be positive reads 0.  Scaling every rate by
+        a power of two does not change the populations, so only a point
+        with a zero outflow is reduced once more, with its rates 2**600
+        times larger; every other point keeps its bits."""
+        q, blocked = self._reduce(values)
+        if blocked.any():
+            again = blocked.copy()
+            q[:, again], blocked[again] = self._reduce(values[:, again] * _RESCALE_ABOVE)
+        return q, ~blocked & self.accepts(values, q)
+
+    def _reduce(self, values: np.ndarray):
+        """The state reduction of ``solve``: populations q (n, points)
+        and blocked (points,), whether some outflow was 0."""
         n_points = values.shape[1]
         v = np.zeros((self.n_slots, n_points))
         v[: values.shape[0]] = values
@@ -399,7 +414,7 @@ class GTHPlan:
             q = np.zeros((self.n, n_points))
             for c, a in zip(self.classes, weights):
                 q[c] = a * (pi[c] / _chain(pi[c]))
-        return q, ~blocked & self.accepts(values, q)
+        return q, blocked
 
     def accepts(self, values: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The acceptance check of populations q (n, points) against the

@@ -202,6 +202,10 @@ class DriveParams:
     dephasing: float
 
     def __post_init__(self):
+        for name in ("amplitude", "frequency", "dephasing"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValidationError(f"drive {name} must be a number")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ValidationError("drive amplitude must be >= 0 and finite")
         if not (math.isfinite(self.frequency) and self.frequency > 0):

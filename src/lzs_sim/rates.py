@@ -71,8 +71,11 @@ class RateKernelParams:
         n = self.n_margin
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValidationError("n_margin must be a nonnegative integer")
-        if self.lorentz_cutoff is not None:
-            if not (math.isfinite(self.lorentz_cutoff) and self.lorentz_cutoff > 0):
+        cutoff = self.lorentz_cutoff
+        if cutoff is not None:
+            if not isinstance(cutoff, (int, float)) or isinstance(cutoff, bool):
+                raise ValidationError("lorentz_cutoff must be a number when set")
+            if not (math.isfinite(cutoff) and cutoff > 0):
                 raise ValidationError("lorentz_cutoff must be positive when set")
 
 

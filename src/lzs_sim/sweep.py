@@ -2,7 +2,7 @@
 
 The rate is separable: the Bessel weights depend only on a row's
 amplitude, the Lorentzian denominators only on a column's detuning.  So
-each map is computed from one plan, built once from the model, drive
+each map is computed from one plan, built from the model, drive
 frequency and dephasing, kernel, detuning axis and largest amplitude.
 It holds the generator's pattern (every entry that is nonzero at some
 point) with its static values, the entries each pumped crossing adds to,
@@ -18,19 +18,23 @@ zero drops an entry), all points of one pattern in one call; with
 several closed classes it gives the populations reached from 0R.
 ``probe`` (``stationary_solve`` of ``build_rate_matrix``) takes the same
 path on a block of one, so a map value equals what it gives, bit for
-bit.  A point that fails the acceptance check aborts the map.
+bit.  A point that fails the acceptance check aborts the run.
 
-With more than one worker, blocks are capped at ceil(rows / workers)
-rows, and W = min(workers, blocks) processes share them: this process
-forks W - 1 children, which inherit the plan, and every process writes
-the rows of its blocks (block k goes to process k mod W, this one
-included) into one shared anonymous mapping.  Nothing is pickled but
-each child's short report, None or its failure; each process stops at
-its first failing block, every child is reaped, and the failure of the
-lowest block index is raised, as a one-worker run raises it.  Without
-``os.fork`` (Windows) the same blocks run in this process.  A point's
-bits depend neither on its block nor on BLAS threading (no step uses
-BLAS), which makes the result bit-identical for any worker count.
+One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
+Each map is cut into tasks (map, first row, amplitudes), one block each,
+capped at ceil(rows / workers) rows with more than one worker, and
+W = min(workers, tasks) processes share them: this process forks W - 1
+children once per run, and process w writes tasks w, w + W, ... into
+one shared anonymous mapping, building a map's plan at the first of
+that map's tasks it reaches.  With W = 1 (or without ``os.fork``) the
+same loop writes every task, in order, into an ordinary array.  A child
+reports only its exit status.  If any share fails, every child is
+reaped and this process computes all tasks again, in order: a failure
+that recurs raises exactly the exception a one-worker run raises, and
+one that was a child's alone leaves a complete run.  A point's bits
+depend neither on its block nor on its process nor on BLAS threading
+(no step uses BLAS), which makes the result bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -38,13 +42,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import pickle
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, SimulationError, ValidationError
+from .errors import NonConvergent, ValidationError
 from .master import _chain, _generator_layout, solve_points
 from .model import DriveParams, QubitModel, crossing_position
 from .rates import PhotonTable, RateKernelParams
@@ -67,7 +70,9 @@ class SweepGrid:
     def __post_init__(self):
         for name in ("eps_min", "eps_max", "amp_min", "amp_max"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value)
+            ):
                 raise ValidationError(f"{name} must be a finite number")
             object.__setattr__(self, name, float(value))
         for name in ("n_eps", "n_amp"):
@@ -225,97 +230,41 @@ class SweepPlan:
         return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
 
 
-def _compute_share(plan: SweepPlan, blocks, rows: int, out, first: int, step: int):
-    """Write blocks first, first + step, ... into their rows of out.  Stops
-    at the first block that raises and returns (block index, exception);
-    returns None once every block of the share is written."""
-    for k in range(first, len(blocks), step):
-        try:
-            out[k * rows : k * rows + len(blocks[k])] = plan.block(blocks[k])
-        except Exception as exc:
-            return k, exc
-    return None
+def _compute(tasks, plan_of, out, first: int, step: int):
+    """Write tasks first, first + step, ... into out: task (m, k, amps)
+    gives rows k, k + 1, ... of map m.  A map's plan is built at the
+    first of its tasks that this process reaches."""
+    planned = None
+    for m, k, amps in tasks[first::step]:
+        if m != planned:
+            plan, planned = plan_of(m), m
+        out[m, k : k + len(amps)] = plan.block(amps)
 
 
-def _child_share(plan: SweepPlan, blocks, rows: int, out, w: int, step: int, fd: int):
-    """The work of forked worker w: its share of the blocks, then one
-    report over the pipe fd: None, or (block index, repr, pickled
-    exception), with None for a pickle that fails."""
-    failure = _compute_share(plan, blocks, rows, out, w, step)
-    if failure is not None:
-        k, exc = failure
-        try:
-            data = pickle.dumps(exc)
-        except Exception:
-            data = None
-        failure = (k, repr(exc), data)
-    with os.fdopen(fd, "wb") as pipe:
-        pickle.dump(failure, pipe)
-
-
-def _reap(pid: int, fd: int, first: int):
-    """Wait for the worker pid that computes blocks from first on; return
-    its failure as (block index, exception), or None.  A worker that ends
-    without a report, or with a nonzero status, fails at its first block;
-    an exception that does not unpickle becomes a SimulationError that
-    carries its repr."""
-    with os.fdopen(fd, "rb") as pipe:
-        data = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or not data:
-        return first, SimulationError(
-            f"sweep worker {pid} exited with status {code}"
-            + ("" if data else " without a report")
-        )
-    report = pickle.loads(data)
-    if report is None:
-        return None
-    k, text, exc = report
-    try:
-        return k, pickle.loads(exc)
-    except Exception:
-        return k, SimulationError(f"sweep worker failed: {text}")
-
-
-def _forked_blocks(plan: SweepPlan, blocks, rows: int, workers: int) -> np.ndarray:
-    """Every block's rows, computed by this process and workers - 1 forked
-    children into one shared anonymous mapping: process w takes the
-    blocks k = w (mod workers), this one those with k = 0.  The children
-    inherit the plan, so nothing is pickled but their reports.  Every
-    child is reaped before this returns or raises; the failure of the
-    lowest block index is raised, the error a one-worker run raises."""
-    import mmap  # here, so that a one-worker run never loads it
-
-    n_rows, n_eps = sum(map(len, blocks)), plan.eps_values.size
-    out = np.frombuffer(mmap.mmap(-1, n_rows * n_eps * 8), dtype=np.float64)
-    out = out.reshape(n_rows, n_eps)
-    children, failures = [], []
+def _forked(tasks, plan_of, out, workers: int) -> bool:
+    """Compute the tasks in this process and workers - 1 forked children,
+    process w taking tasks w, w + workers, ... of out, a shared mapping.
+    True when every share is written; a child reports only its exit
+    status.  Every child is reaped before this returns."""
+    children, ok = [], True
     try:
         for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    os.close(read_fd)
-                    _child_share(plan, blocks, rows, out, w, workers, write_fd)
+                    _compute(tasks, plan_of, out, w, workers)
                     code = 0
                 finally:
                     os._exit(code)
-            os.close(write_fd)
-            children.append((pid, read_fd, w))
-        failures.append(_compute_share(plan, blocks, rows, out, 0, workers))
+            children.append(pid)
+        _compute(tasks, plan_of, out, 0, workers)
+    except Exception:
+        ok = False
     finally:
-        failures += [_reap(*child) for child in children]
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return out
+        for pid in children:
+            ok &= os.waitpid(pid, 0)[1] == 0
+    return ok
 
 
 def run_sweep(
@@ -331,27 +280,7 @@ def run_sweep(
     A NonConvergent grid point aborts the whole sweep, with the
     offending (eps, amp) coordinates attached to the exception.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError("workers must be a positive integer")
-    amps = grid.amp_values.tolist()
-    top = DriveParams(amps[-1], drive_base.frequency, drive_base.dephasing)
-    plan = SweepPlan(model, top, kernel, grid.eps_values)
-    rows = max(1, _BLOCK_POINTS // grid.n_eps)
-    if workers > 1:
-        rows = min(rows, -(-grid.n_amp // workers))
-    blocks = [amps[k : k + rows] for k in range(0, grid.n_amp, rows)]
-    # Every worker gets a block, so never start more than there are blocks.
-    workers = min(workers, len(blocks))
-    if workers == 1 or not hasattr(os, "fork"):
-        values = np.concatenate([plan.block(block) for block in blocks])
-    else:
-        values = _forked_blocks(plan, blocks, rows, workers)
-    return PopulationMap(
-        grid=grid,
-        values=values,
-        frequency=drive_base.frequency,
-        fingerprint=model_fingerprint(model, drive_base, kernel),
-    )
+    return run_frequency_batch(model, [drive_base], grid, kernel, workers)[0]
 
 
 def run_frequency_batch(
@@ -361,8 +290,41 @@ def run_frequency_batch(
     kernel: RateKernelParams = RateKernelParams(),
     workers: int = 1,
 ) -> list[PopulationMap]:
-    """One map per drive, sharing model and grid across the batch."""
+    """One map per drive, sharing model and grid across the batch; each
+    drive supplies frequency and dephasing for its map."""
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValidationError("workers must be a positive integer")
     drive_list = list(drive_list)
     if not drive_list:
         raise ValidationError("drive_list must not be empty")
-    return [run_sweep(model, drive, grid, kernel, workers) for drive in drive_list]
+    amps, shape = grid.amp_values.tolist(), (len(drive_list),) + grid.shape
+
+    def plan_of(m: int) -> SweepPlan:
+        top = DriveParams(amps[-1], drive_list[m].frequency, drive_list[m].dephasing)
+        return SweepPlan(model, top, kernel, grid.eps_values)
+
+    rows = max(1, _BLOCK_POINTS // grid.n_eps)
+    if workers > 1:
+        rows = min(rows, -(-grid.n_amp // workers))
+    tasks = [
+        (m, k, amps[k : k + rows]) for m in range(shape[0]) for k in range(0, grid.n_amp, rows)
+    ]
+    # Every process gets a task, so never start more than there are tasks.
+    workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        out = np.empty(shape)
+    else:
+        import mmap  # here, so that a one-worker run never loads it
+
+        out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+    if workers == 1 or not _forked(tasks, plan_of, out, workers):
+        _compute(tasks, plan_of, out, 0, 1)
+    return [
+        PopulationMap(
+            grid=grid,
+            values=out[m],
+            frequency=drive.frequency,
+            fingerprint=model_fingerprint(model, drive, kernel),
+        )
+        for m, drive in enumerate(drive_list)
+    ]

@@ -531,6 +531,24 @@ class TestPgmFormat:
         assert list(raster) == [128, 64, 0, 255]
 
 
+@pytest.mark.parametrize(
+    "name, blob, message",
+    [
+        ("map.pgm", b"P5\n5 x\n255\n" + bytes(15), "graymap size"),
+        ("map.csv", b"eps_ghz,amp_ghz,p_left\n0,0,0.5\n1,0\n", "three numbers"),
+        ("map.csv", b"eps_ghz,amp_ghz,p_left\n0,0,half\n", "three numbers"),
+        ("map.csv", b"eps_ghz,amp_ghz,p_left\n", "no data rows"),
+    ],
+    ids=["pgm_size_not_integers", "csv_short_row", "csv_not_a_number", "csv_header_only"],
+)
+def test_malformed_file_is_a_validation_error(tmp_path, name, blob, message):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    reader = read_pgm if name.endswith(".pgm") else read_csv
+    with pytest.raises(ValidationError, match=message):
+        reader(path)
+
+
 class TestRunCommand:
     def test_writes_all_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL)

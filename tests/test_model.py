@@ -135,6 +135,11 @@ class TestDriveParams:
         with pytest.raises(ValidationError):
             DriveParams(amplitude=0.0, frequency=0.0, dephasing=0.1)
 
+    def test_non_numbers_rejected(self):
+        for args in ((True, 1.0, 0.1), (0.0, True, 0.1), (0.0, 1.0, True), ("1", 1.0, 0.1)):
+            with pytest.raises(ValidationError, match="must be a number"):
+                DriveParams(*args)
+
     def test_dephasing_message(self):
         with pytest.raises(ValidationError, match="dephasing must be positive"):
             DriveParams(amplitude=0.0, frequency=1.0, dephasing=-0.1)

@@ -408,6 +408,10 @@ class TestLzsRate:
             RateKernelParams(lorentz_cutoff=0.0)
         with pytest.raises(ValidationError):
             RateKernelParams(lorentz_cutoff=-1.0)
+        with pytest.raises(ValidationError):
+            RateKernelParams(lorentz_cutoff=True)
+        with pytest.raises(ValidationError):
+            RateKernelParams(lorentz_cutoff="4")
 
 
 

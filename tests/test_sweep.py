@@ -18,7 +18,6 @@ from lzs_sim import (
     NonConvergent,
     QubitModel,
     RateKernelParams,
-    SimulationError,
     SweepGrid,
     ValidationError,
     build_rate_matrix,
@@ -42,13 +41,6 @@ ZERO_COUPLING = QubitModel(
 DRIVE = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
 
 
-class NeedsTwoArgs(Exception):
-    """Pickles, but does not unpickle: its args hold one of two values."""
-
-    def __init__(self, text, code):
-        super().__init__(f"{text} ({code})")
-
-
 class TestSweepGrid:
     def test_axes_are_inclusive_linspaces(self):
         g = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
@@ -67,6 +59,10 @@ class TestSweepGrid:
             SweepGrid(0.0, 1.0, 3, -1.0, 1.0, 3)
         with pytest.raises(ValidationError):
             SweepGrid(0.0, np.nan, 3, 0.0, 1.0, 3)
+        with pytest.raises(ValidationError):
+            SweepGrid(False, True, 3, 0, 1, 3)
+        with pytest.raises(ValidationError):
+            SweepGrid(0, 1, 3, False, True, 3)
 
 
 class TestRunSweep:
@@ -161,8 +157,8 @@ class TestRunSweep:
         "workers, n_amp, failing_rows",
         [
             (2, 4, [2, 3]),  # only the child's block fails
-            (2, 4, [0, 1, 2, 3]),  # both fail: this process's block wins
-            (3, 6, [2, 3, 4, 5]),  # two children fail: the lower block wins
+            (2, 4, [0, 1, 2, 3]),  # both fail: this process's block comes first
+            (3, 6, [2, 3, 4, 5]),  # two children fail: the lower block comes first
         ],
     )
     def test_nonconvergent_from_a_worker(self, monkeypatch, workers, n_amp, failing_rows):
@@ -188,8 +184,8 @@ class TestRunSweep:
         assert errors[0] == errors[1]
         assert errors[0][:2] == (-1.0, amps[failing_rows[0]])
 
-    @pytest.mark.parametrize("kind", ["unpicklable", "fails_to_unpickle"])
-    def test_worker_exception_that_does_not_pickle(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind", ["raises", "exits"])
+    def test_failure_only_a_child_hits_is_redone_in_process(self, monkeypatch, tmp_path, kind):
         class Local(Exception):
             pass
 
@@ -198,32 +194,44 @@ class TestRunSweep:
 
         def failing_in_child(self, amps):
             if os.getpid() != parent:
-                raise Local("lost") if kind == "unpicklable" else NeedsTwoArgs("lost", 2)
+                if kind == "exits":
+                    os._exit(3)
+                raise Local("lost")
             return block(self, amps)
 
-        monkeypatch.setattr(sweep_mod.SweepPlan, "block", failing_in_child)
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
-        with pytest.raises(SimulationError, match="sweep worker failed: .*lost"):
-            run_sweep(TWO_STATE, DRIVE, grid, workers=2)
+        alone = run_sweep(TWO_STATE, DRIVE, grid)
+        config = tmp_path / "ten_level.cfg"
+        config.write_text(re.sub(r"amp = .*", "amp = 0 15 4", TEN_LEVEL_CFG))
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "w1")]) == 0
+        monkeypatch.setattr(sweep_mod.SweepPlan, "block", failing_in_child)
+        assert np.array_equal(run_sweep(TWO_STATE, DRIVE, grid, workers=2).values, alone.values)
+        assert cli.main(["run", str(config), "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
+        for path in sorted((tmp_path / "w1").iterdir()):
+            assert (tmp_path / "w2" / path.name).read_bytes() == path.read_bytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_dying_worker_fails_the_run_and_is_reaped(self, monkeypatch, tmp_path):
-        parent = os.getpid()
+    def test_failure_that_recurs_in_process_is_raised_itself(self, monkeypatch):
+        class Local(Exception):
+            pass
+
         block = sweep_mod.SweepPlan.block
 
-        def dying_in_child(self, amps):
-            if os.getpid() != parent:
-                os._exit(3)
+        def failing_from_amp_two(self, amps):
+            failing = [amp for amp in amps if amp >= 2.0]
+            if failing:
+                raise Local(f"lost at {failing[0]}")
             return block(self, amps)
 
-        monkeypatch.setattr(sweep_mod.SweepPlan, "block", dying_in_child)
+        monkeypatch.setattr(sweep_mod.SweepPlan, "block", failing_from_amp_two)
+        # Rows 0-3 in one block at workers 1, in blocks of two rows at
+        # workers 2 and of one row at workers 4: only children fail, and
+        # the rerun in this process raises the one-worker error.
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
-        with pytest.raises(SimulationError, match="status 3 without a report"):
-            run_sweep(TWO_STATE, DRIVE, grid, workers=2)
-        config = tmp_path / "ten_level.cfg"
-        config.write_text(re.sub(r"amp = .*", "amp = 0 15 4", TEN_LEVEL_CFG))
-        assert cli.main(["run", str(config), "--workers", "2", "--out", str(tmp_path / "out")]) == 1
+        for workers in (1, 2, 4):
+            with pytest.raises(Local, match=r"^lost at 2\.0$"):
+                run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -348,6 +356,30 @@ class TestRowEngine:
             RateKernelParams(n_margin=20, lorentz_cutoff=1.0),
             DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.5),
             SweepGrid(0.0, 1.0, 2, 1.1912276104925003e-158, 1.0, 2),
+        )
+    )
+    @example(  # at the least amplitude R1 leaves only through a fill of
+        # two 2e-198 rates, which underflows unless the rates are scaled
+        (
+            QubitModel(
+                left_offsets=(0.0, 1.0, 2.0, 3.0),
+                right_offsets=(0.0, 1.0, 2.0, 5.0),
+                crossings=np.array(
+                    [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4]
+                ),
+                left_relax=np.zeros((4, 4)),
+                right_relax=np.zeros((4, 4)),
+                left_to_right=np.array(
+                    [[0.0] * 4, [0.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0, 1.0, 0.0, 0.0]]
+                ),
+                right_to_left=np.array(
+                    [[0.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1.0]]
+                ),
+                leak=LeakConfig(threshold=2, return_rate=1.0),
+            ),
+            RateKernelParams(n_margin=20, lorentz_cutoff=1.0),
+            DriveParams(amplitude=0.0, frequency=2.0, dephasing=0.5),
+            SweepGrid(0.0, 2.0, 2, 5.780685181640569e-99, 1.0, 2),
         )
     )
     @settings(max_examples=150, deadline=None)
@@ -552,3 +584,63 @@ class TestFrequencyBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
             run_frequency_batch(TWO_STATE, [], SweepGrid(-1, 1, 3, 0, 1, 2))
+
+    def test_batch_forks_once(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
+        drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0, 3.0)]
+        alone = run_frequency_batch(TWO_STATE, drives, grid)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        pooled = run_frequency_batch(TWO_STATE, drives, grid, workers=2)
+        # Six two-row blocks over three maps, shared by one child and this
+        # process: one fork for the run, not one for each map.
+        assert len(forks) == 1
+        for a, b in zip(alone, pooled):
+            assert np.array_equal(a.values, b.values)
+
+    def test_one_worker_output_stays_on_the_heap(self, monkeypatch):
+        import mmap
+
+        def no_mapping(*args):
+            raise AssertionError("shared mapping for a one-worker run")
+
+        monkeypatch.setattr(mmap, "mmap", no_mapping)
+        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
+        one, two = run_frequency_batch(TWO_STATE, [DRIVE, DRIVE], grid, workers=1)
+        assert np.array_equal(one.values, two.values)
+        with pytest.raises(AssertionError, match="shared mapping"):
+            run_frequency_batch(TWO_STATE, [DRIVE, DRIVE], grid, workers=2)
+
+    def test_nonconvergent_in_the_second_map(self, monkeypatch):
+        grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
+        amps = grid.amp_values.tolist()
+        drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0, 3.0)]
+        top = DriveParams(amps[-1], 2.0, 0.1)
+        plan = sweep_mod.SweepPlan(TWO_STATE, top, RateKernelParams(), grid.eps_values)
+        # Rows 1 and 3 of the second map; row 0 (A = 0) has the same rates
+        # at every frequency, so it would fail in every map.
+        failing = {col.tobytes() for col in plan.values([amps[1], amps[3]]).T}
+        accepts = GTHPlan.accepts
+
+        def reject_failing_points(self, values, q):
+            ok = accepts(self, values, q)
+            return ok & np.array([col.tobytes() not in failing for col in values.T])
+
+        monkeypatch.setattr(GTHPlan, "accepts", reject_failing_points)
+        errors = []
+        for workers in (1, 2, 3):
+            with pytest.raises(NonConvergent) as err:
+                run_frequency_batch(TWO_STATE, drives, grid, workers=workers)
+            errors.append((err.value.eps, err.value.amp, str(err.value)))
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0][:2] == (-1.0, amps[1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
