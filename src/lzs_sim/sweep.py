@@ -21,20 +21,39 @@ path on a block of one, so a map value equals what it gives, bit for
 bit.  A point that fails the acceptance check aborts the run.
 
 One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
-Each map is cut into tasks (map, first row, amplitudes), one block each,
-capped at ceil(rows / workers) rows with more than one worker, and
-W = min(workers, tasks) processes share them: this process forks W - 1
-children once per run, and process w writes tasks w, w + W, ... into
-one shared anonymous mapping, building a map's plan at the first of
-that map's tasks it reaches.  With W = 1 (or without ``os.fork``) the
-same loop writes every task, in order, into an ordinary array.  A child
-reports only its exit status.  If any share fails, every child is
-reaped and this process computes all tasks again, in order: a failure
-that recurs raises exactly the exception a one-worker run raises, and
-one that was a child's alone leaves a complete run.  A point's bits
-depend neither on its block nor on its process nor on BLAS threading
-(no step uses BLAS), which makes the result bit-identical for any
-worker count.
+It first fixes the number of processes from the run's work, counted as
+points times pattern entries over all maps: W = min(workers, tasks,
+max(1, work // _WORK_PER_PROCESS)), so a process is forked only for a
+share of the work that pays for it.  End to end on two cores (medians
+of 8-10 alternating pairs of runs, every run forking), ``--workers 2``
+against 1:
+
+    input                 entry-points   --workers 2 against 1
+    first_diamond            0.20M            +10.7%
+    second_diamond           0.32M             +6.5%
+    frequency_batch          0.66M             -0.1%
+    ten-level  61 x  61      0.19M             +3.4%
+    ten-level 141 x 141      1.01M            -13.5%
+    ten-level 181 x 181      1.67M            -20.0%
+    ten-level 261 x 261      3.47M            -22.4%
+    ten-level 401 x 401      8.20M            -35.6%
+
+An earlier measurement put the ten-level break-even between 1.7M and
+3.5M, so a second process starts at 2M.  Each map is then cut into
+tasks (map, first row, amplitudes), one block each, capped at
+ceil(rows / W) rows when W > 1, and W = min(W, tasks) processes share
+them: this process forks W - 1 children once per run, and process w
+writes tasks w, w + W, ... into one shared anonymous mapping, building
+a map's plan at the first of that map's tasks it reaches.  With W = 1
+(any run below 2 * _WORK_PER_PROCESS, or without ``os.fork``) the same
+loop writes every task, in order, into an ordinary array, cut as a
+one-worker run cuts them.  A child reports only its exit status.  If
+any share fails, every child is reaped and this process computes all
+tasks again, in order: a failure that recurs raises exactly the
+exception a one-worker run raises, and one that was a child's alone
+leaves a complete run.  A point's bits depend neither on its block nor
+on its process nor on BLAS threading (no step uses BLAS), which makes
+the result bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -165,6 +184,23 @@ def model_fingerprint(
 # Rows are solved in blocks of about this many points: enough to spread
 # the engine's per-call cost, few enough to keep its buffers small.
 _BLOCK_POINTS = 2048
+# The work, in points times pattern entries, that each process of a run
+# must have: a second process starts at 2M, above the measured
+# break-even (see the module docstring).
+_WORK_PER_PROCESS = 1_000_000
+
+
+def _pattern(model: QubitModel):
+    """The generator's layout (static, pumps) and its pattern (rows,
+    cols): every entry that is nonzero at some point.  Drive-independent,
+    so every map of a run has the same pattern."""
+    static, pumps = _generator_layout(model)
+    pattern = static != 0.0
+    for _, _, _, targets in pumps:
+        for to, frm in targets:
+            pattern[to, frm] = True
+    rows, cols = np.nonzero(pattern)
+    return static, pumps, rows, cols
 
 
 class SweepPlan:
@@ -180,12 +216,7 @@ class SweepPlan:
         kernel: RateKernelParams,
         eps_values: np.ndarray,
     ):
-        static, pumps = _generator_layout(model)
-        pattern = static != 0.0
-        for _, _, _, targets in pumps:
-            for to, frm in targets:
-                pattern[to, frm] = True
-        rows, cols = np.nonzero(pattern)
+        static, pumps, rows, cols = _pattern(model)
         entry = {(to, frm): e for e, (to, frm) in enumerate(zip(rows.tolist(), cols.tolist()))}
         self.static = static[rows, cols]
         self.pumped = [[entry[t] for t in targets] for _, _, _, targets in pumps]
@@ -228,6 +259,22 @@ class SweepPlan:
                 amp=amps[point // n_eps],
             )
         return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
+
+
+def _schedule(model: QubitModel, n_maps: int, grid: SweepGrid, workers: int):
+    """The run's tasks (map, first row, amplitudes), map after map, and
+    the number of processes W that share them.  Each process must have
+    _WORK_PER_PROCESS of the run's work, counted in points times pattern
+    entries, and a task: W = min(workers, tasks, max(1, work //
+    _WORK_PER_PROCESS)), or 1 without ``os.fork``."""
+    work = n_maps * grid.n_eps * grid.n_amp * _pattern(model)[2].size
+    processes = min(workers, max(1, work // _WORK_PER_PROCESS)) if hasattr(os, "fork") else 1
+    rows = max(1, _BLOCK_POINTS // grid.n_eps)
+    if processes > 1:
+        rows = min(rows, -(-grid.n_amp // processes))
+    amps = grid.amp_values.tolist()
+    tasks = [(m, k, amps[k : k + rows]) for m in range(n_maps) for k in range(0, grid.n_amp, rows)]
+    return tasks, min(processes, len(tasks))
 
 
 def _compute(tasks, plan_of, out, first: int, step: int):
@@ -297,27 +344,20 @@ def run_frequency_batch(
     drive_list = list(drive_list)
     if not drive_list:
         raise ValidationError("drive_list must not be empty")
-    amps, shape = grid.amp_values.tolist(), (len(drive_list),) + grid.shape
+    shape = (len(drive_list),) + grid.shape
 
     def plan_of(m: int) -> SweepPlan:
-        top = DriveParams(amps[-1], drive_list[m].frequency, drive_list[m].dephasing)
+        top = DriveParams(grid.amp_max, drive_list[m].frequency, drive_list[m].dephasing)
         return SweepPlan(model, top, kernel, grid.eps_values)
 
-    rows = max(1, _BLOCK_POINTS // grid.n_eps)
-    if workers > 1:
-        rows = min(rows, -(-grid.n_amp // workers))
-    tasks = [
-        (m, k, amps[k : k + rows]) for m in range(shape[0]) for k in range(0, grid.n_amp, rows)
-    ]
-    # Every process gets a task, so never start more than there are tasks.
-    workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
-    if workers == 1:
+    tasks, processes = _schedule(model, len(drive_list), grid, workers)
+    if processes == 1:
         out = np.empty(shape)
     else:
-        import mmap  # here, so that a one-worker run never loads it
+        import mmap  # here, so that a run that does not fork never loads it
 
         out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
-    if workers == 1 or not _forked(tasks, plan_of, out, workers):
+    if processes == 1 or not _forked(tasks, plan_of, out, processes):
         _compute(tasks, plan_of, out, 0, 1)
     return [
         PopulationMap(

@@ -1,5 +1,6 @@
 """Config parsing, file formats, and the command-line entry point."""
 
+import gc
 import hashlib
 import json
 import math
@@ -704,11 +705,13 @@ class TestMainEntry:
     def test_one_worker_run_never_loads_the_pool(self, tmp_path):
         # In a fresh interpreter: neither importing the CLI nor a run with
         # one worker, nor one with two forked workers, loads
-        # multiprocessing or concurrent.futures.
+        # multiprocessing or concurrent.futures.  The threshold is pinned
+        # so that this small grid forks.
         path = self.write_config(tmp_path, THREE_STATE)
         script = (
             "import json, sys\n"
-            "import lzs_sim.cli\n"
+            "import lzs_sim.cli, lzs_sim.sweep\n"
+            "lzs_sim.sweep._WORK_PER_PROCESS = 1\n"
             "pool = ('multiprocessing', 'concurrent.futures')\n"
             "seen = [[m for m in pool if m in sys.modules]]\n"
             "codes = []\n"
@@ -718,14 +721,55 @@ class TestMainEntry:
             "    seen.append([m for m in pool if m in sys.modules])\n"
             "print(json.dumps([codes, seen]))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, path, str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = program(["-c", script, path, str(tmp_path / "out")], capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, 0], [[], [], []]]
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, THREE_STATE)
+        frozen = gc.get_freeze_count()
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert main(["probe", path, "--eps", "0.7", "--amp", "1.3"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_program_entry_freezes_the_heap(self, tmp_path, monkeypatch, capsys):
+        path = self.write_config(tmp_path, THREE_STATE)
+        monkeypatch.setattr(sys, "argv", ["lzs-sim", "boundaries", path])
+        try:
+            assert cli.console_main() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert "regime" in capsys.readouterr().out
+
+    def test_program_exit_writes_everything(self, tmp_path, capsys):
+        # The interpreter's exit after the freeze still flushes stdout
+        # into a file, and a run's files are complete.
+        path = self.write_config(tmp_path, THREE_STATE)
+        probe = ["probe", path, "--eps", "0.7", "--amp", "1.3"]
+        with open(tmp_path / "probe.txt", "w") as fh:
+            proc = program(["-m", "lzs_sim.cli"] + probe, stdout=fh, stderr=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr
+        printed = (tmp_path / "probe.txt").read_text()
+        assert printed.splitlines()[-1].startswith("P_leak ")
+        assert main(probe) == 0
+        assert printed == capsys.readouterr().out
+
+        out = tmp_path / "out"
+        proc = program(["-m", "lzs_sim.cli", "run", path, "--out", str(out)], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = [f for report in manifest["maps"] for f in report["files"].values()]
+        assert sorted(f["name"] for f in files) == ["map_00.csv", "map_00.pgm"]
+        for f in files:
+            assert hashlib.sha256((out / f["name"]).read_bytes()).hexdigest() == f["sha256"]
+
+
+def program(args, **kwargs):
+    """Run this Python on args with the package's sources on PYTHONPATH,
+    and with stdout block-buffered into a file or pipe, as by default."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + args, text=True, env=env, **kwargs)

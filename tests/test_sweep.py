@@ -41,6 +41,30 @@ ZERO_COUPLING = QubitModel(
 DRIVE = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
 
 
+@pytest.fixture
+def always_fork(monkeypatch):
+    """Fork for any amount of work, as a run big enough to pay for it
+    does: W = min(workers, tasks).  The tests' grids are far below the
+    real threshold, and would otherwise never leave this process."""
+    monkeypatch.setattr(sweep_mod, "_WORK_PER_PROCESS", 1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child this process forks, in order."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
 class TestSweepGrid:
     def test_axes_are_inclusive_linspaces(self):
         g = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
@@ -103,30 +127,21 @@ class TestRunSweep:
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_count_does_not_change_bits(self, workers):
+    def test_worker_count_does_not_change_bits(self, always_fork, forks, workers):
         grid = SweepGrid(-1.0, 1.0, 7, 0.0, 2.0, 4)
         serial = run_sweep(TWO_STATE, DRIVE, grid, workers=1)
         parallel = run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
         assert np.array_equal(serial.values, parallel.values)
+        assert len(forks) == workers - 1
 
-    def test_pool_never_exceeds_rows(self, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+    def test_pool_never_exceeds_rows(self, always_fork, forks):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
         pooled = run_sweep(TWO_STATE, DRIVE, grid, workers=8)
         # Three one-row blocks: two forked workers, and this process.
         assert len(forks) == 2
         assert np.array_equal(pooled.values, run_sweep(TWO_STATE, DRIVE, grid).values)
 
-    def test_without_fork_workers_run_in_process(self, monkeypatch):
+    def test_without_fork_workers_run_in_process(self, always_fork, monkeypatch):
         monkeypatch.delattr(os, "fork")
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
         alone = run_sweep(TWO_STATE, DRIVE, grid, workers=2)
@@ -161,7 +176,9 @@ class TestRunSweep:
             (3, 6, [2, 3, 4, 5]),  # two children fail: the lower block comes first
         ],
     )
-    def test_nonconvergent_from_a_worker(self, monkeypatch, workers, n_amp, failing_rows):
+    def test_nonconvergent_from_a_worker(
+        self, always_fork, forks, monkeypatch, workers, n_amp, failing_rows
+    ):
         # Blocks hold two rows each.  Points of the failing rows are told
         # apart by their generator values, whichever process solves them.
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, n_amp)
@@ -183,9 +200,12 @@ class TestRunSweep:
             errors.append((err.value.eps, err.value.amp, str(err.value)))
         assert errors[0] == errors[1]
         assert errors[0][:2] == (-1.0, amps[failing_rows[0]])
+        assert len(forks) == workers - 1
 
     @pytest.mark.parametrize("kind", ["raises", "exits"])
-    def test_failure_only_a_child_hits_is_redone_in_process(self, monkeypatch, tmp_path, kind):
+    def test_failure_only_a_child_hits_is_redone_in_process(
+        self, always_fork, forks, monkeypatch, tmp_path, kind
+    ):
         class Local(Exception):
             pass
 
@@ -209,10 +229,14 @@ class TestRunSweep:
         assert cli.main(["run", str(config), "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
         for path in sorted((tmp_path / "w1").iterdir()):
             assert (tmp_path / "w2" / path.name).read_bytes() == path.read_bytes()
+        # One child in each two-worker run, and no second fork for the redo.
+        assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failure_that_recurs_in_process_is_raised_itself(self, monkeypatch):
+    def test_failure_that_recurs_in_process_is_raised_itself(
+        self, always_fork, forks, monkeypatch
+    ):
         class Local(Exception):
             pass
 
@@ -232,6 +256,7 @@ class TestRunSweep:
         for workers in (1, 2, 4):
             with pytest.raises(Local, match=r"^lost at 2\.0$"):
                 run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
+        assert len(forks) == 0 + 1 + 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -548,8 +573,9 @@ class TestBlocks:
                 assert stationary_solve(alone).p_left == row[m]
         assert np.array_equal(whole, run_sweep(config.model, drive, grid, config.kernel).values)
 
-    def test_worker_counts_give_identical_bytes(self, tmp_path):
-        # 27 rows are split into blocks of 27, 14 and 4 rows.
+    def test_worker_counts_give_identical_bytes(self, always_fork, forks, tmp_path):
+        # 27 rows are split into blocks of 27, 14 and 4 rows: one child at
+        # two workers, six (seven blocks) at eight.
         config = ten_level_config(27, 27)
         outputs = []
         for workers in (1, 2, 8):
@@ -558,6 +584,7 @@ class TestBlocks:
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert sorted(outputs[0]) == ["manifest.json", "map_00.csv", "map_00.pgm"]
         assert outputs[0] == outputs[1] == outputs[2]
+        assert len(forks) == 1 + 6
 
 
 class TestFrequencyBatch:
@@ -585,20 +612,10 @@ class TestFrequencyBatch:
         with pytest.raises(ValidationError):
             run_frequency_batch(TWO_STATE, [], SweepGrid(-1, 1, 3, 0, 1, 2))
 
-    def test_batch_forks_once(self, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
+    def test_batch_forks_once(self, always_fork, forks):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
         drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0, 3.0)]
         alone = run_frequency_batch(TWO_STATE, drives, grid)
-        monkeypatch.setattr(os, "fork", counting_fork)
         pooled = run_frequency_batch(TWO_STATE, drives, grid, workers=2)
         # Six two-row blocks over three maps, shared by one child and this
         # process: one fork for the run, not one for each map.
@@ -606,7 +623,7 @@ class TestFrequencyBatch:
         for a, b in zip(alone, pooled):
             assert np.array_equal(a.values, b.values)
 
-    def test_one_worker_output_stays_on_the_heap(self, monkeypatch):
+    def test_one_worker_output_stays_on_the_heap(self, always_fork, monkeypatch):
         import mmap
 
         def no_mapping(*args):
@@ -619,7 +636,7 @@ class TestFrequencyBatch:
         with pytest.raises(AssertionError, match="shared mapping"):
             run_frequency_batch(TWO_STATE, [DRIVE, DRIVE], grid, workers=2)
 
-    def test_nonconvergent_in_the_second_map(self, monkeypatch):
+    def test_nonconvergent_in_the_second_map(self, always_fork, forks, monkeypatch):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
         amps = grid.amp_values.tolist()
         drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0, 3.0)]
@@ -642,5 +659,67 @@ class TestFrequencyBatch:
             errors.append((err.value.eps, err.value.amp, str(err.value)))
         assert errors[0] == errors[1] == errors[2]
         assert errors[0][:2] == (-1.0, amps[1])
+        assert len(forks) == 0 + 1 + 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkRule:
+    def test_below_the_threshold_nothing_forks(self, forks, monkeypatch, tmp_path):
+        # The bench's 27 x 27 ten-level input: 37k entry-points.
+        import mmap
+
+        def no_mapping(*args):
+            raise AssertionError("shared mapping for a run that does not fork")
+
+        monkeypatch.setattr(mmap, "mmap", no_mapping)
+        config = ten_level_config(27, 27)
+        outputs = []
+        for workers in (1, 2, 8):
+            out = tmp_path / f"w{workers}"
+            assert cli.run(config, workers, out) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert forks == []
+
+    @pytest.mark.parametrize(
+        "workers, shares, children",
+        [(8, 1, 0), (8, 2, 1), (8, 3, 2), (2, 3, 1)],
+    )
+    def test_each_process_gets_its_share_of_the_work(
+        self, forks, monkeypatch, workers, shares, children
+    ):
+        # Two maps of 6 rows; the threshold is a 1 / shares part of both
+        # maps' work, so with shares = 2 only the second map's work makes
+        # the second process pay.
+        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.5, 6)
+        drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0)]
+        entries = sweep_mod._pattern(TWO_STATE)[2].size
+        work = len(drives) * grid.n_eps * grid.n_amp * entries
+        alone = run_frequency_batch(TWO_STATE, drives, grid)
+        monkeypatch.setattr(sweep_mod, "_WORK_PER_PROCESS", work // shares)
+        pooled = run_frequency_batch(TWO_STATE, drives, grid, workers=workers)
+        assert len(forks) == children
+        for a, b in zip(alone, pooled):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize(
+        "name, processes",
+        [
+            ("ten_level", (2, 8)),
+            ("first_diamond", (1, 1)),
+            ("second_diamond", (1, 1)),
+            ("frequency_batch", (1, 1)),
+        ],
+    )
+    def test_shipped_configs_fork_only_where_it_pays(self, name, processes):
+        # The decision alone, on each shipped config's full grid at
+        # --workers 2 and 8: ten-level has 8.2M entry-points, the 3-state
+        # configs at most 0.66M.
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+        config = cli.parse_config(path.read_text())
+        n_maps = len(config.drives)
+        assert processes == tuple(
+            sweep_mod._schedule(config.model, n_maps, config.grid, workers)[1]
+            for workers in (2, 8)
+        )
