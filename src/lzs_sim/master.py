@@ -35,7 +35,7 @@ from .model import (
     QubitModel,
     StateIndex,
     Well,
-    local_detuning,
+    crossing_position,
 )
 from .rates import RateKernelParams, lzs_rate
 
@@ -152,16 +152,18 @@ class PopulationVector:
 
 
 def _generator_layout(model: QubitModel):
-    """The drive-independent part of a model's generator.
+    """The drive-independent part of a model's generator, in pattern form.
 
-    Returns (static, pumps).  static[to, from] holds relaxation,
-    interwell decay and the leak return, with a zero diagonal.  pumps
-    lists (i, j, delta, targets) for each pumped crossing in
-    ``coupled_pairs`` order; its rate adds to static[to, from] for every
-    (to, from) in targets.  Without a leak a crossing pumps both ways.
-    With one, a crossing whose partner level is at or above the
-    threshold pumps its below-threshold side into the leak (the last
-    state), and one with both partners above pumps nothing.
+    Returns (rows, cols, static, pumps): the entries M[rows[e], cols[e]]
+    that are nonzero at some working point, in row-major order, with
+    static[e] the entry's relaxation, interwell decay and leak return.
+    pumps lists (delta, position, entries) for each pumped crossing in
+    ``coupled_pairs`` order; at detuning eps its rate, ``lzs_rate(delta,
+    eps - position)``, adds to each of its entries, one crossing after
+    another.  Without a leak a crossing pumps both ways.  With one, a
+    crossing whose partner level is at or above the threshold pumps its
+    below-threshold side into the leak (the last state), and one with
+    both partners above pumps nothing.
     """
     nl = model.n_left
     n = len(model.states())
@@ -177,18 +179,24 @@ def _generator_layout(model: QubitModel):
     if model.leak is not None:
         threshold = model.leak.threshold
         static[0, -1] = static[nl, -1] = 0.5 * model.leak.return_rate
-    pumps = []
+    pattern = static != 0.0
+    crossings = []
     for i, j, delta in model.coupled_pairs():
         left_local = threshold is None or i < threshold
         right_local = threshold is None or j < threshold
         if left_local and right_local:
-            targets = ((nl + j, i), (i, nl + j))
+            targets = ((nl + j, i), (i, nl + j))  # (to, from) pairs
         elif left_local or right_local:
             targets = ((n - 1, i if left_local else nl + j),)
         else:
             continue  # both partners non-local: no localized channel
-        pumps.append((i, j, delta, targets))
-    return static, pumps
+        for target in targets:
+            pattern[target] = True
+        crossings.append((delta, crossing_position(model, i, j), targets))
+    rows, cols = np.nonzero(pattern)
+    entry = np.cumsum(pattern).reshape(n, n) - 1  # entry[to, from]: its index in the pattern
+    pumps = [(delta, pos, [entry[t] for t in targets]) for delta, pos, targets in crossings]
+    return rows, cols, static[rows, cols], pumps
 
 
 def build_rate_matrix(
@@ -205,13 +213,14 @@ def build_rate_matrix(
     """
     if not math.isfinite(eps):
         raise ValidationError("eps must be finite")
-    mat, pumps = _generator_layout(model)
-    for i, j, delta, targets in pumps:
-        w = lzs_rate(delta, local_detuning(model, eps, i, j), drive, kernel)
-        for to, frm in targets:
-            mat[to, frm] += w
+    rows, cols, values, pumps = _generator_layout(model)
+    for delta, position, entries in pumps:
+        values[entries] += lzs_rate(delta, eps - position, drive, kernel)
+    states = model.states()
+    mat = np.zeros((len(states), len(states)))
+    mat[rows, cols] = values
     np.fill_diagonal(mat, -mat.sum(axis=0))
-    return RateMatrix(matrix=mat, states=model.states())
+    return RateMatrix(matrix=mat, states=states)
 
 
 def _chain(terms: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ by the squared Bessel function J_n(A/w)**2:
                                 / ((eps - n*w)**2 + gamma2**2)
 
 with eps the detuning from the crossing and gamma2 the dephasing rate.
-One rule, ``_photon_runs``, truncates the infinite sum, for one point
+One rule, ``_photon_range``, truncates the infinite sum, for one point
 and for a map row alike: keep the Bessel support |n| <= A/w + n_margin,
 beyond which the summand is negligible because J_n(x) decays
 super-exponentially for |n| > x, and the resonant window of the points
@@ -175,27 +175,24 @@ def bessel_jn(n: int, x: float) -> float:
     return sign * float(_jn_array(n, x)[n])
 
 
-def _photon_runs(c_lo: float, c_hi: float, half: float) -> tuple[tuple[int, int], ...]:
-    """The photon numbers summed, as ascending runs [start, stop) of
-    consecutive integers.
+def _photon_range(c_lo: float, c_hi: float, half: float) -> np.ndarray:
+    """The photon numbers summed, ascending.
 
     c_lo and c_hi are the extreme resonance centres eps/w of the points
-    summed.  The runs cover the Bessel support |n| <= half and the
+    summed.  The numbers cover the Bessel support |n| <= half and the
     resonant window [c_lo - half, c_hi + half], and nothing else: one
-    run where the two meet, two where a gap lies between them.
+    run of consecutive integers where the two meet, two where a gap lies
+    between them.
     """
     support = (math.ceil(-half), math.floor(half) + 1)
     window = (math.ceil(c_lo - half), math.floor(c_hi + half) + 1)
     if window[0] > support[1]:
-        return support, window
-    if window[1] < support[0]:
-        return window, support
-    return ((min(support[0], window[0]), max(support[1], window[1])),)
-
-
-def _photon_range(c_lo: float, c_hi: float, half: float) -> np.ndarray:
-    """The photon numbers of ``_photon_runs``, ascending, as one array."""
-    return np.concatenate([np.arange(*run) for run in _photon_runs(c_lo, c_hi, half)])
+        runs = support, window
+    elif window[1] < support[0]:
+        runs = window, support
+    else:
+        runs = ((min(support[0], window[0]), max(support[1], window[1])),)
+    return np.concatenate([np.arange(*run) for run in runs])
 
 
 def lzs_rate(
@@ -315,7 +312,7 @@ class PhotonTable:
             jn = _jn_array(int(max(-ns[0], ns[-1])), amp / w)
             weights[np.searchsorted(self.ns, ns), k] = jn[np.abs(ns)] ** 2
         inner = np.abs(self.ns) <= halves.min()  # in every point's window
-        # Each point's own resonant window, as _photon_runs bounds it.
+        # Each point's own resonant window, as _photon_range bounds it.
         centers = self.centers[:, None, :]
         lo, hi = centers - halves[:, None], centers + halves[:, None]
         terms = np.empty_like(total)

@@ -7,6 +7,8 @@ frequency and dephasing, kernel, detuning axis and largest amplitude.
 It holds the generator's pattern (every entry that is nonzero at some
 point) with its static values, the entries each pumped crossing adds to,
 and a ``rates.PhotonTable`` with every Lorentzian denominator of the map.
+The pattern and the pumped entries are ``master._generator_layout``'s,
+the layout ``build_rate_matrix`` reads.
 
 Rows are solved in blocks of whole rows, up to about 2048 points.  The
 table gives every rate of the block, with ``lzs_rate``'s bits; the
@@ -68,7 +70,7 @@ import numpy as np
 
 from .errors import NonConvergent, ValidationError
 from .master import _chain, _generator_layout, solve_points
-from .model import DriveParams, QubitModel, crossing_position
+from .model import DriveParams, QubitModel
 from .rates import PhotonTable, RateKernelParams
 
 __all__ = ["SweepGrid", "PopulationMap", "run_sweep", "run_frequency_batch"]
@@ -98,10 +100,12 @@ class SweepGrid:
             count = getattr(self, name)
             if not isinstance(count, int) or isinstance(count, bool) or count < 2:
                 raise ValidationError(f"{name} must be an integer >= 2")
-        if not self.eps_max > self.eps_min:
-            raise ValidationError("eps_max must exceed eps_min")
-        if not self.amp_max > self.amp_min:
-            raise ValidationError("amp_max must exceed amp_min")
+        for axis in ("eps", "amp"):
+            lo, hi = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
+            if not hi > lo:
+                raise ValidationError(f"{axis}_max must exceed {axis}_min")
+            if not math.isfinite(hi - lo):
+                raise ValidationError(f"{axis}_max - {axis}_min must be finite")
         if self.amp_min < 0:
             raise ValidationError("drive amplitudes must be >= 0")
 
@@ -190,24 +194,12 @@ _BLOCK_POINTS = 2048
 _WORK_PER_PROCESS = 1_000_000
 
 
-def _pattern(model: QubitModel):
-    """The generator's layout (static, pumps) and its pattern (rows,
-    cols): every entry that is nonzero at some point.  Drive-independent,
-    so every map of a run has the same pattern."""
-    static, pumps = _generator_layout(model)
-    pattern = static != 0.0
-    for _, _, _, targets in pumps:
-        for to, frm in targets:
-            pattern[to, frm] = True
-    rows, cols = np.nonzero(pattern)
-    return static, pumps, rows, cols
-
-
 class SweepPlan:
     """The amplitude-independent work of one map, for drive.frequency and
     drive.dephasing at amplitudes up to drive.amplitude: the generator's
-    pattern (rows, cols) with its static values, each pumped crossing's
-    entries and the Lorentzian denominator table."""
+    pattern (rows, cols) with its static values and each pumped
+    crossing's entries, as ``master._generator_layout`` gives them to
+    ``build_rate_matrix`` too, and the Lorentzian denominator table."""
 
     def __init__(
         self,
@@ -216,18 +208,16 @@ class SweepPlan:
         kernel: RateKernelParams,
         eps_values: np.ndarray,
     ):
-        static, pumps, rows, cols = _pattern(model)
-        entry = {(to, frm): e for e, (to, frm) in enumerate(zip(rows.tolist(), cols.tolist()))}
-        self.static = static[rows, cols]
-        self.pumped = [[entry[t] for t in targets] for _, _, _, targets in pumps]
+        self.rows, self.cols, self.static, pumps = _generator_layout(model)
+        self.pumped = [entries for _, _, entries in pumps]
         self.photons = PhotonTable(
-            [delta for _, _, delta, _ in pumps],
-            [crossing_position(model, i, j) for i, j, _, _ in pumps],
+            [delta for delta, _, _ in pumps],
+            [position for _, position, _ in pumps],
             eps_values,
             drive,
             kernel,
         )
-        self.rows, self.cols, self.n = rows, cols, static.shape[0]
+        self.n = len(model.states())
         self.eps_values = eps_values
         self.n_left = model.n_left
 
@@ -267,7 +257,7 @@ def _schedule(model: QubitModel, n_maps: int, grid: SweepGrid, workers: int):
     _WORK_PER_PROCESS of the run's work, counted in points times pattern
     entries, and a task: W = min(workers, tasks, max(1, work //
     _WORK_PER_PROCESS)), or 1 without ``os.fork``."""
-    work = n_maps * grid.n_eps * grid.n_amp * _pattern(model)[2].size
+    work = n_maps * grid.n_eps * grid.n_amp * len(_generator_layout(model)[0])
     processes = min(workers, max(1, work // _WORK_PER_PROCESS)) if hasattr(os, "fork") else 1
     rows = max(1, _BLOCK_POINTS // grid.n_eps)
     if processes > 1:

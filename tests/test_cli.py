@@ -632,6 +632,12 @@ class TestMainEntry:
         path = self.write_config(tmp_path, "[model]\nwat = 1\n")
         assert main(["run", path]) == 2
         assert "unknown key" in capsys.readouterr().err
+        # Both bounds are finite, but the span overflows to inf.
+        path = self.write_config(tmp_path, MINIMAL.replace("eps = -1 1 3", "eps = -1e308 1e308 3"))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "eps_max - eps_min must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_probe_matches_closed_form(self, tmp_path, capsys):
         path = self.write_config(tmp_path, THREE_STATE)

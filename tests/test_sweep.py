@@ -87,6 +87,10 @@ class TestSweepGrid:
             SweepGrid(False, True, 3, 0, 1, 3)
         with pytest.raises(ValidationError):
             SweepGrid(0, 1, 3, False, True, 3)
+        with pytest.raises(ValidationError, match="eps_max - eps_min must be finite"):
+            SweepGrid(-1e308, 1e308, 3, 0.0, 1.0, 3)
+        with pytest.raises(ValidationError, match="amp_max - amp_min must be finite"):
+            SweepGrid(0.0, 1.0, 3, -1e308, 1e308, 3)
 
 
 class TestRunSweep:
@@ -694,7 +698,7 @@ class TestForkRule:
         # the second process pay.
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.5, 6)
         drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0)]
-        entries = sweep_mod._pattern(TWO_STATE)[2].size
+        entries = len(sweep_mod._generator_layout(TWO_STATE)[0])
         work = len(drives) * grid.n_eps * grid.n_amp * entries
         alone = run_frequency_batch(TWO_STATE, drives, grid)
         monkeypatch.setattr(sweep_mod, "_WORK_PER_PROCESS", work // shares)
