@@ -38,7 +38,6 @@ from .model import (
     StateIndex,
     Well,
     crossing_position,
-    local_detuning,
 )
 from .rates import RateKernelParams, bessel_jn, lzs_rate
 from .sweep import PopulationMap, SweepGrid, run_frequency_batch, run_sweep
@@ -70,7 +69,6 @@ __all__ = [
     "build_rate_matrix",
     "crossing_position",
     "diamond_boundaries",
-    "local_detuning",
     "lzs_rate",
     "regime_classify",
     "run_frequency_batch",

@@ -21,7 +21,6 @@ Configuration grammar (INI-like, ``#`` starts a comment)::
 
     [kernel]                    # optional section
     n_margin = 20
-    lorentz_cutoff = none       # or a positive multiple of dephasing
 
     [output]                    # optional section
     directory = out
@@ -97,7 +96,6 @@ _GRAMMAR = {
     "eps": ("grid", "range"),
     "amp": ("grid", "range"),
     "n_margin": ("kernel", "int"),
-    "lorentz_cutoff": ("kernel", "cutoff"),
     "directory": ("output", "text"),
     "formats": ("output", "formats"),
 }
@@ -196,8 +194,6 @@ def _parse_value(kind: str, keyword: str, text: str, line: int, col: int):
     tok, tok_col = toks[0]
     if kind == "int":
         return _parse_int(tok, line, tok_col)
-    if kind == "cutoff" and tok == "none":
-        return None
     return _parse_float(tok, line, tok_col)
 
 
@@ -346,10 +342,7 @@ def _assemble(text, found):
 
     grid = SweepGrid(*need("eps"), *need("amp"))  # (min, max, points) each
 
-    kernel = RateKernelParams(
-        n_margin=get("n_margin", 20),
-        lorentz_cutoff=get("lorentz_cutoff"),
-    )
+    kernel = RateKernelParams(n_margin=get("n_margin", 20))
 
     return RunConfig(
         model=model,

@@ -483,8 +483,8 @@ def solve_points(rows, cols, n: int, start, values: np.ndarray):
         keep = np.flatnonzero(nonzero[:, point])
         return keep, _pattern_plan(tuple(rows[keep].tolist()), tuple(cols[keep].tolist()), n, start)
 
-    # One pattern, as in every block of a map without cutoff zeros and at
-    # every single point: these skip the sort that grouping costs.
+    # One pattern, as in every block of a map whose rates do not underflow
+    # and at every single point: these skip the sort that grouping costs.
     if (nonzero == nonzero[:, :1]).all():
         keep, plan = plan_of(0)
         return plan.solve(values if keep.size == len(values) else values[keep])

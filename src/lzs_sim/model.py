@@ -30,7 +30,6 @@ __all__ = [
     "QubitModel",
     "DriveParams",
     "crossing_position",
-    "local_detuning",
 ]
 
 
@@ -214,20 +213,10 @@ class DriveParams:
             raise ValidationError("dephasing must be positive and finite")
 
 
-def _check_levels(model: QubitModel, i: int, j: int):
+def crossing_position(model: QubitModel, i: int, j: int) -> float:
+    """Global detuning (GHz) at which |i,L> and |j,R> are degenerate."""
     if not 0 <= i < model.n_left:
         raise IndexError(f"left level {i} out of range [0, {model.n_left})")
     if not 0 <= j < model.n_right:
         raise IndexError(f"right level {j} out of range [0, {model.n_right})")
-
-
-def crossing_position(model: QubitModel, i: int, j: int) -> float:
-    """Global detuning (GHz) at which |i,L> and |j,R> are degenerate."""
-    _check_levels(model, i, j)
     return model.right_offsets[j] - model.left_offsets[i]
-
-
-def local_detuning(model: QubitModel, eps: float, i: int, j: int) -> float:
-    """Detuning of the pair (i, j) measured from its own crossing."""
-    _check_levels(model, i, j)
-    return eps - (model.right_offsets[j] - model.left_offsets[i])

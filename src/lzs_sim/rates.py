@@ -16,11 +16,13 @@ super-exponentially for |n| > x, and the resonant window of the points
 summed, the integers within A/w + n_margin of [eps/w, eps/w] (of the
 extreme eps/w of a row), in ascending n.  A point far from its crossing
 thus sums two runs of photon numbers, not the stretch between them,
-whose J_n**2 is negligible.  With the default n_margin = 20, every rate
-is within a relative 1e-7 of the rate with n_margin = 80, and P_L within
-1e-10 absolute, on the grids of the shipped configs and on
-second_diamond driven at w = 0.6 GHz up to A = 14 GHz (A/w = 23); the
-largest gaps seen there are 3.5e-15 and 7.8e-16, roundoff.
+whose J_n**2 is negligible.  No term of the window is dropped for
+lying far from its resonance: the Lorentzian tails are summed in full.
+With the default n_margin = 20, every rate is within a relative 1e-7
+of the rate with n_margin = 80, and P_L within 1e-10 absolute, on the
+grids of the shipped configs and on second_diamond driven at
+w = 0.6 GHz up to A = 14 GHz (A/w = 23); the largest gaps seen there
+are 3.5e-15 and 7.8e-16, roundoff.
 
 Every sum adds its terms one after another in ascending n.
 ``PhotonTable`` evaluates the same sums for many crossings, detunings
@@ -56,27 +58,18 @@ _RESCALE = 1e-250
 
 @dataclass(frozen=True)
 class RateKernelParams:
-    """Truncation controls for the photon sum.
+    """Truncation control for the photon sum.
 
     n_margin widens both the resonant window and the Bessel-support
-    window.  lorentz_cutoff, when set, additionally drops photon numbers
-    whose resonance lies further than lorentz_cutoff * gamma2 from the
-    working detuning; by default every windowed n is kept.
+    window; every photon number of the window is kept.
     """
 
     n_margin: int = 20
-    lorentz_cutoff: float | None = None
 
     def __post_init__(self):
         n = self.n_margin
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValidationError("n_margin must be a nonnegative integer")
-        cutoff = self.lorentz_cutoff
-        if cutoff is not None:
-            if not isinstance(cutoff, (int, float)) or isinstance(cutoff, bool):
-                raise ValidationError("lorentz_cutoff must be a number when set")
-            if not (math.isfinite(cutoff) and cutoff > 0):
-                raise ValidationError("lorentz_cutoff must be positive when set")
 
 
 def _jn_series(n: int, x: float) -> float:
@@ -224,10 +217,6 @@ def lzs_rate(
     x = drive.amplitude / w
     center = eps_local / w
     ns = _photon_range(center, center, x + kernel.n_margin)
-    if kernel.lorentz_cutoff is not None:
-        ns = ns[np.abs(eps_local - ns * w) <= kernel.lorentz_cutoff * gamma2]
-        if ns.size == 0:
-            return 0.0
     jn = _jn_array(int(np.abs(ns).max()), x)
     jn_sq = jn[np.abs(ns)] ** 2
     detune = eps_local - ns * w
@@ -249,12 +238,11 @@ class PhotonTable:
     The Lorentzian denominators are tabulated once, photon by photon,
     over the photon range of the largest amplitude, which holds that of
     every smaller one; ``rates`` divides each amplitude's squared Bessel
-    weights by the table.  Under lorentz_cutoff a cut term's denominator
-    is inf, so the term is exactly 0.  Each point adds the terms of its
-    own window, as lzs_rate sums it, in ascending n from 0.0, and skips
-    every other photon of the table, so W has lzs_rate's bits at every
-    point: the elementwise ops are lzs_rate's and the Bessel weights do
-    not depend on the window.
+    weights by the table.  Each point adds the terms of its own window,
+    as lzs_rate sums it, in ascending n from 0.0, and skips every other
+    photon of the table, so W has lzs_rate's bits at every point: the
+    elementwise ops are lzs_rate's and the Bessel weights do not depend
+    on the window.
     """
 
     def __init__(
@@ -281,12 +269,8 @@ class PhotonTable:
         # denominators[i, c, m], built in place with the elementwise ops
         # lzs_rate uses.
         table = self.eps_local[None] - (self.ns * w)[:, None, None]
-        if kernel.lorentz_cutoff is not None:
-            cut = np.abs(table) > kernel.lorentz_cutoff * gamma2
         table *= table
         table += gamma2 * gamma2
-        if kernel.lorentz_cutoff is not None:
-            table[cut] = np.inf
         self.denominators = table
 
     def rates(self, amps) -> np.ndarray:

@@ -15,8 +15,8 @@ table gives every rate of the block, with ``lzs_rate``'s bits; the
 pattern values are written as (entries, points), the static value first
 and then each crossing's rate in pump order, so each entry has
 ``build_rate_matrix``'s bits.  ``master.solve_points`` then solves each
-point on the GTH plan of its own nonzero entries (a ``lorentz_cutoff``
-zero drops an entry), all points of one pattern in one call; with
+point on the GTH plan of its own nonzero entries (a rate that underflows
+to zero drops an entry), all points of one pattern in one call; with
 several closed classes it gives the populations reached from 0R.
 ``probe`` (``stationary_solve`` of ``build_rate_matrix``) takes the same
 path on a block of one, so a map value equals what it gives, bit for
@@ -178,9 +178,9 @@ def model_fingerprint(
         digest.update(b"\x00")
     else:
         digest.update(struct.pack("<qd", model.leak.threshold, model.leak.return_rate))
-    cutoff = -1.0 if kernel.lorentz_cutoff is None else kernel.lorentz_cutoff
+    # -1.0 fills the removed Lorentzian cutoff's slot: manifests keep their bytes.
     digest.update(
-        struct.pack("<ddqd", drive.frequency, drive.dephasing, kernel.n_margin, cutoff)
+        struct.pack("<ddqd", drive.frequency, drive.dephasing, kernel.n_margin, -1.0)
     )
     return digest.hexdigest()
 

@@ -167,8 +167,8 @@ PARSE_ERRORS = {
         "ParseError: line 9, column 13: expected a finite number, got 'inf'",
     ),
     "bad_cutoff": (
-        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[kernel]\nlorentz_cutoff = never"),
-        "ParseError: line 15, column 18: expected a number, got 'never'",
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[kernel]\nlorentz_cutoff = 4"),
+        "ParseError: line 15, column 1: unknown key 'lorentz_cutoff' in [kernel]",
     ),
     "non_integer": (
         edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2.5"),
@@ -371,11 +371,10 @@ class TestParseConfig:
         assert cfg.model.leak.return_rate == 0.5
 
     def test_kernel_and_output_sections(self):
-        text = MINIMAL + "\n[kernel]\nn_margin = 10\nlorentz_cutoff = 30\n"
+        text = MINIMAL + "\n[kernel]\nn_margin = 10\n"
         text += "\n[output]\ndirectory = maps\nformats = csv\n"
         cfg = parse_config(text)
         assert cfg.kernel.n_margin == 10
-        assert cfg.kernel.lorentz_cutoff == 30.0
         assert cfg.output_dir == "maps"
         assert cfg.formats == ("csv",)
 
@@ -638,6 +637,11 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "eps_max - eps_min must be finite" in err
         assert not (tmp_path / "out").exists()
+        path = self.write_config(tmp_path, MINIMAL + "\n[kernel]\nlorentz_cutoff = 4\n")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key 'lorentz_cutoff' in [kernel]" in err
+        assert not (tmp_path / "out").exists()
 
     def test_probe_matches_closed_form(self, tmp_path, capsys):
         path = self.write_config(tmp_path, THREE_STATE)
@@ -661,16 +665,23 @@ class TestMainEntry:
         )
 
     def test_probe_keeps_a_huge_unnormalized_vector_finite(self, tmp_path, capsys):
-        # configs/ten_level.cfg with lorentz_cutoff = 40: at eps = -10,
-        # A = 0.375 the vector built back from the leak state passes 1e297
-        # before it is normalized.  The reference is a 60-digit solve.
-        text = (Path(__file__).resolve().parents[1] / "configs" / "ten_level.cfg").read_text()
-        text = text.replace("[output]", "[kernel]\nlorentz_cutoff = 40\n\n[output]")
+        # 0L pumped into 0R through a crossing of 1e-155, with decay
+        # 0R -> 0L at 1 GHz.  At eps = 0, A = 0 the pumped rate W is 5e-310,
+        # so the vector built back from 0R holds 0L at (1 + W) / W, past the
+        # float range, before it is normalized.  Exactly, P_0R is
+        # W / (1 + 2 W), which is W in floats.
+        text = edit(
+            MINIMAL,
+            "crossing 0 0 = 0.05", "crossing 0 0 = 1e-155",
+            "interwell L0 R0 = 0.01", "interwell R0 L0 = 1.0",
+        )
         path = self.write_config(tmp_path, text)
-        assert main(["probe", path, "--eps", "-10", "--amp", "0.375"]) == 0
+        assert main(["probe", path, "--eps", "0", "--amp", "0"]) == 0
         printed = dict(line.split() for line in capsys.readouterr().out.strip().split("\n"))
-        p_left = float(printed["P_left"])
-        assert p_left == pytest.approx(3.47953578213718826e-11, rel=0, abs=1e-15)
+        w = lzs_rate(1e-155, 0.0, DriveParams(0.0, 1.0, 0.1))
+        assert w == pytest.approx(5e-310, rel=1e-12)
+        assert float(printed["0R"]) == pytest.approx(w, rel=1e-12)
+        assert float(printed["P_left"]) == 1.0
 
     def test_output_independent_of_blas_threads(self, tmp_path):
         path = self.write_config(tmp_path, LEAK_MODEL)

@@ -22,7 +22,7 @@ from lzs_sim import (
     ValidationError,
     Well,
     build_rate_matrix,
-    local_detuning,
+    crossing_position,
     lzs_rate,
     stationary_four_state,
     stationary_solve,
@@ -84,7 +84,7 @@ def channel_rate_matrix(model, eps, drive):
         right_above = threshold is not None and j >= threshold
         if left_above and right_above:
             continue
-        w = lzs_rate(delta, local_detuning(model, eps, i, j), drive)
+        w = lzs_rate(delta, eps - crossing_position(model, i, j), drive)
         if right_above:
             channels.append((left, leak, w))
         elif left_above:

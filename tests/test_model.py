@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lzs_sim import (
     DriveParams,
@@ -13,7 +11,6 @@ from lzs_sim import (
     ValidationError,
     Well,
     crossing_position,
-    local_detuning,
 )
 
 
@@ -162,21 +159,7 @@ class TestCrossingGeometry:
         with pytest.raises(IndexError):
             crossing_position(m, 1, 0)
         with pytest.raises(IndexError):
-            local_detuning(m, 0.0, 0, 2)
-
-    def test_local_detuning_at_crossing_is_zero(self):
-        m = make_model([0.0, 6.0], [0.0, 5.0])
-        for i, j in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            d = crossing_position(m, i, j)
-            assert local_detuning(m, d, i, j) == 0.0
-
-    def test_local_detuning_offset(self):
-        m = make_model([0.0], [5.0])
-        assert local_detuning(m, 3.0, 0, 0) == -2.0
-
-    def test_local_detuning_symmetric_ladders(self):
-        m = make_model([0.0], [0.0])
-        assert local_detuning(m, 1.0, 0, 0) == 1.0
+            crossing_position(m, 0, 2)
 
     def test_antisymmetry_under_ladder_exchange(self):
         m = make_model([0.0, 6.0], [0.5, 5.0], crossings=np.full((2, 2), 0.1))
@@ -184,18 +167,6 @@ class TestCrossingGeometry:
         for i in range(2):
             for j in range(2):
                 assert crossing_position(m, i, j) == -crossing_position(swapped, j, i)
-
-    @given(
-        eps=st.floats(-50, 50),
-        shift=st.floats(0.01, 10),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_unit_slope_in_eps(self, eps, shift):
-        m = make_model([0.0, 6.0], [0.0, 5.0])
-        base = local_detuning(m, eps, 1, 1)
-        assert local_detuning(m, eps + shift, 1, 1) == pytest.approx(
-            base + shift, abs=1e-9
-        )
 
     def test_consecutive_spacing_matches_ladder(self):
         m = make_model([0.0, 6.0, 13.0], [0.0])

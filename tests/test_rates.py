@@ -21,7 +21,7 @@ from lzs_sim import (
     ValidationError,
     bessel_jn,
     build_rate_matrix,
-    local_detuning,
+    crossing_position,
     lzs_rate,
     stationary_solve,
 )
@@ -363,7 +363,7 @@ class TestLzsRate:
             drive = DriveParams(float(amp), base.frequency, base.dephasing)
             for eps in map(float, eps_sample):
                 for i, j, delta in model.coupled_pairs():
-                    local = local_detuning(model, eps, i, j)
+                    local = eps - crossing_position(model, i, j)
                     ref = lzs_rate(delta, local, drive, wide)
                     rel = abs(lzs_rate(delta, local, drive, default) - ref) / ref
                     worst_rate = max(worst_rate, rel)
@@ -374,24 +374,6 @@ class TestLzsRate:
                 worst_p = max(worst_p, abs(p_default - p_wide))
         assert worst_rate <= 1e-7
         assert worst_p <= 1e-10
-
-    def test_lorentz_cutoff_drops_far_tails(self):
-        tight = RateKernelParams(lorentz_cutoff=5.0)
-        # working point far from every kept resonance: nothing within
-        # 5*Gamma2 of a comb line
-        d = DriveParams(amplitude=0.0, frequency=10.0, dephasing=0.01)
-        assert lzs_rate(0.1, 5.0, d, tight) == 0.0
-
-    def test_lorentz_cutoff_keeps_near_resonance(self):
-        tight = RateKernelParams(lorentz_cutoff=1e6)
-        assert lzs_rate(0.1, 1.0, DRIVE, tight) == pytest.approx(
-            lzs_rate(0.1, 1.0, DRIVE), rel=1e-15
-        )
-
-    def test_cutoff_never_increases_rate(self):
-        tight = RateKernelParams(lorentz_cutoff=20.0)
-        for eps in (-3.0, 0.4, 1.0, 6.0):
-            assert lzs_rate(0.1, eps, DRIVE, tight) <= lzs_rate(0.1, eps, DRIVE)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
@@ -404,14 +386,6 @@ class TestLzsRate:
             RateKernelParams(n_margin=-1)
         with pytest.raises(ValidationError):
             RateKernelParams(n_margin=True)
-        with pytest.raises(ValidationError):
-            RateKernelParams(lorentz_cutoff=0.0)
-        with pytest.raises(ValidationError):
-            RateKernelParams(lorentz_cutoff=-1.0)
-        with pytest.raises(ValidationError):
-            RateKernelParams(lorentz_cutoff=True)
-        with pytest.raises(ValidationError):
-            RateKernelParams(lorentz_cutoff="4")
 
 
 
@@ -424,19 +398,15 @@ class TestRowRates:
     EPS = np.linspace(-10.0, 10.0, 41)
 
     @pytest.mark.parametrize("amp", [0.0, 1.5, 4.0, 9.0])
-    @pytest.mark.parametrize("cutoff", [None, 3.0])
-    def test_matches_lzs_rate(self, amp, cutoff):
-        kernel = RateKernelParams(lorentz_cutoff=cutoff)
-        table = PhotonTable(
-            self.DELTAS, self.POSITIONS, self.EPS, DriveParams(9.0, 1.0, 0.1), kernel
-        )
+    def test_matches_lzs_rate(self, amp):
+        table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, DriveParams(9.0, 1.0, 0.1))
         # Every point sums its own window in lzs_rate's order: the same bits.
         got = table.rates([amp])
         assert got.shape == (4, 1, self.EPS.size)
         drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
         for c, (delta, pos) in enumerate(zip(self.DELTAS, self.POSITIONS)):
             for m, eps in enumerate(self.EPS):
-                assert got[c, 0, m] == lzs_rate(delta, float(eps) - pos, drive, kernel)
+                assert got[c, 0, m] == lzs_rate(delta, float(eps) - pos, drive)
 
     def test_wide_windows_match_lzs_rate(self):
         # At A/w up to 47 the terms of the table's window that lie outside
@@ -459,13 +429,12 @@ class TestRowRates:
         # table's photon range, and each point still skips the photons
         # outside its own window.
         drive = DriveParams(amplitude=12.0, frequency=0.7, dephasing=0.05)
-        kernel = RateKernelParams(lorentz_cutoff=40.0)
-        table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive, kernel)
+        table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive)
         whole = table.rates([12.0, 5.0])
         alone = [table.rates([amp])[:, 0] for amp in (12.0, 5.0)]
         assert all(np.array_equal(whole[:, k], a) for k, a in enumerate(alone))
         wide_eps = np.concatenate((self.EPS, np.linspace(-60.0, 60.0, n_extra)))
-        wide = PhotonTable(self.DELTAS, self.POSITIONS, wide_eps, drive, kernel)
+        wide = PhotonTable(self.DELTAS, self.POSITIONS, wide_eps, drive)
         assert wide.ns.size > table.ns.size
         assert np.array_equal(wide.rates([12.0, 5.0])[:, :, : self.EPS.size], whole)
 
@@ -498,15 +467,6 @@ class TestRowRates:
                 ref = lzs_rate(0.1, float(eps) - 60.0, drive)
                 assert ref > 0.0
                 assert got[0, 0, m] == ref
-
-    def test_cut_terms_are_exactly_zero(self):
-        # At eps = 5 nothing lies within 5 Gamma2 of a comb line: the rate
-        # is 0.0, not a sum of tiny terms.  At eps = 0 the n = 0 line is kept.
-        tight = RateKernelParams(lorentz_cutoff=5.0)
-        drive = DriveParams(amplitude=0.0, frequency=10.0, dephasing=0.01)
-        got = PhotonTable([0.1], [0.0], [5.0, 0.0], drive, tight).rates([0.0])
-        assert got[0, 0, 0] == 0.0
-        assert got[0, 0, 1] == lzs_rate(0.1, 0.0, drive, tight)
 
     def test_no_crossings(self):
         assert PhotonTable([], [], self.EPS, DRIVE).rates([2.0]).shape == (0, 1, self.EPS.size)

@@ -272,13 +272,37 @@ class TestRunSweep:
         c = run_sweep(TWO_STATE, other_drive, SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2))
         assert a.fingerprint != c.fingerprint
 
+    def test_shipped_fingerprints_are_pinned(self):
+        # Every manifest records these digests, so a change to what
+        # model_fingerprint packs changes the bytes of every manifest.
+        pinned = {
+            "first_diamond": ["7ec5b9017b0f743344b8a4b3d3186dc20e50db86755e80881505e4195580ef89"],
+            "frequency_batch": [
+                "9a5d19863daea385ce30f92f13e80d6e728fd6a1fa8d841e5478ea10063a2383",
+                "7eb1d26dd394bb0bb5f34255735532084e1b7a45f83c523dabf945c5b18c18cf",
+                "7e8989fafcc52f5dab3fa44aada9f91a2f3ba087742d83cf05bdade3bf796840",
+                "a053ded4b14f2ff973a225eb3bd547adbc886ee4c70d1690f3a1aa44c405b8ee",
+                "cb1428c517c10a47a0d998f842b6028363f36c47ba53d3efff77331d329295ba",
+                "a5206a8ce903e238434dfa3969c5db923a3b1016f4a850c4045220b17ef3333c",
+            ],
+            "second_diamond": ["83eb5806201f8c1d5ec7a62a847dc63a11c042d1ce7a2147f1c9e9e8cd5904e9"],
+            "ten_level": ["1097c65e1562b91d98d6d929a875b0c2dc9e1360f10036b72ae9e36bd99c884f"],
+        }
+        configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        assert [path.stem for path in configs] == sorted(pinned)
+        for path in configs:
+            config = cli.parse_config(path.read_text())
+            got = [
+                sweep_mod.model_fingerprint(config.model, drive, config.kernel)
+                for drive in config.drives
+            ]
+            assert got == pinned[path.stem], path.stem
+
     def test_kernel_params_respected(self):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 1.0, 2)
         base = run_sweep(TWO_STATE, DRIVE, grid)
-        tight = run_sweep(
-            TWO_STATE, DRIVE, grid, kernel=RateKernelParams(lorentz_cutoff=0.5)
-        )
-        assert not np.array_equal(base.values, tight.values)
+        narrow = run_sweep(TWO_STATE, DRIVE, grid, kernel=RateKernelParams(n_margin=0))
+        assert not np.array_equal(base.values, narrow.values)
 
 
 sparse_rates = st.one_of(st.just(0.0), st.floats(1e-4, 2.0))
@@ -287,7 +311,7 @@ sparse_rates = st.one_of(st.just(0.0), st.floats(1e-4, 2.0))
 @st.composite
 def engine_cases(draw):
     """A random model (2-4 levels per well, sparse rates, optional leak),
-    kernel (optional lorentz_cutoff), drive and small grid.
+    drive and small grid.
 
     The decays of excited levels to their well's ground state and
     between the two ground states are each drawn as forced or not, so
@@ -324,7 +348,6 @@ def engine_cases(draw):
         right_to_left=block(nr, nl, [(0, 0)]),
         leak=draw(st.one_of(st.none(), leaks)),
     )
-    cutoff = draw(st.one_of(st.none(), st.floats(0.5, 50.0)))
     drive = DriveParams(
         amplitude=0.0,
         frequency=draw(st.floats(0.5, 3.0)),
@@ -339,7 +362,19 @@ def engine_cases(draw):
         amp_min + draw(st.floats(0.1, 4.0)),
         draw(st.integers(2, 3)),
     )
-    return model, RateKernelParams(lorentz_cutoff=cutoff), drive, grid
+    return model, drive, grid
+
+
+def underflow_pair(delta):
+    """0L and 0R pumped through a crossing of size delta, with decay
+    0R -> 0L at 1 GHz.  A tiny delta makes the pumped rate subnormal, or
+    0 where it underflows."""
+    return QubitModel(
+        left_offsets=(0.0,),
+        right_offsets=(0.0,),
+        crossings=np.array([[delta]]),
+        right_to_left=np.array([[1.0]]),
+    )
 
 
 def pointwise_map(model, drive_base, grid, kernel=RateKernelParams()):
@@ -366,35 +401,34 @@ class TestRowEngine:
                 left_to_right=np.eye(2),
                 right_to_left=np.eye(2),
             ),
-            RateKernelParams(),
             DriveParams(amplitude=0.0, frequency=0.5, dephasing=0.5),
             SweepGrid(0.0, 4.0, 2, 3.0, 7.0, 2),
         )
     )
-    @example(  # at the least amplitude 0L<->1R run at a subnormal rate
+    @example(  # 0L<->1R run at a subnormal rate, and 0R, the start,
+        # is transient: 1 / outflow(0L) overflows, but no step forms it
         (
             QubitModel(
                 left_offsets=(0.0, 1.0),
                 right_offsets=(0.0, 1.0),
-                crossings=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                crossings=np.array([[0.0, 1e-158], [0.0, 0.0]]),
                 left_relax=np.zeros((2, 2)),
                 right_relax=np.zeros((2, 2)),
                 left_to_right=np.zeros((2, 2)),
                 right_to_left=np.array([[1.0, 0.0], [0.0, 0.0]]),
             ),
-            RateKernelParams(n_margin=20, lorentz_cutoff=1.0),
             DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.5),
-            SweepGrid(0.0, 1.0, 2, 1.1912276104925003e-158, 1.0, 2),
+            SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2),
         )
     )
-    @example(  # at the least amplitude R1 leaves only through a fill of
-        # two 2e-198 rates, which underflows unless the rates are scaled
+    @example(  # R1 leaves only through a fill of two rates near 1e-198,
+        # which underflows unless the rates are scaled
         (
             QubitModel(
                 left_offsets=(0.0, 1.0, 2.0, 3.0),
                 right_offsets=(0.0, 1.0, 2.0, 5.0),
                 crossings=np.array(
-                    [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4]
+                    [[0.0, 0.0, 0.0, 0.0], [0.0, 1e-99, 0.0, 1e-99], [0.0] * 4, [0.0] * 4]
                 ),
                 left_relax=np.zeros((4, 4)),
                 right_relax=np.zeros((4, 4)),
@@ -406,18 +440,17 @@ class TestRowEngine:
                 ),
                 leak=LeakConfig(threshold=2, return_rate=1.0),
             ),
-            RateKernelParams(n_margin=20, lorentz_cutoff=1.0),
             DriveParams(amplitude=0.0, frequency=2.0, dephasing=0.5),
-            SweepGrid(0.0, 2.0, 2, 5.780685181640569e-99, 1.0, 2),
+            SweepGrid(-3.0, 3.0, 13, 0.0, 1.0, 2),
         )
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_oracle(self, case):
         # Bit for bit at every point, also where a zero rate changes the
         # point's pattern: both solve it on the plan of its own entries.
-        model, kernel, drive, grid = case
-        pmap = run_sweep(model, drive, grid, kernel)
-        assert np.array_equal(pmap.values, pointwise_map(model, drive, grid, kernel))
+        model, drive, grid = case
+        pmap = run_sweep(model, drive, grid)
+        assert np.array_equal(pmap.values, pointwise_map(model, drive, grid))
 
     def test_reducible_model_keeps_the_pair_holding_0r(self, monkeypatch):
         # Two non-interacting pairs, 0L<->0R and 1L<->1R: two closed
@@ -435,68 +468,63 @@ class TestRowEngine:
         assert np.all(pmap.values == 0.5)
         assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid))
 
-    def test_cutoff_zeroed_points_solve_on_their_own_pattern(self, monkeypatch):
-        # One pumped pair with decay R0 -> L0.  Where lorentz_cutoff zeroes
-        # the pumped rate, 0R only drains, and on the model's pattern 0L's
+    def test_underflowed_points_solve_on_their_own_pattern(self, monkeypatch):
+        # At delta = 1e-160 the pumped rate underflows to 0 at 96 of the 183
+        # points.  There 0R only drains, and on the model's pattern 0L's
         # outflow would be exactly 0.  Those points are solved together on
         # their own pattern, the rest on the model's, with all population
-        # in 0L at the cut points.
-        model = QubitModel(
-            left_offsets=(0.0,),
-            right_offsets=(0.0,),
-            crossings=np.array([[0.05]]),
-            right_to_left=np.array([[0.01]]),
-        )
-        kernel = RateKernelParams(lorentz_cutoff=2.0)
-        grid = SweepGrid(-3.0, 3.0, 13, 0.0, 1.0, 2)
+        # in 0L at the zero-rate points.
+        grid = SweepGrid(-30.0, 30.0, 61, 0.0, 2.0, 3)
         calls = count_solves(monkeypatch)
-        pmap = run_sweep(model, DRIVE, grid, kernel)
-        cut = np.array([
+        pmap = run_sweep(underflow_pair(1e-160), DRIVE, grid)
+        zero = np.array([
             [
-                lzs_rate(0.05, float(eps), DriveParams(float(amp), 1.0, 0.1), kernel) == 0.0
+                lzs_rate(1e-160, float(eps), DriveParams(float(amp), 1.0, 0.1)) == 0.0
                 for eps in grid.eps_values
             ]
             for amp in grid.amp_values
         ])
-        assert 0 < cut.sum() < cut.size
+        assert zero.sum() == 96
         assert calls == [2]
-        assert np.all(pmap.values[cut] == 1.0)
-        assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid, kernel))
+        assert np.all(pmap.values[zero] == 1.0)
+        assert np.array_equal(pmap.values, pointwise_map(underflow_pair(1e-160), DRIVE, grid))
 
     def test_one_solve_per_pattern_in_each_block(self, monkeypatch):
-        # Ten levels with lorentz_cutoff = 4: most points have zero rates,
-        # in a few dozen patterns.  Each block solves each of its patterns
-        # in one call, and the map is the oracle's bit for bit.
-        config = ten_level_config(26, 9, "lorentz_cutoff = 4")
-        grid, drive = config.grid, config.drives[0]
+        # 0L pumped into 0R and 1R through two crossings of 1e-160: each
+        # pumped rate underflows to 0 at some points, so a block holds four
+        # patterns.  Each block solves each of its patterns in one call,
+        # and the map is the oracle's bit for bit.
+        model = QubitModel(
+            left_offsets=(0.0,),
+            right_offsets=(0.0, 12.0),
+            crossings=np.array([[1e-160, 1e-160]]),
+            right_relax=np.array([[0.0, 0.0], [1.0, 0.0]]),
+            right_to_left=np.array([[1.0], [0.0]]),
+        )
+        grid = SweepGrid(-30.0, 30.0, 61, 0.0, 2.0, 5)
         monkeypatch.setattr(sweep_mod, "_BLOCK_POINTS", 2 * grid.n_eps)
         calls = count_solves(monkeypatch)
-        pmap = run_sweep(config.model, drive, grid, config.kernel)
+        pmap = run_sweep(model, DRIVE, grid)
         amps = grid.amp_values.tolist()
-        top = DriveParams(amps[-1], drive.frequency, drive.dephasing)
-        plan = sweep_mod.SweepPlan(config.model, top, config.kernel, grid.eps_values)
+        top = DriveParams(amps[-1], DRIVE.frequency, DRIVE.dephasing)
+        plan = sweep_mod.SweepPlan(model, top, RateKernelParams(), grid.eps_values)
         patterns = [
             np.unique(plan.values(amps[k : k + 2]) != 0.0, axis=1).shape[1]
             for k in range(0, grid.n_amp, 2)
         ]
-        assert calls == patterns
-        assert len(patterns) == 5 and min(patterns) > 1
-        assert np.array_equal(
-            pmap.values, pointwise_map(config.model, drive, grid, config.kernel)
-        )
+        assert calls == patterns == [4, 4, 4]
+        assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid))
 
     def test_large_unnormalized_vector_stays_finite(self):
-        # Ten levels with lorentz_cutoff = 40 at eps = -10: every outflow is
-        # positive, but the unnormalized vector built back from the leak
-        # state passes 1e297 at A = 0.375 and overflows unless it is
-        # rescaled.  The map matches probe bit for bit there.
-        config = ten_level_config(3, 41, "lorentz_cutoff = 40")
-        drive = config.drives[0]
-        assert config.grid.amp_values[1] == 0.375 and config.grid.eps_values[0] == -10.0
-        pmap = run_sweep(config.model, drive, config.grid, config.kernel)
-        oracle = pointwise_map(config.model, drive, config.grid, config.kernel)
-        assert np.array_equal(pmap.values, oracle)
-        assert pmap.values[1, 0] == pytest.approx(3.47953578213718826e-11, rel=0, abs=1e-15)
+        # At delta = 1e-154 the pumped rate W stays below 1e-307, so the
+        # vector built back from 0R holds 0L at (1 + W) / W: past 2**600 at
+        # every point, and past the float range at most, unless it is
+        # rescaled.  P_L = (1 + W) / (1 + 2 W) rounds to 1, and the map
+        # matches probe bit for bit.
+        grid = SweepGrid(-30.0, 30.0, 61, 0.0, 2.0, 3)
+        pmap = run_sweep(underflow_pair(1e-154), DRIVE, grid)
+        assert np.all(pmap.values == 1.0)
+        assert np.array_equal(pmap.values, pointwise_map(underflow_pair(1e-154), DRIVE, grid))
 
     def test_two_closed_classes_give_one_answer(self):
         # L0, L1 and R0-R2: the pumped pair L0<->R0 and L0<->R1 form one
@@ -548,12 +576,9 @@ def count_solves(monkeypatch):
 TEN_LEVEL_CFG = (Path(__file__).resolve().parents[1] / "configs" / "ten_level.cfg").read_text()
 
 
-def ten_level_config(n_eps, n_amp, kernel=None):
-    """configs/ten_level.cfg on an n_eps x n_amp grid, with the [kernel]
-    line kernel if given."""
+def ten_level_config(n_eps, n_amp):
+    """configs/ten_level.cfg on an n_eps x n_amp grid."""
     text = re.sub(r"eps = .*", f"eps = -10 10 {n_eps}", TEN_LEVEL_CFG)
-    if kernel is not None:
-        text = text.replace("[output]", f"[kernel]\n{kernel}\n\n[output]")
     return cli.parse_config(re.sub(r"amp = .*", f"amp = 0 15 {n_amp}", text))
 
 
