@@ -9,7 +9,6 @@ the characteristic diamond-shaped interference maps.
 
 from .analysis import (
     DiamondBoundary,
-    DiamondBoundarySet,
     Regime,
     RegimeReport,
     diamond_boundaries,
@@ -47,7 +46,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DegenerateSystem",
     "DiamondBoundary",
-    "DiamondBoundarySet",
     "DriveParams",
     "InsufficientLevels",
     "LeakConfig",

@@ -22,7 +22,6 @@ from .model import DriveParams, QubitModel, crossing_position
 
 __all__ = [
     "DiamondBoundary",
-    "DiamondBoundarySet",
     "Regime",
     "RegimeReport",
     "diamond_boundaries",
@@ -37,23 +36,6 @@ class DiamondBoundary:
     left_level: int
     right_level: int
     position: float
-
-
-@dataclass(frozen=True)
-class DiamondBoundarySet:
-    boundaries: tuple[DiamondBoundary, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
-
-    def __iter__(self):
-        return iter(self.boundaries)
-
-    def __len__(self):
-        return len(self.boundaries)
-
-    def positions(self) -> list[float]:
-        return [b.position for b in self.boundaries]
 
 
 class Regime(enum.Enum):
@@ -81,17 +63,15 @@ class RegimeReport:
             raise ValidationError("regime label inconsistent with ratio")
 
 
-def diamond_boundaries(model: QubitModel) -> DiamondBoundarySet:
+def diamond_boundaries(model: QubitModel) -> tuple[DiamondBoundary, ...]:
     """One V-shaped boundary per nonzero crossing, apex at its position."""
-    return DiamondBoundarySet(
-        boundaries=tuple(
-            DiamondBoundary(
-                left_level=i,
-                right_level=j,
-                position=crossing_position(model, i, j),
-            )
-            for i, j, _ in model.coupled_pairs()
+    return tuple(
+        DiamondBoundary(
+            left_level=i,
+            right_level=j,
+            position=crossing_position(model, i, j),
         )
+        for i, j, _ in model.coupled_pairs()
     )
 
 

@@ -24,11 +24,10 @@ Configuration grammar (INI-like, ``#`` starts a comment)::
 
     [output]                    # optional section
     directory = out
-    formats = csv pgm
 
 Unknown sections or keys are hard errors with line and column; semantic
 violations (negative rates, non-ascending ladders, ...) raise
-ValidationError.  ``run`` writes one CSV and/or PGM per drive frequency
+ValidationError.  ``run`` writes one CSV and one PGM per drive frequency
 plus a JSON manifest with checksums; the manifest is written last, so
 its presence marks a complete run, and map files of an earlier run into
 the same directory do not outlive the run that follows.
@@ -79,7 +78,6 @@ __all__ = [
 ]
 
 _CSV_HEADER = "eps_ghz,amp_ghz,p_left"
-_FORMATS = ("csv", "pgm")
 # Every key: its section and the kind of its value.  Keywords are
 # unique across sections.
 _GRAMMAR = {
@@ -97,7 +95,6 @@ _GRAMMAR = {
     "amp": ("grid", "range"),
     "n_margin": ("kernel", "int"),
     "directory": ("output", "text"),
-    "formats": ("output", "formats"),
 }
 _SECTIONS = {section for section, _ in _GRAMMAR.values()}
 # The indexed [model] entries: the kinds of their key arguments, and the
@@ -120,7 +117,6 @@ class RunConfig:
     grid: SweepGrid
     kernel: RateKernelParams
     output_dir: str
-    formats: tuple[str, ...]
     config_sha256: str
 
 
@@ -183,11 +179,6 @@ def _parse_value(kind: str, keyword: str, text: str, line: int, col: int):
         return text.strip()
     if kind == "floats":
         return [_parse_float(tok, line, tok_col) for tok, tok_col in toks]
-    if kind == "formats":
-        for tok, tok_col in toks:
-            if tok not in _FORMATS:
-                raise ParseError(f"unknown output format '{tok}'", line, tok_col)
-        return tuple(dict.fromkeys(tok for tok, _ in toks))
     if len(toks) > 1:
         tok, tok_col = toks[1]
         raise ParseError(f"unexpected token '{tok}'", line, tok_col)
@@ -350,7 +341,6 @@ def _assemble(text, found):
         grid=grid,
         kernel=kernel,
         output_dir=get("directory", "out"),
-        formats=get("formats", _FORMATS),
         config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 
@@ -463,17 +453,16 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     reports = []
     for idx, (drive, pmap) in enumerate(zip(config.drives, maps)):
         stem = f"map_{idx:02d}"
-        files = {}
-        if "csv" in config.formats:
-            files["csv"] = {
+        files = {
+            "csv": {
                 "name": f"{stem}.csv",
                 "sha256": write_csv(out / f"{stem}.csv", pmap),
-            }
-        if "pgm" in config.formats:
-            files["pgm"] = {
+            },
+            "pgm": {
                 "name": f"{stem}.pgm",
                 "sha256": write_pgm(out / f"{stem}.pgm", pmap),
-            }
+            },
+        }
         reports.append(
             {
                 "frequency_ghz": drive.frequency,
@@ -545,6 +534,14 @@ def _boundaries(config: RunConfig) -> int:
     return 0
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity set, or the
+    machine's core count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lzs-sim",
@@ -555,7 +552,13 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="sweep the grid and write maps")
     run_p.add_argument("config", help="configuration file")
-    run_p.add_argument("--workers", type=int, default=1, help="worker processes")
+    run_p.add_argument(
+        "--workers",
+        type=int,
+        default=_usable_cores(),
+        help="worker processes (default: the usable cores, here %(default)s); "
+        "--workers 1 forces one process",
+    )
     run_p.add_argument("--out", default=None, help="override output directory")
 
     probe_p = sub.add_parser(

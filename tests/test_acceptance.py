@@ -271,7 +271,7 @@ def test_criterion_6_regime_classifier(verdict):
             right_offsets=(0.0,),
             crossings=np.array([[0.1], [0.1]]),
         )
-        positions = sorted(diamond_boundaries(model).positions())
+        positions = sorted(b.position for b in diamond_boundaries(model))
         assert positions == [-5.0, 0.0]
         gap = positions[1] - positions[0]
 

@@ -231,8 +231,8 @@ PARSE_ERRORS = {
         "ParseError: line 5, column 14: expected a state like L0 or R1, got 'R\u0660'",
     ),
     "unknown_format": (
-        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\nformats = csv tif"),
-        "ParseError: line 15, column 15: unknown output format 'tif'",
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\nformats = csv"),
+        "ParseError: line 15, column 1: unknown key 'formats' in [output]",
     ),
     "duplicate_key": (
         edit(MINIMAL, "frequency = 1.0", "frequency = 1.0\nfrequency = 2.0"),
@@ -338,7 +338,6 @@ class TestParseConfig:
         assert cfg.drives[0].frequency == 1.0
         assert cfg.grid.shape == (2, 3)
         assert cfg.output_dir == "out"
-        assert cfg.formats == ("csv", "pgm")
         assert cfg.config_sha256 == hashlib.sha256(MINIMAL.encode()).hexdigest()
 
     def test_comments_and_blank_lines_ignored(self):
@@ -372,11 +371,10 @@ class TestParseConfig:
 
     def test_kernel_and_output_sections(self):
         text = MINIMAL + "\n[kernel]\nn_margin = 10\n"
-        text += "\n[output]\ndirectory = maps\nformats = csv\n"
+        text += "\n[output]\ndirectory = maps\n"
         cfg = parse_config(text)
         assert cfg.kernel.n_margin == 10
         assert cfg.output_dir == "maps"
-        assert cfg.formats == ("csv",)
 
     def test_unknown_section(self):
         with pytest.raises(ParseError, match=r"line 1, column 1"):
@@ -604,12 +602,6 @@ class TestRunCommand:
             run(parse_config(THREE_STATE), out_dir=out)
         assert not (out / "manifest.json").exists()
 
-    def test_formats_subset(self, tmp_path):
-        cfg = parse_config(MINIMAL + "\n[output]\nformats = pgm\n")
-        run(cfg, out_dir=tmp_path / "out")
-        names = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert names == ["manifest.json", "map_00.pgm"]
-
 
 class TestMainEntry:
     def write_config(self, tmp_path, text):
@@ -621,6 +613,26 @@ class TestMainEntry:
         path = self.write_config(tmp_path, MINIMAL)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, workers",
+        [({0, 3, 5}, 8, 3), (None, 8, 8), (None, None, 1)],
+        ids=["affinity", "cpu_count", "unknown"],
+    )
+    def test_workers_default_to_the_usable_cores(
+        self, tmp_path, monkeypatch, affinity, cpu_count, workers
+    ):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda config, **kw: calls.append(kw) or 0)
+        path = self.write_config(tmp_path, MINIMAL)
+        assert main(["run", path]) == 0
+        assert main(["run", path, "--workers", "1"]) == 0
+        assert [kw["workers"] for kw in calls] == [workers, 1]
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.cfg")])
@@ -641,6 +653,11 @@ class TestMainEntry:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown key 'lorentz_cutoff' in [kernel]" in err
+        assert not (tmp_path / "out").exists()
+        path = self.write_config(tmp_path, MINIMAL + "\n[output]\nformats = csv\n")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key 'formats' in [output]" in err
         assert not (tmp_path / "out").exists()
 
     def test_probe_matches_closed_form(self, tmp_path, capsys):

@@ -227,7 +227,7 @@ class TestRunSweep:
         alone = run_sweep(TWO_STATE, DRIVE, grid)
         config = tmp_path / "ten_level.cfg"
         config.write_text(re.sub(r"amp = .*", "amp = 0 15 4", TEN_LEVEL_CFG))
-        assert cli.main(["run", str(config), "--out", str(tmp_path / "w1")]) == 0
+        assert cli.main(["run", str(config), "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
         monkeypatch.setattr(sweep_mod.SweepPlan, "block", failing_in_child)
         assert np.array_equal(run_sweep(TWO_STATE, DRIVE, grid, workers=2).values, alone.values)
         assert cli.main(["run", str(config), "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
