@@ -142,6 +142,15 @@ class QubitModel:
         right = _ladder(self.right_offsets, "right_offsets")
         object.__setattr__(self, "left_offsets", left)
         object.__setattr__(self, "right_offsets", right)
+        # Every level spacing and crossing position lies within these extremes.
+        extremes = (
+            left[-1] - left[0],
+            right[-1] - right[0],
+            right[-1] - left[0],
+            right[0] - left[-1],
+        )
+        if not all(math.isfinite(v) for v in extremes):
+            raise ValidationError("level offsets must differ by finite amounts")
         nl, nr = len(left), len(right)
 
         cross = _as_readonly(self.crossings, (nl, nr), "crossings")

@@ -10,26 +10,35 @@ by the squared Bessel function J_n(A/w)**2:
 
 with eps the detuning from the crossing and gamma2 the dephasing rate.
 One rule, ``_photon_range``, truncates the infinite sum, for one point
-and for a map row alike: keep the Bessel support |n| <= A/w + n_margin,
-beyond which the summand is negligible because J_n(x) decays
-super-exponentially for |n| > x, and the resonant window of the points
-summed, the integers within A/w + n_margin of [eps/w, eps/w] (of the
-extreme eps/w of a row), in ascending n.  A point far from its crossing
-thus sums two runs of photon numbers, not the stretch between them,
-whose J_n**2 is negligible.  No term of the window is dropped for
-lying far from its resonance: the Lorentzian tails are summed in full.
+and for a map alike: keep the Bessel support |n| <= A/w + n_margin, in
+ascending n, whatever the detuning.  The photons summed thus depend on
+the amplitude alone.  A dropped photon has |n| > x + n_margin, with
+x = A/w, and a Lorentzian factor of at most 1/gamma2**2; by Abramowitz
+and Stegun 9.1.62, |J_n(x)| <= (x/2)**n / n! for n >= 0, so the
+dropped part of W is at most
+
+    (delta**2 / 2) * (2 / gamma2) * sum_{n > x + n_margin} ((x/2)**n / n!)**2,
+
+which J_n's super-exponential decay beyond |n| = x makes negligible.
 With the default n_margin = 20, every rate is within a relative 1e-7
 of the rate with n_margin = 80, and P_L within 1e-10 absolute, on the
 grids of the shipped configs and on second_diamond driven at
 w = 0.6 GHz up to A = 14 GHz (A/w = 23); the largest gaps seen there
-are 3.5e-15 and 7.8e-16, roundoff.
+are 3.5e-15 and 7.8e-16, roundoff.  The gap is largest where a point
+sits on the resonance of the first dropped photon, at |eps| just above
+(A/w + n_margin) * w.  There, for gamma2/w >= 0.01, it stays below a
+relative 1e-8 up to A/w = 25; beyond, it grows as (w/gamma2)**2, and
+for A/w in [50, 60) reaches 2e-7 at gamma2/w = 0.1 and 2e-5 at
+gamma2/w = 0.01.  A detuning whose square overflows gives a term of
+exactly 0, its limit.
 
 Every sum adds its terms one after another in ascending n.
 ``PhotonTable`` evaluates the same sums for many crossings, detunings
 and amplitudes at one drive frequency: its Lorentzian denominators are
-built once, over the one window that serves a whole map, and each point
-adds the terms of its own window in that order, so every rate has
-lzs_rate's bits.
+built once, over the support of the map's largest amplitude, and every
+point adds all of them in that order.  A photon outside a smaller
+amplitude's support has weight 0 and adds exactly +0.0, so every rate
+has lzs_rate's bits.
 
 The Bessel kernel is self-contained: an ascending power series for
 x < 2 and Miller's normalized downward recurrence otherwise, run in
@@ -60,8 +69,7 @@ _RESCALE = 1e-250
 class RateKernelParams:
     """Truncation control for the photon sum.
 
-    n_margin widens both the resonant window and the Bessel-support
-    window; every photon number of the window is kept.
+    Every photon number with |n| <= A/w + n_margin is kept.
     """
 
     n_margin: int = 20
@@ -121,8 +129,8 @@ def _miller(lo: int, hi: int, x: float):
 def _jn_array(nmax: int, x: float) -> np.ndarray:
     """J_0(x) .. J_nmax(x) for x >= 0, abs accuracy ~1e-15 per entry.
 
-    Each J_n(x) has the same bits whatever nmax, so a photon sum over a
-    wider window weighs each of its terms exactly as a narrower one does.
+    Each J_n(x) has the same bits whatever nmax, so a photon sum at any
+    n_margin weighs each of its terms exactly as bessel_jn gives it.
     Above x = 2 the orders come in fixed chunks: 0 .. x + pad from one
     normalized recurrence, then pad more orders at a time, each chunk
     from its own recurrence scaled to meet the chunk below.
@@ -168,24 +176,11 @@ def bessel_jn(n: int, x: float) -> float:
     return sign * float(_jn_array(n, x)[n])
 
 
-def _photon_range(c_lo: float, c_hi: float, half: float) -> np.ndarray:
-    """The photon numbers summed, ascending.
-
-    c_lo and c_hi are the extreme resonance centres eps/w of the points
-    summed.  The numbers cover the Bessel support |n| <= half and the
-    resonant window [c_lo - half, c_hi + half], and nothing else: one
-    run of consecutive integers where the two meet, two where a gap lies
-    between them.
-    """
-    support = (math.ceil(-half), math.floor(half) + 1)
-    window = (math.ceil(c_lo - half), math.floor(c_hi + half) + 1)
-    if window[0] > support[1]:
-        runs = support, window
-    elif window[1] < support[0]:
-        runs = window, support
-    else:
-        runs = ((min(support[0], window[0]), max(support[1], window[1])),)
-    return np.concatenate([np.arange(*run) for run in runs])
+def _photon_range(half: float) -> np.ndarray:
+    """The photon numbers summed, ascending: the Bessel support
+    |n| <= half, one run of consecutive integers."""
+    top = math.floor(half)
+    return np.arange(-top, top + 1)
 
 
 def lzs_rate(
@@ -195,6 +190,9 @@ def lzs_rate(
     kernel: RateKernelParams = RateKernelParams(),
 ) -> float:
     """Transition rate W (GHz) through one avoided crossing.
+
+    Sums the photons |n| <= A/w + n_margin in ascending n, 2 *
+    floor(A/w + n_margin) + 1 terms at any detuning.
 
     Parameters
     ----------
@@ -215,14 +213,16 @@ def lzs_rate(
     w = drive.frequency
     gamma2 = drive.dephasing
     x = drive.amplitude / w
-    center = eps_local / w
-    ns = _photon_range(center, center, x + kernel.n_margin)
-    jn = _jn_array(int(np.abs(ns).max()), x)
+    ns = _photon_range(x + kernel.n_margin)
+    jn = _jn_array(int(ns[-1]), x)
     jn_sq = jn[np.abs(ns)] ** 2
-    detune = eps_local - ns * w
+    # A far detuning's square overflows to inf, and its term is then
+    # exactly 0, its limit.
+    with np.errstate(over="ignore"):
+        detune = eps_local - ns * w
+        terms = jn_sq / (detune * detune + gamma2 * gamma2)
     # Added one term after another in ascending n (accumulate, unlike
     # np.sum, never pairs them up), as PhotonTable adds them.
-    terms = jn_sq / (detune * detune + gamma2 * gamma2)
     total = gamma2 * float(np.add.accumulate(terms)[-1])
     # delta enters only as a final power-of-two-friendly scale so that
     # doubling delta quadruples W exactly.
@@ -236,13 +236,12 @@ class PhotonTable:
     dephasing.
 
     The Lorentzian denominators are tabulated once, photon by photon,
-    over the photon range of the largest amplitude, which holds that of
-    every smaller one; ``rates`` divides each amplitude's squared Bessel
-    weights by the table.  Each point adds the terms of its own window,
-    as lzs_rate sums it, in ascending n from 0.0, and skips every other
-    photon of the table, so W has lzs_rate's bits at every point: the
-    elementwise ops are lzs_rate's and the Bessel weights do not depend
-    on the window.
+    over the support of the largest amplitude, which holds that of every
+    smaller one; ``rates`` divides each amplitude's squared Bessel
+    weights by the table and adds every photon's terms, as lzs_rate sums
+    them, in ascending n from 0.0.  A photon outside an amplitude's own
+    support has weight 0 and adds exactly +0.0, so W has lzs_rate's bits
+    at every point.
     """
 
     def __init__(
@@ -259,17 +258,12 @@ class PhotonTable:
         self.drive = drive
         self.kernel = kernel
         w, gamma2 = drive.frequency, drive.dephasing
-        self.centers = self.eps_local / w
-        # Without a crossing the table is empty, whatever its range.
-        if self.centers.size:
-            self.c_lo, self.c_hi = self.centers.min(), self.centers.max()
-        else:
-            self.c_lo = self.c_hi = 0.0
-        self.ns = _photon_range(self.c_lo, self.c_hi, drive.amplitude / w + kernel.n_margin)
+        self.ns = _photon_range(drive.amplitude / w + kernel.n_margin)
         # denominators[i, c, m], built in place with the elementwise ops
-        # lzs_rate uses.
-        table = self.eps_local[None] - (self.ns * w)[:, None, None]
-        table *= table
+        # lzs_rate uses; a square that overflows gives a term of 0.
+        with np.errstate(over="ignore"):
+            table = self.eps_local[None] - (self.ns * w)[:, None, None]
+            table *= table
         table += gamma2 * gamma2
         self.denominators = table
 
@@ -287,27 +281,17 @@ class PhotonTable:
         if n_c == 0 or not amps:
             return total
         w, gamma2 = self.drive.frequency, self.drive.dephasing
-        halves = np.array([amp / w + self.kernel.n_margin for amp in amps])
         # weights[i, k]: amps[k]'s squared Bessel weight of photon ns[i], and
-        # 0 outside that amplitude's range, where its terms then vanish.
+        # 0 outside that amplitude's support, where its terms add +0.0.
         weights = np.zeros((self.ns.size, len(amps)))
-        for k, (amp, half) in enumerate(zip(amps, halves)):
-            ns = _photon_range(self.c_lo, self.c_hi, half)
-            jn = _jn_array(int(max(-ns[0], ns[-1])), amp / w)
-            weights[np.searchsorted(self.ns, ns), k] = jn[np.abs(ns)] ** 2
-        inner = np.abs(self.ns) <= halves.min()  # in every point's window
-        # Each point's own resonant window, as _photon_range bounds it.
-        centers = self.centers[:, None, :]
-        lo, hi = centers - halves[:, None], centers + halves[:, None]
+        for k, amp in enumerate(amps):
+            ns = _photon_range(amp / w + self.kernel.n_margin)
+            jn = _jn_array(int(ns[-1]), amp / w)
+            weights[ns - self.ns[0], k] = jn[np.abs(ns)] ** 2
         terms = np.empty_like(total)
-        for i, n in enumerate(self.ns.tolist()):
+        for i in range(self.ns.size):
             if not weights[i].any():
                 continue
             np.divide(weights[i, :, None], self.denominators[i, :, None], out=terms)
-            if inner[i]:
-                total += terms
-            else:
-                own = (lo <= n) & (n <= hi)
-                own |= (abs(n) <= halves)[:, None]
-                np.add(total, terms, out=total, where=own)
+            total += terms
         return (0.5 * self.deltas * self.deltas)[:, None, None] * (gamma2 * total)

@@ -6,9 +6,12 @@ each map is computed from one plan, built from the model, drive
 frequency and dephasing, kernel, detuning axis and largest amplitude.
 It holds the generator's pattern (every entry that is nonzero at some
 point) with its static values, the entries each pumped crossing adds to,
-and a ``rates.PhotonTable`` with every Lorentzian denominator of the map.
-The pattern and the pumped entries are ``master._generator_layout``'s,
-the layout ``build_rate_matrix`` reads.
+and a ``rates.PhotonTable`` with the Lorentzian denominator of every
+crossing, detuning and photon of the largest amplitude's Bessel support.
+The photons depend on the amplitude alone, so the table does not grow
+with the detuning axis's distance from the crossings.  The pattern and
+the pumped entries are ``master._generator_layout``'s, the layout
+``build_rate_matrix`` reads.
 
 Rows are solved in blocks of whole rows, up to about 2048 points.  The
 table gives every rate of the block, with ``lzs_rate``'s bits; the

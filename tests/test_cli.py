@@ -649,6 +649,14 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "eps_max - eps_min must be finite" in err
         assert not (tmp_path / "out").exists()
+        # Every offset is finite, but their differences overflow to inf.
+        text = MINIMAL.replace("left_levels = 0.0", "left_levels = -1e308")
+        path = self.write_config(tmp_path, text.replace("right_levels = 0.0", "right_levels = 0 1e308"))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "level offsets must differ by finite amounts" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
         path = self.write_config(tmp_path, MINIMAL + "\n[kernel]\nlorentz_cutoff = 4\n")
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

@@ -62,6 +62,11 @@ class TestQubitModel:
             make_model([0.0, np.inf], [0.0])
         with pytest.raises(ValidationError):
             make_model([0.0], [0.0], crossings=[[np.nan]])
+        # Finite offsets whose differences overflow.
+        with pytest.raises(ValidationError, match="differ by finite amounts"):
+            make_model([-1e308], [0.0, 1e308], crossings=[[0.1, 0.1]])
+        with pytest.raises(ValidationError, match="differ by finite amounts"):
+            make_model([-1e308, 1e308], [0.0], crossings=[[0.1], [0.1]])
 
     def test_relaxation_must_be_downhill(self):
         up = np.zeros((2, 2))

@@ -6,6 +6,7 @@ the kernel is never compared against itself.
 """
 
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -189,35 +190,44 @@ class TestBesselJn:
 
     @pytest.mark.parametrize("x", [0.7, 2.0, 13.7, 60.0])
     def test_orders_do_not_depend_on_nmax(self, x):
-        # A wider photon window weighs each order it shares with a
-        # narrower one by the same bits.
+        # A wider photon range (a larger n_margin) weighs each order it
+        # shares with a narrower one by the same bits.
         full = _jn_array(400, x)
         for nmax in (0, 1, int(x), int(x) + 80, 250):
             assert np.array_equal(_jn_array(nmax, x), full[: nmax + 1])
 
 
 class TestPhotonWindow:
-    def test_merged_window(self):
-        # A resonance inside the Bessel support: one range around both.
-        ns = _photon_range(1.5, 1.5, 23.0)
-        assert np.array_equal(ns, np.arange(-23, 25))
+    """The photons summed: the Bessel support |n| <= A/w + n_margin, in
+    ascending n, whatever the detuning."""
 
-    def test_far_resonance_keeps_bessel_support(self):
-        # |n| <= half and the resonant window, without the stretch between.
-        assert np.array_equal(
-            _photon_range(100.0, 100.0, 7.0),
-            np.r_[np.arange(-7, 8), np.arange(93, 108)],
-        )
-        assert np.array_equal(
-            _photon_range(-60.0, -40.5, 3.5),
-            np.r_[np.arange(-63, -36), np.arange(-3, 4)],
-        )
+    def test_resonance_inside_support_sums_the_support(self):
+        # Integer or not, the half-width keeps the integers |n| <= half.
+        ns = _photon_range(23.0)
+        assert np.array_equal(ns, np.arange(-23, 24))
+        assert np.array_equal(_photon_range(23.9), ns)
 
-    def test_far_point_sums_two_runs(self, monkeypatch):
+    def test_far_resonance_keeps_bessel_support(self, monkeypatch):
+        # 100 and 10,000 photons from the crossing, the same 45 photon
+        # numbers as at the crossing, and the rate of a far wider truncation.
+        ranges = []
+
+        def spy(*args):
+            ranges.append(_photon_range(*args))
+            return ranges[-1]
+
+        monkeypatch.setattr(rates_mod, "_photon_range", spy)
+        drive = DriveParams(amplitude=2.0, frequency=1.0, dephasing=0.1)
+        wide = RateKernelParams(n_margin=80)
+        for eps in (0.0, 100.0, -1e4):
+            rate = lzs_rate(0.1, eps, drive)
+            assert np.array_equal(ranges[-1], np.arange(-22, 23))
+            assert rate == pytest.approx(lzs_rate(0.1, eps, drive, wide), rel=1e-12)
+
+    def test_far_point_sums_the_support(self, monkeypatch):
         # 300 GHz from the crossing at w = 0.3 GHz: the 53 photon numbers of
-        # the Bessel support and the 53 of the resonance, 106 in all,
-        # against 1,053 with the stretch between them; the rate is that of
-        # a far wider truncation.
+        # the Bessel support, against 1,053 up to the resonance; the rate
+        # is that of a far wider truncation.
         sizes = []
 
         def spy(*args):
@@ -228,27 +238,25 @@ class TestPhotonWindow:
         monkeypatch.setattr(rates_mod, "_photon_range", spy)
         drive = DriveParams(2.0, 0.3, 0.1)
         rate = lzs_rate(0.1, 300.0, drive)
-        assert sizes == [106]
+        assert sizes == [53]
         wide = lzs_rate(0.1, 300.0, drive, RateKernelParams(n_margin=80))
         assert rate == pytest.approx(wide, rel=1e-12)
 
     def test_zero_margin_keeps_n0(self):
-        ns = _photon_range(50.0, 50.0, 0.5)
-        assert 0 in ns and 50 in ns
+        assert np.array_equal(_photon_range(0.5), [0])
+        # At A = 0 the n = 0 Lorentzian is the whole rate, however far.
+        drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
+        expected = 0.1**2 * 0.1 / (2.0 * (50.0**2 + 0.1**2))
+        got = lzs_rate(0.1, 50.0, drive, RateKernelParams(n_margin=0))
+        assert got == pytest.approx(expected, rel=1e-12)
 
-    @given(
-        c_lo=st.floats(-200.0, 200.0),
-        width=st.floats(0.0, 50.0),
-        half=st.floats(0.0, 60.0),
-    )
+    @given(half=st.floats(0.0, 200.0))
     @settings(max_examples=200, deadline=None)
-    def test_runs_cover_every_window_and_nothing_else(self, c_lo, width, half):
-        c_hi = c_lo + width
-        ns = _photon_range(c_lo, c_hi, half)
-        assert np.all(np.diff(ns) >= 1)
-        support = set(range(math.ceil(-half), math.floor(half) + 1))
-        window = set(range(math.ceil(c_lo - half), math.floor(c_hi + half) + 1))
-        assert set(ns.tolist()) == support | window
+    def test_range_is_the_support_and_nothing_else(self, half):
+        ns = _photon_range(half)
+        assert np.all(np.diff(ns) == 1)
+        assert ns.size == 2 * math.floor(half) + 1
+        assert set(ns.tolist()) == set(range(math.ceil(-half), math.floor(half) + 1))
 
 
 DRIVE = DriveParams(amplitude=2.0, frequency=1.0, dephasing=0.05)
@@ -344,6 +352,58 @@ class TestLzsRate:
             ref = lzs_rate(0.1, eps, DRIVE, wide)
             assert base == pytest.approx(ref, rel=1e-9)
 
+    def test_truncation_near_the_support_edge(self):
+        # Random points whose resonance lies within a few photons of the
+        # support's edge, where the dropped photons weigh most.  Every gap
+        # to n_margin = 80 is within the bound of the dropped photons at
+        # the worst-case Lorentzian 1/gamma2**2, |J_n(x)| <= (x/2)**n / n!
+        # (Abramowitz and Stegun 9.1.62); up to A/w = 25 it is also within
+        # a relative 1e-7.  Beyond, the relative gap grows as (w/gamma2)**2.
+        rng = np.random.default_rng(20)
+        default, wide = RateKernelParams(), RateKernelParams(n_margin=80)
+        for _ in range(600):
+            delta, w, x = rng.uniform(0.01, 1.0), rng.uniform(0.3, 3.0), rng.uniform(0.0, 60.0)
+            drive = DriveParams(x * w, w, w * 10.0 ** rng.uniform(-2.0, 0.0))
+            x, gamma2 = drive.amplitude / w, drive.dephasing
+            first = math.floor(x + default.n_margin) + 1
+            edge = first + rng.choice([0.0, 1.0, rng.uniform(-6.0, 4.0)])
+            eps = rng.choice([-1.0, 1.0]) * edge * w
+            ref = lzs_rate(delta, eps, drive, wide)
+            gap = abs(lzs_rate(delta, eps, drive, default) - ref)
+            tail = math.fsum(
+                math.exp(2.0 * (n * math.log(x / 2.0) - math.lgamma(n + 1)))
+                for n in range(first, first + 200)
+            )
+            assert gap <= delta * delta / gamma2 * tail + 4.0 * math.ulp(ref)
+            if x <= 25.0:
+                assert gap <= 1e-7 * ref
+
+    def test_far_detunings_are_quiet(self):
+        # A squared detuning past about 1e154 GHz overflows to inf, and its
+        # term is then exactly 0, its limit, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = lzs_rate(0.1, 1e20, DRIVE)
+            assert 0.0 < far < 1e-40
+            assert lzs_rate(0.1, 1e200, DRIVE) == 0.0
+            row = PhotonTable([0.1], [0.0], [1e20, 1e200], DRIVE).rates([2.0])
+        assert row[0, 0, 0] == far and row[0, 0, 1] == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 1e20, 1e200])
+    def test_photon_count_depends_on_amplitude_only(self, monkeypatch, eps):
+        sizes = []
+
+        def spy(*args):
+            ns = _photon_range(*args)
+            sizes.append(ns.size)
+            return ns
+
+        monkeypatch.setattr(rates_mod, "_photon_range", spy)
+        cases = [(0.0, 1.0, 0), (2.0, 0.3, 20), (14.9, 1.0, 20), (60.0, 1.0, 5)]
+        for amp, w, margin in cases:
+            lzs_rate(0.1, eps, DriveParams(amp, w, 0.1), RateKernelParams(margin))
+        assert sizes == [2 * math.floor(amp / w + margin) + 1 for amp, w, margin in cases]
+
     @pytest.mark.parametrize("path, edits", TRUNCATION_INPUTS)
     def test_truncation_bound_on_shipped_grids(self, path, edits):
         # The bounds stated in the rates module docstring, on a 9 x 9
@@ -400,7 +460,7 @@ class TestRowRates:
     @pytest.mark.parametrize("amp", [0.0, 1.5, 4.0, 9.0])
     def test_matches_lzs_rate(self, amp):
         table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, DriveParams(9.0, 1.0, 0.1))
-        # Every point sums its own window in lzs_rate's order: the same bits.
+        # Every point sums the support in lzs_rate's order: the same bits.
         got = table.rates([amp])
         assert got.shape == (4, 1, self.EPS.size)
         drive = DriveParams(amplitude=amp, frequency=1.0, dephasing=0.1)
@@ -409,9 +469,8 @@ class TestRowRates:
                 assert got[c, 0, m] == lzs_rate(delta, float(eps) - pos, drive)
 
     def test_wide_windows_match_lzs_rate(self):
-        # At A/w up to 47 the terms of the table's window that lie outside
-        # a point's own window are no longer below its last bit: each
-        # point must skip them to keep lzs_rate's bits.
+        # At A/w up to 47 a smaller amplitude's support is far narrower than
+        # the table's, whose other photons must add exactly +0.0.
         drive = DriveParams(14.0, 0.3, 0.1)
         table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive)
         amps = [0.0, 14.0 / 3.0, 14.0]
@@ -425,9 +484,8 @@ class TestRowRates:
     @pytest.mark.parametrize("n_extra", [1, 100, 5000])
     def test_blocks_change_no_bit(self, n_extra):
         # A point's rates depend neither on the amplitudes nor on the
-        # detunings that share its table: n_extra far detunings widen the
-        # table's photon range, and each point still skips the photons
-        # outside its own window.
+        # detunings that share its table: n_extra far detunings leave the
+        # table's photons as they are.
         drive = DriveParams(amplitude=12.0, frequency=0.7, dephasing=0.05)
         table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive)
         whole = table.rates([12.0, 5.0])
@@ -435,7 +493,7 @@ class TestRowRates:
         assert all(np.array_equal(whole[:, k], a) for k, a in enumerate(alone))
         wide_eps = np.concatenate((self.EPS, np.linspace(-60.0, 60.0, n_extra)))
         wide = PhotonTable(self.DELTAS, self.POSITIONS, wide_eps, drive)
-        assert wide.ns.size > table.ns.size
+        assert np.array_equal(wide.ns, table.ns)
         assert np.array_equal(wide.rates([12.0, 5.0])[:, :, : self.EPS.size], whole)
 
     @given(
@@ -448,7 +506,7 @@ class TestRowRates:
     )
     @settings(max_examples=300, deadline=None)
     def test_one_point_row_is_lzs_rate(self, delta, eps, amp, extra, frequency, gamma2):
-        # Both sum the same window in the same order, so the bits agree,
+        # Both sum the same photons in the same order, so the bits agree,
         # whatever larger amplitude the table was built for.
         drive = DriveParams(amplitude=amp, frequency=frequency, dephasing=gamma2)
         top = DriveParams(amplitude=amp + extra, frequency=frequency, dephasing=gamma2)
@@ -456,9 +514,9 @@ class TestRowRates:
         assert row[0, 0, 0] == lzs_rate(delta, eps, drive)
 
     def test_far_row_keeps_bessel_support(self):
-        # Every resonant window of the row misses n = 0, the only term at
-        # A = 0; the Bessel support |n| <= A/w + n_margin keeps it.  At the
-        # table's A = 9 the two runs meet; at A = 0 a gap lies between them.
+        # 50 to 70 photons from the crossing, every point sums the Bessel
+        # support |n| <= A/w + n_margin, which keeps n = 0, the only term
+        # at A = 0.
         table = PhotonTable([0.1], [60.0], self.EPS, DriveParams(9.0, 1.0, 0.1))
         for amp in (0.0, 9.0):
             got = table.rates([amp])

@@ -319,9 +319,9 @@ def engine_cases(draw):
     the oracle then both give the state reached from 0R.
 
     A/w reaches 40, twice the default n_margin of 20.  The engine and
-    the oracle truncate the photon sum by the same rule, and each point
-    of the engine sums only its own window, so their rates agree bit for
-    bit and any gap is the solve's.
+    the oracle truncate the photon sum by the same rule, the support of
+    the point's amplitude, so their rates agree bit for bit and any gap
+    is the solve's.
     """
     nl, nr = draw(st.integers(2, 4)), draw(st.integers(2, 4))
 
