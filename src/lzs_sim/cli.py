@@ -27,7 +27,8 @@ Configuration grammar (INI-like, ``#`` starts a comment)::
 
 Unknown sections or keys are hard errors with line and column; semantic
 violations (negative rates, non-ascending ladders, ...) raise
-ValidationError.  ``run`` writes one CSV and one PGM per drive frequency
+ValidationError.  ``run`` computes every map before it touches the
+output directory, then writes one CSV and one PGM per drive frequency
 plus a JSON manifest with checksums; the manifest is written last, so
 its presence marks a complete run, and map files of an earlier run into
 the same directory do not outlive the run that follows.
@@ -333,7 +334,7 @@ def _assemble(text, found):
 
     grid = SweepGrid(*need("eps"), *need("amp"))  # (min, max, points) each
 
-    kernel = RateKernelParams(n_margin=get("n_margin", 20))
+    kernel = RateKernelParams(n_margin=get("n_margin", RateKernelParams.n_margin))
 
     return RunConfig(
         model=model,
@@ -438,31 +439,29 @@ def _regime_payload(model: QubitModel, drive: DriveParams):
 def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     """Execute every sweep of the config and write maps plus manifest.
 
-    An old manifest is deleted before the first map is written, and the
-    new one is written after all maps succeed, so its absence marks an
+    Every map is computed before anything in the output directory
+    changes, so an error on the way (an invalid config or worker count,
+    a non-convergent point) leaves the directory as it was, or absent;
+    an unwritable directory is reported only after the compute.  Then
+    the old manifest is deleted before the first map is written, and the
+    new one is written after all maps, so its absence marks an
     incomplete output directory.  Map files (and their temp files) left
     by an earlier run are deleted before the manifest is written; other
     files in the directory are left alone.
     """
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     maps = run_frequency_batch(
         config.model, config.drives, config.grid, config.kernel, workers
     )
+    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
+    writers = (("csv", write_csv), ("pgm", write_pgm))
     reports = []
     for idx, (drive, pmap) in enumerate(zip(config.drives, maps)):
-        stem = f"map_{idx:02d}"
-        files = {
-            "csv": {
-                "name": f"{stem}.csv",
-                "sha256": write_csv(out / f"{stem}.csv", pmap),
-            },
-            "pgm": {
-                "name": f"{stem}.pgm",
-                "sha256": write_pgm(out / f"{stem}.pgm", pmap),
-            },
-        }
+        files = {}
+        for kind, write in writers:
+            name = f"map_{idx:02d}.{kind}"
+            files[kind] = {"name": name, "sha256": write(out / name, pmap)}
         reports.append(
             {
                 "frequency_ghz": drive.frequency,

@@ -81,10 +81,8 @@ class RateKernelParams:
 
 
 def _jn_series(n: int, x: float) -> float:
-    # Ascending series sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!), n >= 0.
+    # Ascending series sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!), n >= 0, x > 0.
     # First term via lgamma so huge n underflows cleanly to 0.
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
     log_t0 = n * math.log(x / 2.0) - math.lgamma(n + 1)
     if log_t0 < -745.0:  # below smallest subnormal
         return 0.0
@@ -254,7 +252,10 @@ class PhotonTable:
     ):
         self.deltas = np.asarray(deltas, dtype=float)
         positions = np.asarray(positions, dtype=float)
-        self.eps_local = np.asarray(eps_values, dtype=float)[None, :] - positions[:, None]
+        with np.errstate(over="ignore"):
+            self.eps_local = np.asarray(eps_values, dtype=float)[None, :] - positions[:, None]
+        if not np.isfinite(self.eps_local).all():
+            raise ValidationError("eps_local must be finite")
         self.drive = drive
         self.kernel = kernel
         w, gamma2 = drive.frequency, drive.dephasing

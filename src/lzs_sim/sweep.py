@@ -51,8 +51,8 @@ them: this process forks W - 1 children once per run, and process w
 writes tasks w, w + W, ... into one shared anonymous mapping, building
 a map's plan at the first of that map's tasks it reaches.  With W = 1
 (any run below 2 * _WORK_PER_PROCESS, or without ``os.fork``) the same
-loop writes every task, in order, into an ordinary array, cut as a
-one-worker run cuts them.  A child reports only its exit status.  If
+loop writes every task, in order, into that same shared mapping, cut as
+a one-worker run cuts them.  A child reports only its exit status.  If
 any share fails, every child is reaped and this process computes all
 tasks again, in order: a failure that recurs raises exactly the
 exception a one-worker run raises, and one that was a child's alone
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -344,12 +345,7 @@ def run_frequency_batch(
         return SweepPlan(model, top, kernel, grid.eps_values)
 
     tasks, processes = _schedule(model, len(drive_list), grid, workers)
-    if processes == 1:
-        out = np.empty(shape)
-    else:
-        import mmap  # here, so that a run that does not fork never loads it
-
-        out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+    out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
     if processes == 1 or not _forked(tasks, plan_of, out, processes):
         _compute(tasks, plan_of, out, 0, 1)
     return [

@@ -667,6 +667,25 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown key 'formats' in [output]" in err
         assert not (tmp_path / "out").exists()
+        # Grid and ladders are finite, but a detuning from the 1e308 crossing
+        # overflows: the error probe gives, and no output directory.
+        text = edit(
+            MINIMAL,
+            "right_levels = 0.0", "right_levels = 0 1e308",
+            "crossing 0 0 = 0.05", "crossing 0 1 = 0.05",
+            "eps = -1 1 3", "eps = -1.5e308 0 3",
+        )
+        path = self.write_config(tmp_path, text)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "eps_local must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_workers_exit_two(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, MINIMAL)
+        assert main(["run", path, "--workers", "0", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     def test_probe_matches_closed_form(self, tmp_path, capsys):
         path = self.write_config(tmp_path, THREE_STATE)

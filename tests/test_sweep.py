@@ -652,18 +652,10 @@ class TestFrequencyBatch:
         for a, b in zip(alone, pooled):
             assert np.array_equal(a.values, b.values)
 
-    def test_one_worker_output_stays_on_the_heap(self, always_fork, monkeypatch):
-        import mmap
-
-        def no_mapping(*args):
-            raise AssertionError("shared mapping for a one-worker run")
-
-        monkeypatch.setattr(mmap, "mmap", no_mapping)
+    def test_one_worker_run_of_identical_drives(self):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
         one, two = run_frequency_batch(TWO_STATE, [DRIVE, DRIVE], grid, workers=1)
         assert np.array_equal(one.values, two.values)
-        with pytest.raises(AssertionError, match="shared mapping"):
-            run_frequency_batch(TWO_STATE, [DRIVE, DRIVE], grid, workers=2)
 
     def test_nonconvergent_in_the_second_map(self, always_fork, forks, monkeypatch):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
@@ -694,14 +686,8 @@ class TestFrequencyBatch:
 
 
 class TestForkRule:
-    def test_below_the_threshold_nothing_forks(self, forks, monkeypatch, tmp_path):
+    def test_below_the_threshold_nothing_forks(self, forks, tmp_path):
         # The bench's 27 x 27 ten-level input: 37k entry-points.
-        import mmap
-
-        def no_mapping(*args):
-            raise AssertionError("shared mapping for a run that does not fork")
-
-        monkeypatch.setattr(mmap, "mmap", no_mapping)
         config = ten_level_config(27, 27)
         outputs = []
         for workers in (1, 2, 8):
