@@ -581,7 +581,7 @@ def main(argv=None) -> int:
         if args.command == "probe":
             return _probe(config, args.eps, args.amp)
         return _boundaries(config)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, UnicodeDecodeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SimulationError, OSError) as exc:

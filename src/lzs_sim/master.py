@@ -18,7 +18,10 @@ probabilities of absorption into each from the right-well ground state
 0R, and the stationary state is the one reached from 0R.
 ``solve_points`` solves each point on the plan of its own nonzero
 entries; ``stationary_solve`` calls it on a block of one and the map
-sweep on blocks of rows.
+sweep on blocks of rows.  The reduction's sums, the acceptance check's
+sum of q and the well populations are all ``rates._chain``, the ordered
+sum the photon sums use; ``_sum_into`` adds grouped terms in the same
+term order.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .model import (
     Well,
     crossing_position,
 )
-from .rates import RateKernelParams, lzs_rate
+from .rates import RateKernelParams, _chain, lzs_rate
 
 __all__ = [
     "RateMatrix",
@@ -128,12 +131,8 @@ class PopulationVector:
         object.__setattr__(self, "states", tuple(self.states))
 
     def _well_sum(self, well: Well) -> float:
-        # Added in state order, as the map engine adds them (_chain).
-        total = 0.0
-        for p, s in zip(self.probabilities.tolist(), self.states):
-            if s.well is well:
-                total += p
-        return total
+        # In state order, as the map engine adds them.
+        return float(_chain(self.probabilities[[s.well is well for s in self.states]]))
 
     @property
     def p_left(self) -> float:
@@ -221,20 +220,6 @@ def build_rate_matrix(
     mat[rows, cols] = values
     np.fill_diagonal(mat, -mat.sum(axis=0))
     return RateMatrix(matrix=mat, states=states)
-
-
-def _chain(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... added in that order, elementwise over
-    the remaining axes.
-
-    Not np.sum: over a contiguous axis numpy adds eight or more terms
-    through unrolled partial sums, so a point's bits would depend on how
-    many points share its array.  np.add.accumulate returns every
-    prefix sum, so it cannot regroup the terms.
-    """
-    if len(terms) == 0:
-        return np.zeros(terms.shape[1:])
-    return np.add.accumulate(terms)[-1]
 
 
 def _ranks(groups):

@@ -32,13 +32,19 @@ for A/w in [50, 60) reaches 2e-7 at gamma2/w = 0.1 and 2e-5 at
 gamma2/w = 0.01.  A detuning whose square overflows gives a term of
 exactly 0, its limit.
 
-Every sum adds its terms one after another in ascending n.
-``PhotonTable`` evaluates the same sums for many crossings, detunings
-and amplitudes at one drive frequency: its Lorentzian denominators are
+Each rule that ``lzs_rate`` (one point, the oracle of ``probe``) and
+``PhotonTable`` (a map) share is written once here: ``_chain`` adds
+terms one after another in order (for the GTH solve and the well sums
+too), ``_photon_weights`` gives an amplitude's photons and their
+squared Bessel weights, and ``_denominators`` the Lorentzian
+denominators (eps - n*w)**2 + gamma2**2.  ``PhotonTable`` evaluates the sums for many crossings,
+detunings and amplitudes at one drive frequency: its denominators are
 built once, over the support of the map's largest amplitude, and every
-point adds all of them in that order.  A photon outside a smaller
+point adds all of them in ascending n.  A photon outside a smaller
 amplitude's support has weight 0 and adds exactly +0.0, so every rate
-has lzs_rate's bits.
+has lzs_rate's bits.  A rate that is not finite (an overflowing
+delta**2, or a gamma2**2 that underflows to 0 on a resonance) comes out
+as inf or nan, without a warning, for the caller to reject.
 
 The Bessel kernel is self-contained: an ascending power series for
 x < 2 and Miller's normalized downward recurrence otherwise, run in
@@ -58,6 +64,8 @@ from .model import DriveParams
 
 __all__ = ["RateKernelParams", "bessel_jn", "lzs_rate"]
 
+# bessel_jn's stated range of |n| and x, so the largest A/w + n_margin.
+_BESSEL_RANGE = 1e4
 # Downward recurrence is seeded this far above max(n, x); the extra
 # x**(1/3) term covers the slow Airy-like decay near the turning point.
 _START_PAD = 50
@@ -176,9 +184,48 @@ def bessel_jn(n: int, x: float) -> float:
 
 def _photon_range(half: float) -> np.ndarray:
     """The photon numbers summed, ascending: the Bessel support
-    |n| <= half, one run of consecutive integers."""
+    |n| <= half, one run of consecutive integers.  half = A/w + n_margin
+    must lie within bessel_jn's range."""
+    if not half <= _BESSEL_RANGE:
+        raise ValidationError(
+            f"A/w + n_margin = {half!r} exceeds the Bessel kernel's range {_BESSEL_RANGE:g}"
+        )
     top = math.floor(half)
     return np.arange(-top, top + 1)
+
+
+def _photon_weights(x: float, n_margin: int):
+    """The photons ns summed at A/w = x (``_photon_range``) and their
+    squared Bessel weights J_|n|(x)**2."""
+    ns = _photon_range(x + n_margin)
+    jn = _jn_array(int(ns[-1]), x)
+    return ns, jn[np.abs(ns)] ** 2
+
+
+def _denominators(eps_local, ns, w: float, gamma2: float) -> np.ndarray:
+    """Lorentzian denominators (eps_local - n*w)**2 + gamma2**2, indexed
+    [photon, *eps_local's shape].  A square that overflows gives inf, so
+    its term is exactly 0, its limit."""
+    eps_local = np.asarray(eps_local, dtype=float)
+    with np.errstate(over="ignore"):
+        table = eps_local - (ns * w).reshape(ns.shape + (1,) * eps_local.ndim)
+        table *= table
+    table += gamma2 * gamma2
+    return table
+
+
+def _chain(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... added in that order, elementwise over
+    the remaining axes.
+
+    Not np.sum: over a contiguous axis numpy adds eight or more terms
+    through unrolled partial sums, so a point's bits would depend on how
+    many points share its array.  np.add.accumulate returns every
+    prefix sum, so it cannot regroup the terms.
+    """
+    if len(terms) == 0:
+        return np.zeros(terms.shape[1:])
+    return np.add.accumulate(terms)[-1]
 
 
 def lzs_rate(
@@ -190,7 +237,8 @@ def lzs_rate(
     """Transition rate W (GHz) through one avoided crossing.
 
     Sums the photons |n| <= A/w + n_margin in ascending n, 2 *
-    floor(A/w + n_margin) + 1 terms at any detuning.
+    floor(A/w + n_margin) + 1 terms at any detuning.  A rate that is not
+    finite is returned as inf or nan, for the caller to reject.
 
     Parameters
     ----------
@@ -210,18 +258,10 @@ def lzs_rate(
 
     w = drive.frequency
     gamma2 = drive.dephasing
-    x = drive.amplitude / w
-    ns = _photon_range(x + kernel.n_margin)
-    jn = _jn_array(int(ns[-1]), x)
-    jn_sq = jn[np.abs(ns)] ** 2
-    # A far detuning's square overflows to inf, and its term is then
-    # exactly 0, its limit.
-    with np.errstate(over="ignore"):
-        detune = eps_local - ns * w
-        terms = jn_sq / (detune * detune + gamma2 * gamma2)
-    # Added one term after another in ascending n (accumulate, unlike
-    # np.sum, never pairs them up), as PhotonTable adds them.
-    total = gamma2 * float(np.add.accumulate(terms)[-1])
+    ns, weights = _photon_weights(drive.amplitude / w, kernel.n_margin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = weights / _denominators(eps_local, ns, w, gamma2)
+    total = gamma2 * float(_chain(terms))
     # delta enters only as a final power-of-two-friendly scale so that
     # doubling delta quadruples W exactly.
     return 0.5 * delta * delta * total
@@ -233,13 +273,13 @@ class PhotonTable:
     amplitudes amps[k] up to drive.amplitude at the drive's frequency and
     dephasing.
 
-    The Lorentzian denominators are tabulated once, photon by photon,
-    over the support of the largest amplitude, which holds that of every
-    smaller one; ``rates`` divides each amplitude's squared Bessel
-    weights by the table and adds every photon's terms, as lzs_rate sums
-    them, in ascending n from 0.0.  A photon outside an amplitude's own
-    support has weight 0 and adds exactly +0.0, so W has lzs_rate's bits
-    at every point.
+    The Lorentzian denominators (``_denominators``) are tabulated once,
+    photon by photon, over the support of the largest amplitude, which
+    holds that of every smaller one; ``rates`` divides each amplitude's
+    squared Bessel weights (``_photon_weights``) by the table and adds
+    every photon's terms in ascending n, in ``_chain``'s order.  A photon
+    outside an amplitude's own support has weight 0 and adds exactly
+    +0.0, so W has lzs_rate's bits at every point.
     """
 
     def __init__(
@@ -258,15 +298,11 @@ class PhotonTable:
             raise ValidationError("eps_local must be finite")
         self.drive = drive
         self.kernel = kernel
-        w, gamma2 = drive.frequency, drive.dephasing
-        self.ns = _photon_range(drive.amplitude / w + kernel.n_margin)
-        # denominators[i, c, m], built in place with the elementwise ops
-        # lzs_rate uses; a square that overflows gives a term of 0.
-        with np.errstate(over="ignore"):
-            table = self.eps_local[None] - (self.ns * w)[:, None, None]
-            table *= table
-        table += gamma2 * gamma2
-        self.denominators = table
+        self.ns = _photon_range(drive.amplitude / drive.frequency + kernel.n_margin)
+        # denominators[i, c, m]
+        self.denominators = _denominators(
+            self.eps_local, self.ns, drive.frequency, drive.dephasing
+        )
 
     def rates(self, amps) -> np.ndarray:
         """W[c, k, m] at drive amplitudes amps[k], each in
@@ -286,13 +322,14 @@ class PhotonTable:
         # 0 outside that amplitude's support, where its terms add +0.0.
         weights = np.zeros((self.ns.size, len(amps)))
         for k, amp in enumerate(amps):
-            ns = _photon_range(amp / w + self.kernel.n_margin)
-            jn = _jn_array(int(ns[-1]), amp / w)
-            weights[ns - self.ns[0], k] = jn[np.abs(ns)] ** 2
+            ns, weight = _photon_weights(amp / w, self.kernel.n_margin)
+            weights[ns - self.ns[0], k] = weight
+        # _chain's sum, photon by photon in place: 0.0 + t0 is t0 exactly.
         terms = np.empty_like(total)
-        for i in range(self.ns.size):
-            if not weights[i].any():
-                continue
-            np.divide(weights[i, :, None], self.denominators[i, :, None], out=terms)
-            total += terms
-        return (0.5 * self.deltas * self.deltas)[:, None, None] * (gamma2 * total)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(self.ns.size):
+                if not weights[i].any():
+                    continue
+                np.divide(weights[i, :, None], self.denominators[i, :, None], out=terms)
+                total += terms
+            return (0.5 * self.deltas * self.deltas)[:, None, None] * (gamma2 * total)

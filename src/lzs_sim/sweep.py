@@ -23,7 +23,8 @@ to zero drops an entry), all points of one pattern in one call; with
 several closed classes it gives the populations reached from 0R.
 ``probe`` (``stationary_solve`` of ``build_rate_matrix``) takes the same
 path on a block of one, so a map value equals what it gives, bit for
-bit.  A point that fails the acceptance check aborts the run.
+bit.  A point with a rate that is not finite, or that fails the
+acceptance check, aborts the run.
 
 One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
 It first fixes the number of processes from the run's work, counted as
@@ -73,9 +74,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
-from .master import _chain, _generator_layout, solve_points
+from .master import _generator_layout, solve_points
 from .model import DriveParams, QubitModel
-from .rates import PhotonTable, RateKernelParams
+from .rates import PhotonTable, RateKernelParams, _chain
 
 __all__ = ["SweepGrid", "PopulationMap", "run_sweep", "run_frequency_batch"]
 
@@ -241,17 +242,27 @@ class SweepPlan:
 
     def block(self, amps) -> np.ndarray:
         """P_L at every detuning of each amplitude in amps, as
-        (len(amps), n_eps).  Raises NonConvergent naming the block's first
-        point that fails the acceptance check."""
-        q, ok = solve_points(self.rows, self.cols, self.n, self.n_left, self.values(amps))
+        (len(amps), n_eps).  Raises ValidationError naming the block's
+        first point with a rate that is not finite, as ``probe``'s
+        RateMatrix rejects it, and NonConvergent naming its first point
+        that fails the acceptance check."""
         n_eps = self.eps_values.size
-        if not ok.all():
+
+        def first_failed(ok):
             point = int(np.argmin(ok))
-            raise NonConvergent(
-                "stationary solve failed the acceptance check",
-                eps=float(self.eps_values[point % n_eps]),
-                amp=amps[point // n_eps],
+            return float(self.eps_values[point % n_eps]), amps[point // n_eps]
+
+        values = self.values(amps)
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            eps, amp = first_failed(finite)
+            raise ValidationError(
+                f"rate matrix entries must be finite (eps={eps} GHz, amp={amp} GHz)"
             )
+        q, ok = solve_points(self.rows, self.cols, self.n, self.n_left, values)
+        if not ok.all():
+            eps, amp = first_failed(ok)
+            raise NonConvergent("stationary solve failed the acceptance check", eps=eps, amp=amp)
         return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
 
 

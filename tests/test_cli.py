@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -681,6 +682,49 @@ class TestMainEntry:
         assert err.startswith("error:") and "eps_local must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff" + MINIMAL.encode("ascii"))
+        for args in (
+            ["run", str(path), "--out", str(tmp_path / "out")],
+            ["probe", str(path), "--eps", "0", "--amp", "1"],
+            ["boundaries", str(path)],
+        ):
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "can't decode byte 0xff" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("crossing 0 0 = 0.05", "crossing 0 0 = 1e200"), ("dephasing = 0.1", "dephasing = 1e-200")],
+        ids=["delta_sq_overflows", "gamma2_sq_underflows"],
+    )
+    def test_non_finite_rate_exit_two(self, tmp_path, capsys, old, new):
+        # delta**2 overflows, or gamma2**2 underflows to 0 on the n = -1
+        # resonance at eps = -1: run names the first such point and rejects
+        # it as probe does, and neither warns.
+        path = self.write_config(tmp_path, edit(MINIMAL, old, new))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path, "--out", str(out), "--workers", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: rate matrix entries must be finite (eps=-1.0 GHz, amp=0.0 GHz)\n"
+            assert main(["probe", path, "--eps", "-1", "--amp", "0"]) == 2
+            assert capsys.readouterr().err == "error: rate matrix entries must be finite\n"
+        assert not out.exists()
+
+    def test_amplitude_past_the_bessel_range_exit_two(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, edit(MINIMAL, "amp = 0 1 2", "amp = 0 1e308 2"))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Bessel kernel's range" in err
+        assert not (tmp_path / "out").exists()
+        assert main(["probe", path, "--eps", "0", "--amp", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Bessel kernel's range" in err
+
     def test_zero_workers_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, MINIMAL)
         assert main(["run", path, "--workers", "0", "--out", str(tmp_path / "out")]) == 2
@@ -766,14 +810,15 @@ class TestMainEntry:
     def test_one_worker_run_never_loads_the_pool(self, tmp_path):
         # In a fresh interpreter: neither importing the CLI nor a run with
         # one worker, nor one with two forked workers, loads
-        # multiprocessing or concurrent.futures.  The threshold is pinned
-        # so that this small grid forks.
+        # multiprocessing or concurrent.futures, or a test-only
+        # dependency.  The threshold is pinned so that this small grid
+        # forks.
         path = self.write_config(tmp_path, THREE_STATE)
         script = (
             "import json, sys\n"
             "import lzs_sim.cli, lzs_sim.sweep\n"
             "lzs_sim.sweep._WORK_PER_PROCESS = 1\n"
-            "pool = ('multiprocessing', 'concurrent.futures')\n"
+            "pool = ('multiprocessing', 'concurrent.futures', 'scipy', 'mpmath', 'hypothesis', 'pytest')\n"
             "seen = [[m for m in pool if m in sys.modules]]\n"
             "codes = []\n"
             "for workers in ('1', '2'):\n"

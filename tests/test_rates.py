@@ -447,6 +447,36 @@ class TestLzsRate:
         with pytest.raises(ValidationError):
             RateKernelParams(n_margin=True)
 
+    def test_photon_range_within_bessel_range(self):
+        # bessel_jn is accurate for |n|, x <= 1e4: A/w + n_margin up to 1e4
+        # sums, and past it (or once A/w overflows) both paths reject the
+        # amplitude instead of allocating the range.
+        assert _photon_range(1e4).size == 20001
+        assert lzs_rate(0.1, 0.0, DriveParams(9980.0, 1.0, 0.1)) > 0.0
+        for amp, w in ((9980.5, 1.0), (1e308, 0.5), (1e308, 1.0)):
+            drive = DriveParams(amp, w, 0.1)
+            with pytest.raises(ValidationError, match="Bessel kernel's range"):
+                lzs_rate(0.1, 0.0, drive)
+            with pytest.raises(ValidationError, match="Bessel kernel's range"):
+                PhotonTable([0.1], [0.0], [0.0], drive)
+
+    @pytest.mark.parametrize(
+        "delta, gamma2", [(1e200, 0.1), (0.1, 1e-200)], ids=["delta_sq_overflows", "gamma2_sq_underflows"]
+    )
+    def test_non_finite_rates_are_quiet(self, delta, gamma2):
+        # An overflowing delta**2, or a gamma2**2 that underflows to 0 on a
+        # resonance, gives a rate that is not finite, without a warning,
+        # for the caller to reject; table and point agree on every point.
+        eps = [-1.0, -0.5, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = PhotonTable([delta], [0.0], eps, DriveParams(1.0, 1.0, gamma2)).rates([0.0, 1.0])
+            for k, amp in enumerate((0.0, 1.0)):
+                for m, e in enumerate(eps):
+                    point = lzs_rate(delta, e, DriveParams(amp, 1.0, gamma2))
+                    assert np.array_equal(row[0, k, m], point, equal_nan=True)
+        assert not np.isfinite(row[0, 0, 0])
+
 
 
 class TestRowRates:
