@@ -213,12 +213,14 @@ def build_rate_matrix(
     if not math.isfinite(eps):
         raise ValidationError("eps must be finite")
     rows, cols, values, pumps = _generator_layout(model)
-    for delta, position, entries in pumps:
-        values[entries] += lzs_rate(delta, eps - position, drive, kernel)
     states = model.states()
     mat = np.zeros((len(states), len(states)))
-    mat[rows, cols] = values
-    np.fill_diagonal(mat, -mat.sum(axis=0))
+    # An entry or outflow that overflows is inf, for RateMatrix to reject.
+    with np.errstate(over="ignore"):
+        for delta, position, entries in pumps:
+            values[entries] += lzs_rate(delta, eps - position, drive, kernel)
+        mat[rows, cols] = values
+        np.fill_diagonal(mat, -mat.sum(axis=0))
     return RateMatrix(matrix=mat, states=states)
 
 

@@ -9,6 +9,18 @@ by the squared Bessel function J_n(A/w)**2:
                                 / ((eps - n*w)**2 + gamma2**2)
 
 with eps the detuning from the crossing and gamma2 the dephasing rate.
+It is the rate of population transfer, dP_L/dt = -W (P_L - P_R), of the
+Bloch equations of H = -(eps(t) sigma_z + delta sigma_x) / 2 with
+eps(t) = eps + A cos(w t), hbar = 1, dephasing gamma2 on the
+coherences and eps, A, w, delta and gamma2 in the same angular units
+(Berns et al., Nature 455, 51 (2008); Shevchenko, Ashhab and Nori,
+Phys. Rep. 492, 1 (2010)).  It holds where the coupling is weak against
+the dephasing, delta |J_n(A/w)| << gamma2: there its relative gap to
+the slowest Bloch decay is at most about
+(delta max_n |J_n(A/w)| / gamma2)**2.
+Beyond that the populations oscillate and W is the rate model's, not
+the Bloch equations'.
+
 One rule, ``_photon_range``, truncates the infinite sum, for one point
 and for a map alike: keep the Bessel support |n| <= A/w + n_margin, in
 ascending n, whatever the detuning.  The photons summed thus depend on
@@ -37,14 +49,14 @@ Each rule that ``lzs_rate`` (one point, the oracle of ``probe``) and
 terms one after another in order (for the GTH solve and the well sums
 too), ``_photon_weights`` gives an amplitude's photons and their
 squared Bessel weights, and ``_denominators`` the Lorentzian
-denominators (eps - n*w)**2 + gamma2**2.  ``PhotonTable`` evaluates the sums for many crossings,
-detunings and amplitudes at one drive frequency: its denominators are
-built once, over the support of the map's largest amplitude, and every
-point adds all of them in ascending n.  A photon outside a smaller
-amplitude's support has weight 0 and adds exactly +0.0, so every rate
-has lzs_rate's bits.  A rate that is not finite (an overflowing
-delta**2, or a gamma2**2 that underflows to 0 on a resonance) comes out
-as inf or nan, without a warning, for the caller to reject.
+denominators (eps - n*w)**2 + gamma2**2.  ``PhotonTable`` evaluates the
+sums for many crossings, detunings and amplitudes at one drive
+frequency: its denominators are built once, over the support of the
+map's largest amplitude, and every point adds the photons of its own
+amplitude's support in ascending n, as lzs_rate does, so every rate has
+lzs_rate's bits.  A rate that is not finite (an overflowing delta**2,
+or a gamma2**2 that underflows to 0 on a resonance) comes out as inf or
+nan, without a warning, for the caller to reject.
 
 The Bessel kernel is self-contained: an ascending power series for
 x < 2 and Miller's normalized downward recurrence otherwise, run in
@@ -277,9 +289,9 @@ class PhotonTable:
     photon by photon, over the support of the largest amplitude, which
     holds that of every smaller one; ``rates`` divides each amplitude's
     squared Bessel weights (``_photon_weights``) by the table and adds
-    every photon's terms in ascending n, in ``_chain``'s order.  A photon
-    outside an amplitude's own support has weight 0 and adds exactly
-    +0.0, so W has lzs_rate's bits at every point.
+    the terms of exactly the photons of that amplitude's support, in
+    ascending n in ``_chain``'s order, so W has lzs_rate's bits at every
+    point.
     """
 
     def __init__(
@@ -314,22 +326,25 @@ class PhotonTable:
                     f"amplitude {amp!r} outside the table's range [0, {self.drive.amplitude!r}]"
                 )
         n_c, n_m = self.eps_local.shape
-        total = np.zeros((n_c, len(amps), n_m))
-        if n_c == 0 or not amps:
-            return total
         w, gamma2 = self.drive.frequency, self.drive.dephasing
-        # weights[i, k]: amps[k]'s squared Bessel weight of photon ns[i], and
-        # 0 outside that amplitude's support, where its terms add +0.0.
+        # weights[i, k]: amps[k]'s squared Bessel weight of photon ns[i], held
+        # where ns[i] lies in amps[k]'s support, the only photons it sums.
         weights = np.zeros((self.ns.size, len(amps)))
+        held = np.zeros(weights.shape, dtype=bool)
         for k, amp in enumerate(amps):
             ns, weight = _photon_weights(amp / w, self.kernel.n_margin)
-            weights[ns - self.ns[0], k] = weight
+            support = slice(ns[0] - self.ns[0], ns[-1] - self.ns[0] + 1)  # one run
+            weights[support, k] = weight
+            held[support, k] = True
         # _chain's sum, photon by photon in place: 0.0 + t0 is t0 exactly.
+        # A where= mask, even where=True, slows numpy's loops, so only a
+        # photon that some amplitude does not hold gets one.
+        total = np.zeros((n_c, len(amps), n_m))
         terms = np.empty_like(total)
+        full = held.all(axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i in range(self.ns.size):
-                if not weights[i].any():
-                    continue
-                np.divide(weights[i, :, None], self.denominators[i, :, None], out=terms)
-                total += terms
+            for i in np.flatnonzero(held.any(axis=1)):
+                some = {} if full[i] else {"where": held[i, :, None]}
+                np.divide(weights[i, :, None], self.denominators[i, :, None], out=terms, **some)
+                np.add(total, terms, out=total, **some)
             return (0.5 * self.deltas * self.deltas)[:, None, None] * (gamma2 * total)

@@ -14,17 +14,21 @@ the pumped entries are ``master._generator_layout``'s, the layout
 ``build_rate_matrix`` reads.
 
 Rows are solved in blocks of whole rows, up to about 2048 points.  The
-table gives every rate of the block, with ``lzs_rate``'s bits; the
-pattern values are written as (entries, points), the static value first
-and then each crossing's rate in pump order, so each entry has
-``build_rate_matrix``'s bits.  ``master.solve_points`` then solves each
-point on the GTH plan of its own nonzero entries (a rate that underflows
-to zero drops an entry), all points of one pattern in one call; with
-several closed classes it gives the populations reached from 0R.
+table gives every rate of the block, each summing its own amplitude's
+photons, with ``lzs_rate``'s bits; the pattern values are written as
+(entries, points), the static value first and then each crossing's rate
+in pump order, so each entry has ``build_rate_matrix``'s bits.
+``master.solve_points`` then solves each point on the GTH plan of its
+own nonzero entries (a rate that underflows to zero drops an entry),
+all points of one pattern in one call; with several closed classes it
+gives the populations reached from 0R.
 ``probe`` (``stationary_solve`` of ``build_rate_matrix``) takes the same
 path on a block of one, so a map value equals what it gives, bit for
-bit.  A point with a rate that is not finite, or that fails the
-acceptance check, aborts the run.
+bit.  A block rejects a point as ``RateMatrix`` rejects its generator,
+when an entry or a column's outflow (the diagonal, summed in row order)
+is not finite: the run aborts with a ValidationError naming the block's
+first such point, or failing that with NonConvergent naming its first
+point that fails the acceptance check.
 
 One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
 It first fixes the number of processes from the run's work, counted as
@@ -74,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
-from .master import _generator_layout, solve_points
+from .master import _generator_layout, _ranks, _sum_into, solve_points
 from .model import DriveParams, QubitModel
 from .rates import PhotonTable, RateKernelParams, _chain
 
@@ -197,6 +201,7 @@ _BLOCK_POINTS = 2048
 # must have: a second process starts at 2M, above the measured
 # break-even (see the module docstring).
 _WORK_PER_PROCESS = 1_000_000
+_DBL_MAX = np.finfo(float).max
 
 
 class SweepPlan:
@@ -223,6 +228,7 @@ class SweepPlan:
             kernel,
         )
         self.n = len(model.states())
+        self.by_col = _ranks(self.cols.tolist())
         self.eps_values = eps_values
         self.n_left = model.n_left
 
@@ -236,24 +242,33 @@ class SweepPlan:
         values = np.repeat(self.static[:, None], n_points, axis=1)
         # One crossing at a time: a buffered fancy += would drop the second
         # of two rates pumping into the same leak entry.
-        for entries, w in zip(self.pumped, rates):
-            values[entries] += w
+        with np.errstate(over="ignore"):
+            for entries, w in zip(self.pumped, rates):
+                values[entries] += w
         return values
 
     def block(self, amps) -> np.ndarray:
         """P_L at every detuning of each amplitude in amps, as
         (len(amps), n_eps).  Raises ValidationError naming the block's
-        first point with a rate that is not finite, as ``probe``'s
-        RateMatrix rejects it, and NonConvergent naming its first point
-        that fails the acceptance check."""
+        first point whose generator ``probe``'s RateMatrix rejects, and
+        failing that NonConvergent naming its first point that fails the
+        acceptance check."""
         n_eps = self.eps_values.size
 
         def first_failed(ok):
             point = int(np.argmin(ok))
             return float(self.eps_values[point % n_eps]), amps[point // n_eps]
 
+        # RateMatrix's rule: every entry finite (max propagates nan), and
+        # every column's outflow, the diagonal, summed in row order.  An
+        # outflow of fewer than n entries, none above DBL_MAX / (2n),
+        # cannot overflow, so only the other points are summed.
         values = self.values(amps)
-        finite = np.isfinite(values).all(axis=0)
+        top = values.max(axis=0, initial=0.0)
+        finite = np.isfinite(top)
+        near = np.flatnonzero(finite & (top > _DBL_MAX / (2 * self.n)))
+        with np.errstate(over="ignore"):
+            finite[near] = np.isfinite(_sum_into(values[:, near], self.by_col, self.n)).all(axis=0)
         if not finite.all():
             eps, amp = first_failed(finite)
             raise ValidationError(

@@ -99,6 +99,13 @@ amp = 0 8 21
 """
 
 
+FIRST_DIAMOND = (Path(__file__).resolve().parents[1] / "configs" / "first_diamond.cfg").read_text()
+# first_diamond on the grid eps = -1 1 3, amp = 0 1 2.
+FIRST_DIAMOND_SMALL = FIRST_DIAMOND.replace("eps = -6 6 201", "eps = -1 1 3").replace(
+    "amp = 0 12.5 201", "amp = 0 1 2"
+)
+
+
 def edit(text, *pairs):
     """Apply (old, new) replacements, each of text that occurs once."""
     for old, new in zip(pairs[::2], pairs[1::2]):
@@ -713,6 +720,74 @@ class TestMainEntry:
             assert err == "error: rate matrix entries must be finite (eps=-1.0 GHz, amp=0.0 GHz)\n"
             assert main(["probe", path, "--eps", "-1", "--amp", "0"]) == 2
             assert capsys.readouterr().err == "error: rate matrix entries must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "base, pairs, eps, earlier",
+        [
+            # n_margin = 0: photon -1 lies outside amplitude 0's support, so
+            # its 0/0 on resonance at eps = -1 is not summed; at eps = 0 the
+            # n = 0 term is 1/0.
+            (
+                FIRST_DIAMOND_SMALL,
+                (
+                    "dephasing = 0.1", "dephasing = 1e-200",
+                    "[output]", "[kernel]\nn_margin = 0\n\n[output]",
+                ),
+                0.0,
+                {-1.0: 0},
+            ),
+            # J_20(A)**2 is 0 at both amplitudes, but photon 20 lies in both
+            # supports: its 0/0 on resonance at eps = 20 is summed.
+            (
+                MINIMAL,
+                (
+                    "crossing 0 0 = 0.05", "crossing 0 0 = 0.04",
+                    "interwell L0 R0 = 0.01", "interwell L0 R0 = 0.002",
+                    "dephasing = 0.1", "dephasing = 1e-200",
+                    "eps = -1 1 3", "eps = 20 21 2",
+                    "amp = 0 1 2", "amp = 0 1e-10 2",
+                ),
+                20.0,
+                {},
+            ),
+            # Every rate is finite, but R1's outflow overflows.
+            (
+                FIRST_DIAMOND_SMALL,
+                ("relax R 1 0 = 1.0", "relax R 1 0 = 1e308\ninterwell R1 L0 = 1e308"),
+                -1.0,
+                {},
+            ),
+            # The L0 -> R0 entry, a static rate plus the pumped one,
+            # overflows on the n = 0 resonance, after a point that fails
+            # the acceptance check.
+            (
+                FIRST_DIAMOND_SMALL,
+                (
+                    "crossing 0 0 = 0.04", "crossing 0 0 = 3e153",
+                    "interwell L0 R0 = 0.002", "interwell L0 R0 = 1.5e308",
+                ),
+                0.0,
+                {-1.0: 1},
+            ),
+        ],
+        ids=["outside_the_support", "zero_weight_in_the_support", "outflow_overflows", "entry_overflows"],
+    )
+    def test_run_names_the_first_point_probe_rejects(self, tmp_path, capsys, base, pairs, eps, earlier):
+        # The first point of the first row (amp = 0) whose generator probe
+        # rejects is the one run names, ahead of any earlier point that
+        # fails the acceptance check; neither warns.
+        path = self.write_config(tmp_path, edit(base, *pairs))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path, "--out", str(out), "--workers", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: rate matrix entries must be finite (eps={eps} GHz, amp=0.0 GHz)\n"
+            assert main(["probe", path, "--eps", str(eps), "--amp", "0"]) == 2
+            assert capsys.readouterr().err == "error: rate matrix entries must be finite\n"
+            for before, code in earlier.items():
+                assert main(["probe", path, "--eps", str(before), "--amp", "0"]) == code
         assert not out.exists()
 
     def test_amplitude_past_the_bessel_range_exit_two(self, tmp_path, capsys):

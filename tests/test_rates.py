@@ -478,6 +478,62 @@ class TestLzsRate:
         assert not np.isfinite(row[0, 0, 0])
 
 
+def bloch_rate(delta, eps, amp, w, gamma2):
+    """The rate W that lzs_rate stands for, from the Bloch equations of
+    H = -(eps(t) sigma_z + delta sigma_x) / 2, eps(t) = eps + amp cos(w t),
+    hbar = 1, with dephasing gamma2 on the coherences and no relaxation.
+    dr/dt = M(t) r is linear; over one period T it maps r to Phi r.  The
+    population difference z decays as exp(-2 W t), so Phi's slowest
+    eigenvalue lambda gives 2 W = -ln|lambda| / T."""
+    period = 2.0 * math.pi / w
+
+    def rhs(t, phi):
+        e = eps + amp * math.cos(w * t)
+        m = np.array([[-gamma2, e, 0.0], [-e, -gamma2, delta], [0.0, -delta, 0.0]])
+        return (m @ phi.reshape(3, 3)).ravel()
+
+    phi = integrate.solve_ivp(
+        rhs, (0.0, period), np.eye(3).ravel(), method="DOP853", rtol=1e-11, atol=1e-13
+    ).y[:, -1]
+    return -math.log(np.abs(np.linalg.eigvals(phi.reshape(3, 3))).max()) / (2.0 * period)
+
+
+class TestBlochEquations:
+    # Where the rate picture holds, delta |J_n(A/w)| << gamma2, lzs_rate is
+    # the Bloch equations' slowest decay up to the coupling ratio
+    # (delta max_n |J_n(A/w)| / gamma2)**2: on a resonance the relative gap
+    # is -ratio * (J_n / max_n |J_n|)**2, off resonance a tenth of that or
+    # less.  Over 900 seeded points the gap never exceeded 1.1 * ratio.
+    A, B = 1.25, 1e-4
+
+    def test_one_photon_resonance(self):
+        # w = 1, gamma2 = 0.1, A = 2.5, eps = 1: the gap follows the ratio
+        # as delta halves.
+        for delta, gap, ratio in ((0.02, -9.90e-3, 9.88e-3), (0.01, -2.46e-3, 2.47e-3)):
+            w_bloch = bloch_rate(delta, 1.0, 2.5, 1.0, 0.1)
+            got = lzs_rate(delta, 1.0, DriveParams(2.5, 1.0, 0.1))
+            assert (got - w_bloch) / w_bloch == pytest.approx(gap, rel=0.01)
+            assert (delta * special.jv(1, 2.5) / 0.1) ** 2 == pytest.approx(ratio, rel=0.01)
+
+    def test_seeded_weak_coupling_points(self):
+        # On a resonance n*w, off it by a quarter to a half photon, and on
+        # the resonance whose weight a Bessel zero removes; delta sets the
+        # ratio between 1e-4 and 1e-2, in units where w and gamma2 vary.
+        rng = np.random.default_rng(8)
+        zeros = {n: special.jn_zeros(n, 2) for n in range(4)}
+        for kind in ("on", "off", "zero") * 12:
+            w = rng.uniform(0.5, 2.0)
+            gamma2 = rng.uniform(0.05, 0.2) * w
+            n = int(rng.integers(-3, 4))
+            x = zeros[abs(n)][rng.integers(2)] if kind == "zero" else rng.uniform(0.0, 6.0)
+            offset = rng.uniform(0.25, 0.5) * rng.choice([-1.0, 1.0]) if kind == "off" else 0.0
+            eps = (n + offset) * w
+            ratio = 10.0 ** rng.uniform(-4.0, -2.0)
+            delta = gamma2 * math.sqrt(ratio) / np.abs(special.jv(np.arange(-60, 61), x)).max()
+            w_bloch = bloch_rate(delta, eps, x * w, w, gamma2)
+            got = lzs_rate(delta, eps, DriveParams(x * w, w, gamma2))
+            assert abs(got - w_bloch) <= (self.A * ratio + self.B) * w_bloch, (kind, n, x, eps)
+
 
 class TestRowRates:
     """PhotonTable, the photon sum of a map: rows of any amplitudes up
@@ -500,7 +556,7 @@ class TestRowRates:
 
     def test_wide_windows_match_lzs_rate(self):
         # At A/w up to 47 a smaller amplitude's support is far narrower than
-        # the table's, whose other photons must add exactly +0.0.
+        # the table's, whose other photons its rates must not sum.
         drive = DriveParams(14.0, 0.3, 0.1)
         table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, drive)
         amps = [0.0, 14.0 / 3.0, 14.0]
@@ -558,3 +614,6 @@ class TestRowRates:
 
     def test_no_crossings(self):
         assert PhotonTable([], [], self.EPS, DRIVE).rates([2.0]).shape == (0, 1, self.EPS.size)
+        assert PhotonTable([], [], self.EPS, DRIVE).rates([]).shape == (0, 0, self.EPS.size)
+        table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, DRIVE)
+        assert table.rates([]).shape == (4, 0, self.EPS.size)

@@ -39,6 +39,9 @@ ZERO_COUPLING = QubitModel(
     crossings=np.zeros((1, 1)),
 )
 DRIVE = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FIRST_DIAMOND_CFG = (CONFIGS / "first_diamond.cfg").read_text()
+TEN_LEVEL_CFG = (CONFIGS / "ten_level.cfg").read_text()
 
 
 @pytest.fixture
@@ -288,7 +291,7 @@ class TestRunSweep:
             "second_diamond": ["83eb5806201f8c1d5ec7a62a847dc63a11c042d1ce7a2147f1c9e9e8cd5904e9"],
             "ten_level": ["1097c65e1562b91d98d6d929a875b0c2dc9e1360f10036b72ae9e36bd99c884f"],
         }
-        configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        configs = sorted(CONFIGS.glob("*.cfg"))
         assert [path.stem for path in configs] == sorted(pinned)
         for path in configs:
             config = cli.parse_config(path.read_text())
@@ -306,12 +309,13 @@ class TestRunSweep:
 
 
 sparse_rates = st.one_of(st.just(0.0), st.floats(1e-4, 2.0))
+huge_rates = st.one_of(sparse_rates, st.floats(1e300, 1e308))
 
 
 @st.composite
 def engine_cases(draw):
     """A random model (2-4 levels per well, sparse rates, optional leak),
-    drive and small grid.
+    drive, small grid and kernel.
 
     The decays of excited levels to their well's ground state and
     between the two ground states are each drawn as forced or not, so
@@ -322,11 +326,17 @@ def engine_cases(draw):
     the oracle truncate the photon sum by the same rule, the support of
     the point's amplitude, so their rates agree bit for bit and any gap
     is the solve's.
+
+    Each of three extremes is drawn or not: gamma2 down to 1e-200, whose
+    square underflows, n_margin down to 0, and static rates up to 1e308,
+    whose outflows may overflow.  Some points then have rates or
+    outflows that are not finite, or fail the acceptance check.
     """
     nl, nr = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    static_rates = draw(st.sampled_from([sparse_rates, huge_rates]))
 
-    def block(rows, cols, to_ground=()):
-        flat = draw(st.lists(sparse_rates, min_size=rows * cols, max_size=rows * cols))
+    def block(rows, cols, to_ground=(), strategy=static_rates):
+        flat = draw(st.lists(strategy, min_size=rows * cols, max_size=rows * cols))
         rates = np.array(flat).reshape(rows, cols)
         if draw(st.booleans()):
             for i, j in to_ground:
@@ -341,7 +351,7 @@ def engine_cases(draw):
     model = QubitModel(
         left_offsets=ladder(nl),
         right_offsets=ladder(nr),
-        crossings=block(nl, nr),
+        crossings=block(nl, nr, strategy=sparse_rates),
         left_relax=np.tril(block(nl, nl, [(i, 0) for i in range(1, nl)]), -1),
         right_relax=np.tril(block(nr, nr, [(j, 0) for j in range(1, nr)]), -1),
         left_to_right=block(nl, nr, [(0, 0)]),
@@ -351,7 +361,9 @@ def engine_cases(draw):
     drive = DriveParams(
         amplitude=0.0,
         frequency=draw(st.floats(0.5, 3.0)),
-        dephasing=draw(st.floats(0.05, 0.5)),
+        dephasing=draw(
+            st.one_of(st.floats(0.05, 0.5), st.floats(-200.0, -1.3).map(lambda e: 10.0**e))
+        ),
     )
     eps_min, amp_min = draw(st.floats(-12.0, 8.0)), draw(st.floats(0.0, 16.0))
     grid = SweepGrid(
@@ -362,7 +374,19 @@ def engine_cases(draw):
         amp_min + draw(st.floats(0.1, 4.0)),
         draw(st.integers(2, 3)),
     )
-    return model, drive, grid
+    kernel = RateKernelParams(draw(st.one_of(st.just(20), st.integers(0, 20))))
+    return model, drive, grid, kernel
+
+
+def first_diamond_case(*edits):
+    """configs/first_diamond.cfg on the grid eps = -1 1 3, amp = 0 1 2,
+    with the (pattern, replacement) line edits, as an engine case."""
+    text = re.sub(r"eps = .*", "eps = -1 1 3", FIRST_DIAMOND_CFG)
+    text = re.sub(r"amp = .*", "amp = 0 1 2", text)
+    for pattern, replacement in zip(edits[::2], edits[1::2]):
+        text = re.sub(pattern, replacement, text)
+    config = cli.parse_config(text)
+    return config.model, config.drives[0], config.grid, config.kernel
 
 
 def underflow_pair(delta):
@@ -378,13 +402,22 @@ def underflow_pair(delta):
 
 
 def pointwise_map(model, drive_base, grid, kernel=RateKernelParams()):
-    """The map from one scalar oracle solve per point."""
+    """The map from one scalar oracle solve per point.  Where the oracle
+    rejects a point, raises its error naming the first such point in row
+    order, a ValidationError before any NonConvergent."""
     values = np.empty(grid.shape)
-    for k, amp in enumerate(grid.amp_values):
-        drive = DriveParams(float(amp), drive_base.frequency, drive_base.dephasing)
-        for m, eps in enumerate(grid.eps_values):
-            rm = build_rate_matrix(model, float(eps), drive, kernel)
-            values[k, m] = stationary_solve(rm).p_left
+    failed = {}
+    for k, amp in enumerate(grid.amp_values.tolist()):
+        drive = DriveParams(amp, drive_base.frequency, drive_base.dephasing)
+        for m, eps in enumerate(grid.eps_values.tolist()):
+            try:
+                rm = build_rate_matrix(model, eps, drive, kernel)
+                values[k, m] = stationary_solve(rm).p_left
+            except (ValidationError, NonConvergent) as exc:
+                failed.setdefault(type(exc), f"{exc} (eps={eps} GHz, amp={amp} GHz)")
+    for error in (ValidationError, NonConvergent):
+        if error in failed:
+            raise error(failed[error])
     return values
 
 
@@ -403,6 +436,7 @@ class TestRowEngine:
             ),
             DriveParams(amplitude=0.0, frequency=0.5, dephasing=0.5),
             SweepGrid(0.0, 4.0, 2, 3.0, 7.0, 2),
+            RateKernelParams(),
         )
     )
     @example(  # 0L<->1R run at a subnormal rate, and 0R, the start,
@@ -419,6 +453,7 @@ class TestRowEngine:
             ),
             DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.5),
             SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2),
+            RateKernelParams(),
         )
     )
     @example(  # R1 leaves only through a fill of two rates near 1e-198,
@@ -442,15 +477,49 @@ class TestRowEngine:
             ),
             DriveParams(amplitude=0.0, frequency=2.0, dephasing=0.5),
             SweepGrid(-3.0, 3.0, 13, 0.0, 1.0, 2),
+            RateKernelParams(),
         )
     )
-    @settings(max_examples=150, deadline=None)
+    @example(  # n_margin = 0: photon -1 lies outside amplitude 0's support,
+        # so its 0/0 on resonance at eps = -1 is not summed; eps = 0 is inf
+        first_diamond_case(
+            r"dephasing = .*", "dephasing = 1e-200",
+            r"\[output\]", "[kernel]\nn_margin = 0\n\n[output]",
+        )
+    )
+    @example(  # J_20(A)**2 is 0 at both amplitudes, but photon 20 lies in
+        # both supports: its 0/0 on resonance at eps = 20 is summed
+        (
+            QubitModel(
+                left_offsets=(0.0,),
+                right_offsets=(0.0,),
+                crossings=np.array([[0.04]]),
+                left_to_right=np.array([[0.002]]),
+            ),
+            DriveParams(amplitude=0.0, frequency=1.0, dephasing=1e-200),
+            SweepGrid(20.0, 21.0, 2, 0.0, 1e-10, 2),
+            RateKernelParams(),
+        )
+    )
+    @example(  # every rate is finite, but R1's outflow overflows
+        first_diamond_case(r"relax R 1 0 = .*", "relax R 1 0 = 1e308\ninterwell R1 L0 = 1e308")
+    )
+    @settings(max_examples=200, deadline=None)
     def test_matches_scalar_oracle(self, case):
         # Bit for bit at every point, also where a zero rate changes the
         # point's pattern: both solve it on the plan of its own entries.
-        model, drive, grid = case
-        pmap = run_sweep(model, drive, grid)
-        assert np.array_equal(pmap.values, pointwise_map(model, drive, grid))
+        # Where the oracle rejects a point, the run raises the oracle's
+        # error naming the first one, a ValidationError before any
+        # NonConvergent (the grid is one block).
+        model, drive, grid, kernel = case
+        try:
+            expected = pointwise_map(model, drive, grid, kernel)
+        except (ValidationError, NonConvergent) as exc:
+            with pytest.raises(type(exc)) as raised:
+                run_sweep(model, drive, grid, kernel)
+            assert str(raised.value) == str(exc)
+        else:
+            assert np.array_equal(run_sweep(model, drive, grid, kernel).values, expected)
 
     def test_reducible_model_keeps_the_pair_holding_0r(self, monkeypatch):
         # Two non-interacting pairs, 0L<->0R and 1L<->1R: two closed
@@ -573,7 +642,6 @@ def count_solves(monkeypatch):
     return calls
 
 
-TEN_LEVEL_CFG = (Path(__file__).resolve().parents[1] / "configs" / "ten_level.cfg").read_text()
 
 
 def ten_level_config(n_eps, n_amp):
@@ -731,7 +799,7 @@ class TestForkRule:
         # The decision alone, on each shipped config's full grid at
         # --workers 2 and 8: ten-level has 8.2M entry-points, the 3-state
         # configs at most 0.66M.
-        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+        path = CONFIGS / f"{name}.cfg"
         config = cli.parse_config(path.read_text())
         n_maps = len(config.drives)
         assert processes == tuple(
