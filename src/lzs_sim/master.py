@@ -131,8 +131,10 @@ class PopulationVector:
         object.__setattr__(self, "states", tuple(self.states))
 
     def _well_sum(self, well: Well) -> float:
-        # In state order, as the map engine adds them.
-        return float(_chain(self.probabilities[[s.well is well for s in self.states]]))
+        # In state order, as the map engine adds them, and at most 1, as
+        # PopulationMap clips them: a well holding nearly everything can
+        # sum to 1 + 2**-52.
+        return min(1.0, float(_chain(self.probabilities[[s.well is well for s in self.states]])))
 
     @property
     def p_left(self) -> float:
@@ -370,7 +372,10 @@ class GTHPlan:
         q, blocked = self._reduce(values)
         if blocked.any():
             again = blocked.copy()
-            q[:, again], blocked[again] = self._reduce(values[:, again] * _RESCALE_ABOVE)
+            # A rate above 2**424 scales to inf: that point fails the check.
+            with np.errstate(over="ignore"):
+                scaled = values[:, again] * _RESCALE_ABOVE
+            q[:, again], blocked[again] = self._reduce(scaled)
         return q, ~blocked & self.accepts(values, q)
 
     def _reduce(self, values: np.ndarray):

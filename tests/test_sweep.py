@@ -504,6 +504,40 @@ class TestRowEngine:
     @example(  # every rate is finite, but R1's outflow overflows
         first_diamond_case(r"relax R 1 0 = .*", "relax R 1 0 = 1e308\ninterwell R1 L0 = 1e308")
     )
+    @example(  # 1e300 GHz into the left well: P_L sums to 1 + 2**-52, and
+        # both clip it to 1
+        (
+            QubitModel(
+                left_offsets=(0.0, 1.0, 2.0),
+                right_offsets=(0.0, 1.0),
+                crossings=np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 1.0]]),
+                left_relax=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+                right_relax=np.array([[0.0, 0.0], [1e300, 0.0]]),
+                left_to_right=np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+                right_to_left=np.array([[0.0, 0.0, 1e300], [0.0, 0.0, 0.0]]),
+            ),
+            DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.5),
+            SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2),
+            RateKernelParams(),
+        )
+    )
+    @example(  # a fill of two rates near 1e-24 underflows, and the rates
+        # scaled by 2**600 to redo it overflow: NonConvergent, quietly
+        (
+            QubitModel(
+                left_offsets=(0.0, 1.0),
+                right_offsets=(0.0, 1.0),
+                crossings=np.array([[0.0, 0.0], [0.5, 0.0]]),
+                left_relax=np.array([[0.0, 0.0], [0.5, 0.0]]),
+                right_relax=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                left_to_right=np.array([[0.0, 1.0], [1e300, 0.0]]),
+                right_to_left=np.zeros((2, 2)),
+            ),
+            DriveParams(amplitude=0.0, frequency=1.0, dephasing=1e-22),
+            SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2),
+            RateKernelParams(),
+        )
+    )
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_oracle(self, case):
         # Bit for bit at every point, also where a zero rate changes the
