@@ -26,9 +26,13 @@ gives the populations reached from 0R.
 path on a block of one, so a map value equals what it gives, bit for
 bit.  A block rejects a point as ``RateMatrix`` rejects its generator,
 when an entry or a column's outflow (the diagonal, summed in row order)
-is not finite: the run aborts with a ValidationError naming the block's
-first such point, or failing that with NonConvergent naming its first
-point that fails the acceptance check.
+is not finite, and solves only the points before the first one it
+rejects.  A run stops at its first failing point in (map, amplitude
+row, detuning) order, with the error ``probe`` gives there: a
+ValidationError for a rejected generator, NonConvergent for a point
+that fails the acceptance check.  Blocks hold whole rows and run in
+order, so the point and error named do not depend on the block layout
+or the worker count.
 
 One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
 It first fixes the number of processes from the run's work, counted as
@@ -249,14 +253,13 @@ class SweepPlan:
 
     def block(self, amps) -> np.ndarray:
         """P_L at every detuning of each amplitude in amps, as
-        (len(amps), n_eps).  Raises ValidationError naming the block's
-        first point whose generator ``probe``'s RateMatrix rejects, and
-        failing that NonConvergent naming its first point that fails the
-        acceptance check."""
+        (len(amps), n_eps).  Raises the error ``probe`` gives at the
+        block's first failing point in row order: ValidationError where
+        probe's RateMatrix rejects the generator, NonConvergent where the
+        point fails the acceptance check."""
         n_eps = self.eps_values.size
 
-        def first_failed(ok):
-            point = int(np.argmin(ok))
+        def at(point):
             return float(self.eps_values[point % n_eps]), amps[point // n_eps]
 
         # RateMatrix's rule: every entry finite (max propagates nan), and
@@ -269,15 +272,19 @@ class SweepPlan:
         near = np.flatnonzero(finite & (top > _DBL_MAX / (2 * self.n)))
         with np.errstate(over="ignore"):
             finite[near] = np.isfinite(_sum_into(values[:, near], self.by_col, self.n)).all(axis=0)
-        if not finite.all():
-            eps, amp = first_failed(finite)
+        # Only the points before the first rejected one are solved: all of
+        # them, and no copy, when every point is finite.
+        stop = finite.size if finite.all() else int(np.argmin(finite))
+        if stop:
+            q, ok = solve_points(self.rows, self.cols, self.n, self.n_left, values[:, :stop])
+            if not ok.all():
+                eps, amp = at(int(np.argmin(ok)))
+                raise NonConvergent("stationary solve failed the acceptance check", eps=eps, amp=amp)
+        if stop < finite.size:
+            eps, amp = at(stop)
             raise ValidationError(
                 f"rate matrix entries must be finite (eps={eps} GHz, amp={amp} GHz)"
             )
-        q, ok = solve_points(self.rows, self.cols, self.n, self.n_left, values)
-        if not ok.all():
-            eps, amp = first_failed(ok)
-            raise NonConvergent("stationary solve failed the acceptance check", eps=eps, amp=amp)
         return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
 
 
@@ -344,8 +351,9 @@ def run_sweep(
     """P_L map over the grid; drive_base supplies frequency and
     dephasing while its amplitude is overridden row by row.
 
-    A NonConvergent grid point aborts the whole sweep, with the
-    offending (eps, amp) coordinates attached to the exception.
+    The sweep stops at its first failing point in row order, with the
+    error ``probe`` gives there (ValidationError or NonConvergent),
+    naming the point's (eps, amp).
     """
     return run_frequency_batch(model, [drive_base], grid, kernel, workers)[0]
 

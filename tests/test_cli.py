@@ -723,7 +723,7 @@ class TestMainEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "base, pairs, eps, earlier",
+        "base, pairs, eps, code, others",
         [
             # n_margin = 0: photon -1 lies outside amplitude 0's support, so
             # its 0/0 on resonance at eps = -1 is not summed; at eps = 0 the
@@ -735,7 +735,8 @@ class TestMainEntry:
                     "[output]", "[kernel]\nn_margin = 0\n\n[output]",
                 ),
                 0.0,
-                {-1.0: 0},
+                2,
+                {(-1.0, 0.0): 0},
             ),
             # J_20(A)**2 is 0 at both amplitudes, but photon 20 lies in both
             # supports: its 0/0 on resonance at eps = 20 is summed.
@@ -749,6 +750,7 @@ class TestMainEntry:
                     "amp = 0 1 2", "amp = 0 1e-10 2",
                 ),
                 20.0,
+                2,
                 {},
             ),
             # Every rate is finite, but R1's outflow overflows.
@@ -756,38 +758,68 @@ class TestMainEntry:
                 FIRST_DIAMOND_SMALL,
                 ("relax R 1 0 = 1.0", "relax R 1 0 = 1e308\ninterwell R1 L0 = 1e308"),
                 -1.0,
+                2,
                 {},
             ),
-            # The L0 -> R0 entry, a static rate plus the pumped one,
-            # overflows on the n = 0 resonance, after a point that fails
-            # the acceptance check.
+            # The first point fails the acceptance check; the L0 -> R0 entry,
+            # a static rate plus the pumped one, overflows on the n = 0
+            # resonance after it, in the same block.
             (
                 FIRST_DIAMOND_SMALL,
                 (
                     "crossing 0 0 = 0.04", "crossing 0 0 = 3e153",
                     "interwell L0 R0 = 0.002", "interwell L0 R0 = 1.5e308",
                 ),
-                0.0,
-                {-1.0: 1},
+                -1.0,
+                1,
+                {(0.0, 0.0): 2},
             ),
+            # The same at the grid's first point, (0.5, 0), with L0 -> R0
+            # overflowing at (0.905, 1): with 201 detunings both rows are
+            # one block, with 2049 each row is a block of its own.
+            *[
+                (
+                    FIRST_DIAMOND,
+                    (
+                        "crossing 0 0 = 0.04", "crossing 0 0 = 3e153",
+                        "interwell L0 R0 = 0.002", "interwell L0 R0 = 1.75e308",
+                        "eps = -6 6 201", f"eps = 0.5 1.5 {n_eps}",
+                        "amp = 0 12.5 201", "amp = 0 1 2",
+                    ),
+                    0.5,
+                    1,
+                    {(0.905, 1.0): 2},
+                )
+                for n_eps in (201, 2049)
+            ],
         ],
-        ids=["outside_the_support", "zero_weight_in_the_support", "outflow_overflows", "entry_overflows"],
+        ids=[
+            "outside_the_support", "zero_weight_in_the_support", "outflow_overflows",
+            "entry_overflows", "one_block", "row_blocks",
+        ],
     )
-    def test_run_names_the_first_point_probe_rejects(self, tmp_path, capsys, base, pairs, eps, earlier):
-        # The first point of the first row (amp = 0) whose generator probe
-        # rejects is the one run names, ahead of any earlier point that
-        # fails the acceptance check; neither warns.
+    def test_run_names_the_first_point_probe_rejects(self, tmp_path, capsys, base, pairs, eps, code, others):
+        # run names the first point of the first row (amp = 0) that probe
+        # rejects, with probe's error, whatever the block layout: exit 2
+        # where probe's RateMatrix rejects the generator, exit 1 where the
+        # point fails the acceptance check.  probe gives the codes shown
+        # at the other (eps, amp) points; nothing warns.
+        message = {
+            1: "stationary solve failed the acceptance check",
+            2: "rate matrix entries must be finite",
+        }[code]
         path = self.write_config(tmp_path, edit(base, *pairs))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["run", path, "--out", str(out), "--workers", "1"]) == 2
+            assert main(["run", path, "--out", str(out), "--workers", "1"]) == code
             err = capsys.readouterr().err
-            assert err == f"error: rate matrix entries must be finite (eps={eps} GHz, amp=0.0 GHz)\n"
-            assert main(["probe", path, "--eps", str(eps), "--amp", "0"]) == 2
-            assert capsys.readouterr().err == "error: rate matrix entries must be finite\n"
-            for before, code in earlier.items():
-                assert main(["probe", path, "--eps", str(before), "--amp", "0"]) == code
+            assert err == f"error: {message} (eps={eps} GHz, amp=0.0 GHz)\n"
+            assert main(["probe", path, "--eps", str(eps), "--amp", "0"]) == code
+            assert capsys.readouterr().err == f"error: {message}\n"
+            for (other_eps, amp), other_code in others.items():
+                probe = ["probe", path, "--eps", str(other_eps), "--amp", str(amp)]
+                assert main(probe) == other_code
         assert not out.exists()
 
     def test_amplitude_past_the_bessel_range_exit_two(self, tmp_path, capsys):

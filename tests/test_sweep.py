@@ -403,10 +403,9 @@ def underflow_pair(delta):
 
 def pointwise_map(model, drive_base, grid, kernel=RateKernelParams()):
     """The map from one scalar oracle solve per point.  Where the oracle
-    rejects a point, raises its error naming the first such point in row
-    order, a ValidationError before any NonConvergent."""
+    rejects a point, raises its error, naming the first such point in
+    row order."""
     values = np.empty(grid.shape)
-    failed = {}
     for k, amp in enumerate(grid.amp_values.tolist()):
         drive = DriveParams(amp, drive_base.frequency, drive_base.dephasing)
         for m, eps in enumerate(grid.eps_values.tolist()):
@@ -414,10 +413,7 @@ def pointwise_map(model, drive_base, grid, kernel=RateKernelParams()):
                 rm = build_rate_matrix(model, eps, drive, kernel)
                 values[k, m] = stationary_solve(rm).p_left
             except (ValidationError, NonConvergent) as exc:
-                failed.setdefault(type(exc), f"{exc} (eps={eps} GHz, amp={amp} GHz)")
-    for error in (ValidationError, NonConvergent):
-        if error in failed:
-            raise error(failed[error])
+                raise type(exc)(f"{exc} (eps={eps} GHz, amp={amp} GHz)") from None
     return values
 
 
@@ -538,22 +534,33 @@ class TestRowEngine:
             RateKernelParams(),
         )
     )
+    @example(  # L0 -> R0 overflows on the n = 0 resonance at (0, 0), after
+        # (-1, 0) fails the acceptance check: NonConvergent at (-1, 0)
+        first_diamond_case(
+            r"crossing 0 0 = .*", "crossing 0 0 = 3e153",
+            r"interwell L0 R0 = .*", "interwell L0 R0 = 1.5e308",
+        )
+    )
     @settings(max_examples=200, deadline=None)
-    def test_matches_scalar_oracle(self, case):
+    @pytest.mark.parametrize("row_blocks", [False, True], ids=["default_blocks", "row_blocks"])
+    def test_matches_scalar_oracle(self, row_blocks, case):
         # Bit for bit at every point, also where a zero rate changes the
         # point's pattern: both solve it on the plan of its own entries.
         # Where the oracle rejects a point, the run raises the oracle's
-        # error naming the first one, a ValidationError before any
-        # NonConvergent (the grid is one block).
+        # error naming the first one in row order, whether the grid is
+        # one block or one block per row.
         model, drive, grid, kernel = case
-        try:
-            expected = pointwise_map(model, drive, grid, kernel)
-        except (ValidationError, NonConvergent) as exc:
-            with pytest.raises(type(exc)) as raised:
-                run_sweep(model, drive, grid, kernel)
-            assert str(raised.value) == str(exc)
-        else:
-            assert np.array_equal(run_sweep(model, drive, grid, kernel).values, expected)
+        with pytest.MonkeyPatch.context() as patch:
+            if row_blocks:
+                patch.setattr(sweep_mod, "_BLOCK_POINTS", grid.n_eps)
+            try:
+                expected = pointwise_map(model, drive, grid, kernel)
+            except (ValidationError, NonConvergent) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    run_sweep(model, drive, grid, kernel)
+                assert str(raised.value) == str(exc)
+            else:
+                assert np.array_equal(run_sweep(model, drive, grid, kernel).values, expected)
 
     def test_reducible_model_keeps_the_pair_holding_0r(self, monkeypatch):
         # Two non-interacting pairs, 0L<->0R and 1L<->1R: two closed
