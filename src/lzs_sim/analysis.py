@@ -12,12 +12,11 @@ regime where they merge.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientLevels, ValidationError
+from .errors import InsufficientLevels, ValidationError, _number
 from .model import DriveParams, QubitModel, crossing_position
 
 __all__ = [
@@ -55,10 +54,9 @@ class RegimeReport:
     spacing_pair: tuple[int, int]
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta_a) and self.delta_a > 0):
-            raise ValidationError("delta_a must be positive and finite")
-        if not (math.isfinite(self.delta_d) and self.delta_d > 0):
-            raise ValidationError("delta_d must be positive and finite")
+        for name in ("delta_a", "delta_d"):
+            value = _number(getattr(self, name), f"{name} must be positive and finite", above=0)
+            object.__setattr__(self, name, value)
         if (self.ratio >= 1.0) != (self.regime is Regime.HIGH_FREQUENCY):
             raise ValidationError("regime label inconsistent with ratio")
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and what the API accepts as a number or a count."""
+
+import contextlib
+import math
+import numbers
 
 
 class SimulationError(Exception):
@@ -32,6 +36,27 @@ class InsufficientLevels(SimulationError):
 
 class ValidationError(ValueError):
     """A constructed object or parsed configuration violates an invariant."""
+
+
+def _number(value, message: str, at_least=-math.inf, above=-math.inf) -> float:
+    """value as a float if it is a number: a finite real that is not a
+    bool (numpy scalars count), at least at_least and above above.
+    Anything else raises ValidationError(message)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float's range
+            number = float(value)
+            if math.isfinite(number) and number >= at_least and number > above:
+                return number
+    raise ValidationError(message)
+
+
+def _count(value, message: str, at_least: int) -> int:
+    """value as an int if it is a count: an integer that is not a bool
+    (numpy integers count), at least at_least.  Anything else raises
+    ValidationError(message)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= at_least:
+        return int(value)
+    raise ValidationError(message)
 
 
 class ParseError(ValueError):

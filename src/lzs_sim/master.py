@@ -32,14 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSystem, NonConvergent, ValidationError
-from .model import (
-    DriveParams,
-    QubitModel,
-    StateIndex,
-    Well,
-    crossing_position,
-)
+from .errors import DegenerateSystem, NonConvergent, ValidationError, _number
+from .model import DriveParams, QubitModel, StateIndex, Well, crossing_position
 from .rates import RateKernelParams, _chain, lzs_rate
 
 __all__ = [
@@ -52,7 +46,9 @@ __all__ = [
 ]
 
 _RESIDUAL_REL = 1e-10
+# Simplex tolerances of PopulationVector, PopulationMap and the acceptance check.
 _NEGATIVITY_TOL = 1e-12
+_EXCESS_TOL = 1e-9
 # Back-substitution rescales a point's unnormalized vector before an
 # entry would pass this.
 _RESCALE_ABOVE = 2.0**600
@@ -98,8 +94,7 @@ class RateMatrix:
         n = len(states)
         mat = np.zeros((n, n))
         for frm, to, rate in channels:
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ValidationError("channel rates must be >= 0 and finite")
+            rate = _number(rate, "channel rates must be >= 0 and finite", at_least=0)
             if frm == to:
                 raise ValidationError("channels must connect distinct states")
             mat[index[to], index[frm]] += rate
@@ -120,7 +115,7 @@ class PopulationVector:
             raise ValidationError("probability vector length does not match states")
         if not np.all(np.isfinite(p)):
             raise ValidationError("probabilities must be finite")
-        if np.any(p < -_NEGATIVITY_TOL) or np.any(p > 1.0 + 1e-9):
+        if np.any(p < -_NEGATIVITY_TOL) or np.any(p > 1.0 + _EXCESS_TOL):
             raise ValidationError("probabilities must lie in [0, 1]")
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:
@@ -212,8 +207,7 @@ def build_rate_matrix(
     with a leak configured, crossings whose partner level is at or above
     the threshold pump the below-threshold side into the leak instead.
     """
-    if not math.isfinite(eps):
-        raise ValidationError("eps must be finite")
+    eps = _number(eps, "eps must be finite")
     rows, cols, values, pumps = _generator_layout(model)
     states = model.states()
     mat = np.zeros((len(states), len(states)))
@@ -432,7 +426,7 @@ class GTHPlan:
                 np.isfinite(q).all(axis=0)
                 & (q.min(axis=0) >= -_NEGATIVITY_TOL)
                 & (np.abs(flow).max(axis=0) <= bound)
-                & (np.abs(_chain(q) - 1.0) <= 1e-9)
+                & (np.abs(_chain(q) - 1.0) <= _EXCESS_TOL)
             )
 
 
@@ -503,10 +497,8 @@ def stationary_three_state(w_0r0l, w_0l1r, g_1r0r, g_0l0r):
     minimal first-diamond system: a symmetric pumped channel 0R<->0L,
     a symmetric pumped channel 0L<->1R, decay 1R->0R, and decay 0L->0R.
     """
-    a, b, g, h = (float(v) for v in (w_0r0l, w_0l1r, g_1r0r, g_0l0r))
-    for v in (a, b, g, h):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValidationError("rates must be >= 0 and finite")
+    rates = (w_0r0l, w_0l1r, g_1r0r, g_0l0r)
+    a, b, g, h = (_number(r, "rates must be >= 0 and finite", at_least=0) for r in rates)
     if a == b == g == h == 0.0:
         raise DegenerateSystem("all rates vanish; stationary state undetermined")
     den = 3.0 * a * b + 2.0 * a * g + b * g + b * h + g * h
@@ -524,10 +516,8 @@ def stationary_four_state(w_0r1l, w_0l1r, g_1r0r, g_0l0r, g_1l0l):
     minimal second-diamond system: symmetric pumping 0R<->1L and
     0L<->1R, decays 1R->0R, 0L->0R, and 1L->0L.
     """
-    v, b, g, h, k = (float(x) for x in (w_0r1l, w_0l1r, g_1r0r, g_0l0r, g_1l0l))
-    for r in (v, b, g, h, k):
-        if not (math.isfinite(r) and r >= 0):
-            raise ValidationError("rates must be >= 0 and finite")
+    rates = (w_0r1l, w_0l1r, g_1r0r, g_0l0r, g_1l0l)
+    v, b, g, h, k = (_number(r, "rates must be >= 0 and finite", at_least=0) for r in rates)
     if v == b == g == h == k == 0.0:
         raise DegenerateSystem("all rates vanish; stationary state undetermined")
     if v == 0.0:

@@ -11,17 +11,19 @@ follow the linear diabatic convention
 so a single global detuning eps (GHz, hbar = 1) parameterizes every
 level crossing.  The pair (i, left)/(j, right) is degenerate at
 eps = right_offsets[j] - left_offsets[i].
+
+Every scalar a constructor takes is a number (``errors._number``) or a
+count (``errors._count``), stored as float or int.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _count, _number
 
 __all__ = [
     "Well",
@@ -54,9 +56,8 @@ class StateIndex:
             if self.level is not None:
                 raise ValidationError("leak state has no level index")
         else:
-            level = self.level
-            if not isinstance(level, int) or isinstance(level, bool) or level < 0:
-                raise ValidationError("level must be a nonnegative integer")
+            level = _count(self.level, "level must be a nonnegative integer", 0)
+            object.__setattr__(self, "level", level)
 
     @property
     def label(self) -> str:
@@ -76,11 +77,10 @@ class LeakConfig:
     return_rate: float
 
     def __post_init__(self):
-        t = self.threshold
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ValidationError("leak threshold must be a nonnegative integer")
-        if not (math.isfinite(self.return_rate) and self.return_rate > 0):
-            raise ValidationError("leak return rate must be positive and finite")
+        threshold = _count(self.threshold, "leak threshold must be a nonnegative integer", 0)
+        rate = _number(self.return_rate, "leak return rate must be positive and finite", above=0)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "return_rate", rate)
 
 
 def _as_readonly(a, shape, name) -> np.ndarray:
@@ -97,11 +97,9 @@ def _as_readonly(a, shape, name) -> np.ndarray:
 
 
 def _ladder(offsets, name) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in offsets)
+    vals = tuple(_number(v, f"{name} entries must be finite") for v in offsets)
     if not vals:
         raise ValidationError(f"{name} must contain at least one level")
-    if not all(math.isfinite(v) for v in vals):
-        raise ValidationError(f"{name} entries must be finite")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValidationError(f"{name} must be strictly increasing")
     return vals
@@ -149,8 +147,8 @@ class QubitModel:
             right[-1] - left[0],
             right[0] - left[-1],
         )
-        if not all(math.isfinite(v) for v in extremes):
-            raise ValidationError("level offsets must differ by finite amounts")
+        for extreme in extremes:
+            _number(extreme, "level offsets must differ by finite amounts")
         nl, nr = len(left), len(right)
 
         cross = _as_readonly(self.crossings, (nl, nr), "crossings")
@@ -211,15 +209,11 @@ class DriveParams:
 
     def __post_init__(self):
         for name in ("amplitude", "frequency", "dephasing"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"drive {name} must be a number")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValidationError("drive amplitude must be >= 0 and finite")
-        if not (math.isfinite(self.frequency) and self.frequency > 0):
-            raise ValidationError("drive frequency must be positive and finite")
-        if not (math.isfinite(self.dephasing) and self.dephasing > 0):
-            raise ValidationError("dephasing must be positive and finite")
+            value = _number(getattr(self, name), f"drive {name} must be a number")
+            object.__setattr__(self, name, value)
+        _number(self.amplitude, "drive amplitude must be >= 0 and finite", at_least=0)
+        _number(self.frequency, "drive frequency must be positive and finite", above=0)
+        _number(self.dephasing, "dephasing must be positive and finite", above=0)
 
 
 def crossing_position(model: QubitModel, i: int, j: int) -> float:

@@ -62,6 +62,9 @@ The Bessel kernel is self-contained: an ascending power series for
 x < 2 and Miller's normalized downward recurrence otherwise, run in
 fixed chunks of orders so that J_n(x) does not depend on how many
 orders are asked for.
+
+Every scalar argument is a number (``errors._number``) or a count
+(``errors._count``).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _count, _number
 from .model import DriveParams
 
 __all__ = ["RateKernelParams", "bessel_jn", "lzs_rate"]
@@ -95,9 +98,8 @@ class RateKernelParams:
     n_margin: int = 20
 
     def __post_init__(self):
-        n = self.n_margin
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValidationError("n_margin must be a nonnegative integer")
+        n_margin = _count(self.n_margin, "n_margin must be a nonnegative integer", 0)
+        object.__setattr__(self, "n_margin", n_margin)
 
 
 def _jn_series(n: int, x: float) -> float:
@@ -171,16 +173,18 @@ def _jn_array(nmax: int, x: float) -> np.ndarray:
 
 
 def bessel_jn(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer n.
+    """Bessel function of the first kind J_n(x) for integer-valued n.
 
-    Accurate to better than 1e-12 absolute for |n| <= 1e4, |x| <= 1e4.
-    Negative orders and arguments are handled via the parity relations
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
+    Accurate to better than 1e-12 absolute for |n|, |x| <= 1e4, and a
+    ValidationError beyond.  Negative orders and arguments follow from
+    the parity relations J_{-n}(x) = (-1)^n J_n(x) = J_n(-x).
     """
-    if not (math.isfinite(n) and math.isfinite(x)):
-        raise ValidationError("bessel_jn requires finite arguments")
+    n = _number(n, "bessel_jn requires finite arguments")
+    x = _number(x, "bessel_jn requires finite arguments")
     if n != int(n):
         raise ValidationError("bessel_jn requires an integer order n")
+    if not max(abs(n), abs(x)) <= _BESSEL_RANGE:
+        raise ValidationError(f"bessel_jn requires |n|, |x| <= {_BESSEL_RANGE:g}")
     n = int(n)
     sign = 1.0
     if n < 0:
@@ -261,10 +265,8 @@ def lzs_rate(
     drive, kernel:
         Drive parameters and photon-sum truncation controls.
     """
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValidationError("delta must be >= 0 and finite")
-    if not math.isfinite(eps_local):
-        raise ValidationError("eps_local must be finite")
+    delta = _number(delta, "delta must be >= 0 and finite", at_least=0)
+    eps_local = _number(eps_local, "eps_local must be finite")
     if delta == 0.0:
         return 0.0
 

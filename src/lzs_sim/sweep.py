@@ -81,8 +81,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, ValidationError
-from .master import _generator_layout, _ranks, _sum_into, solve_points
+from .errors import NonConvergent, ValidationError, _count, _number
+from .master import _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, _ranks, _sum_into, solve_points
 from .model import DriveParams, QubitModel
 from .rates import PhotonTable, RateKernelParams, _chain
 
@@ -103,24 +103,16 @@ class SweepGrid:
 
     def __post_init__(self):
         for name in ("eps_min", "eps_max", "amp_min", "amp_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value)
-            ):
-                raise ValidationError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(value))
+            value = _number(getattr(self, name), f"{name} must be a finite number")
+            object.__setattr__(self, name, value)
         for name in ("n_eps", "n_amp"):
-            count = getattr(self, name)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 2:
-                raise ValidationError(f"{name} must be an integer >= 2")
+            count = _count(getattr(self, name), f"{name} must be an integer >= 2", 2)
+            object.__setattr__(self, name, count)
         for axis in ("eps", "amp"):
             lo, hi = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
-            if not hi > lo:
-                raise ValidationError(f"{axis}_max must exceed {axis}_min")
-            if not math.isfinite(hi - lo):
-                raise ValidationError(f"{axis}_max - {axis}_min must be finite")
-        if self.amp_min < 0:
-            raise ValidationError("drive amplitudes must be >= 0")
+            _number(hi, f"{axis}_max must exceed {axis}_min", above=lo)
+            _number(hi - lo, f"{axis}_max - {axis}_min must be finite")
+        _number(self.amp_min, "drive amplitudes must be >= 0", at_least=0)
 
     @property
     def eps_values(self) -> np.ndarray:
@@ -159,13 +151,13 @@ class PopulationMap:
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("map values must be finite")
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-9):
+        if np.any(vals < -_NEGATIVITY_TOL) or np.any(vals > 1.0 + _EXCESS_TOL):
             raise ValidationError("map values must lie in [0, 1]")
-        if not (math.isfinite(self.frequency) and self.frequency > 0):
-            raise ValidationError("frequency must be positive and finite")
+        frequency = _number(self.frequency, "frequency must be positive and finite", above=0)
         vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "frequency", frequency)
 
 
 def model_fingerprint(
@@ -367,8 +359,7 @@ def run_frequency_batch(
 ) -> list[PopulationMap]:
     """One map per drive, sharing model and grid across the batch; each
     drive supplies frequency and dephasing for its map."""
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError("workers must be a positive integer")
+    workers = _count(workers, "workers must be a positive integer", 1)
     drive_list = list(drive_list)
     if not drive_list:
         raise ValidationError("drive_list must not be empty")

@@ -8,7 +8,9 @@ from lzs_sim import (
     InsufficientLevels,
     QubitModel,
     Regime,
+    RegimeReport,
     SweepGrid,
+    ValidationError,
     crossing_position,
     diamond_boundaries,
     regime_classify,
@@ -85,6 +87,22 @@ class TestRegimeClassify:
             shifted = regime_classify(shifted_model, self.drive(2.0))
             assert shifted.delta_d == base.delta_d
             assert shifted.regime is base.regime
+
+
+class TestRegimeReport:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, 2.0, 0.0, Regime.LOW_FREQUENCY), "delta_a must be positive and finite"),
+            ((1.0, -2.0, -0.5, Regime.LOW_FREQUENCY), "delta_d must be positive and finite"),
+            ((1.0, 2.0, 0.5, Regime.HIGH_FREQUENCY), "regime label inconsistent with ratio"),
+            ((2.0, 1.0, 2.0, Regime.LOW_FREQUENCY), "regime label inconsistent with ratio"),
+        ],
+        ids=["delta_a_zero", "delta_d_negative", "high_below_one", "low_above_one"],
+    )
+    def test_invariants(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            RegimeReport(*args, spacing_pair=(0, 1))
 
 
 class TestResonancePositions:

@@ -544,8 +544,21 @@ class TestPgmFormat:
         ("map.csv", b"eps_ghz,amp_ghz,p_left\n0,0,0.5\n1,0\n", "three numbers"),
         ("map.csv", b"eps_ghz,amp_ghz,p_left\n0,0,half\n", "three numbers"),
         ("map.csv", b"eps_ghz,amp_ghz,p_left\n", "no data rows"),
+        ("map.pgm", b"P2\n2 1\n255\n" + bytes(2), "not an 8-bit P5 graymap"),
+        ("map.pgm", b"P5\n2 2\n255\n" + bytes(3), "raster size mismatch"),
+        ("map.csv", b"eps,amp,p\n0,0,0.5\n", "unexpected CSV header"),
+        ("map.csv", b"eps_ghz,amp_ghz,p_left\n0,0,0.5\n1,0,0.5\n0,1,0.5\n", "rectangular"),
     ],
-    ids=["pgm_size_not_integers", "csv_short_row", "csv_not_a_number", "csv_header_only"],
+    ids=[
+        "pgm_size_not_integers",
+        "csv_short_row",
+        "csv_not_a_number",
+        "csv_header_only",
+        "pgm_bad_magic",
+        "pgm_raster_size",
+        "csv_bad_header",
+        "csv_not_rectangular",
+    ],
 )
 def test_malformed_file_is_a_validation_error(tmp_path, name, blob, message):
     path = tmp_path / name

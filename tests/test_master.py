@@ -170,6 +170,22 @@ class TestRateMatrix:
         with pytest.raises(ValidationError):
             RateMatrix(matrix=bad, states=(L0, R0))
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.0]], "does not match 2 states"),
+            ([[0.1, 0.0], [-0.1, 0.0]], "off-diagonal rates must be >= 0"),
+        ],
+        ids=["shape_mismatch", "negative_off_diagonal"],
+    )
+    def test_rejects_invalid_matrix(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            RateMatrix(matrix=np.array(matrix), states=(L0, R0))
+
+    def test_rejects_duplicate_states(self):
+        with pytest.raises(ValidationError, match="duplicate states"):
+            RateMatrix.from_channels((L0, L0), [])
+
     @given(st.lists(rates_01, min_size=6, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_columns_sum_to_zero(self, rs):
@@ -522,6 +538,10 @@ class TestFourStateClosedForm:
         with pytest.raises(DegenerateSystem):
             stationary_four_state(0.0, 0.0, 0.0, 0.0, 0.0)
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValidationError, match="rates must be >= 0 and finite"):
+            stationary_four_state(0.1, 0.2, -0.1, 0.0, 0.0)
+
     def test_generic_against_linear_algebra(self):
         v, b, g, h, k = 0.21, 0.13, 0.55, 0.08, 0.34
         m = four_state_matrix(v, b, g, h, k)
@@ -607,6 +627,19 @@ class TestPopulationVector:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             PopulationVector(probabilities=np.array([-0.1, 1.1]), states=(L0, R0))
+
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [
+            ([1.0], "length does not match states"),
+            ([np.nan, 1.0], "probabilities must be finite"),
+            ([1.0 + 2e-9, -2e-9], r"probabilities must lie in \[0, 1\]"),
+        ],
+        ids=["wrong_length", "not_finite", "above_one"],
+    )
+    def test_rejects_invalid_vector(self, probabilities, message):
+        with pytest.raises(ValidationError, match=message):
+            PopulationVector(probabilities=np.array(probabilities), states=(L0, R0))
 
     def test_clamps_roundoff_negatives(self):
         p = PopulationVector(

@@ -49,6 +49,12 @@ class TestQubitModel:
         with pytest.raises(ValidationError):
             make_model([1.0, 0.5], [0.0])
 
+    def test_ladders_need_a_level(self):
+        with pytest.raises(ValidationError, match="left_offsets must contain at least one level"):
+            make_model([], [0.0], crossings=np.zeros((0, 1)))
+        with pytest.raises(ValidationError, match="right_offsets must contain at least one level"):
+            make_model([0.0], [], crossings=np.zeros((1, 0)))
+
     def test_crossings_shape_checked(self):
         with pytest.raises(ValidationError):
             make_model([0.0, 1.0], [0.0], crossings=np.zeros((1, 1)))

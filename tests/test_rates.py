@@ -148,6 +148,23 @@ class TestBesselJn:
             bessel_jn(2.5, 1.0)
         assert bessel_jn(2.0, 1.0) == bessel_jn(np.int64(2), 1.0) == bessel_jn(2, 1.0)
 
+    def test_range_is_enforced(self, monkeypatch):
+        # |n| and |x| up to 1e4 are accepted; just past either bound the
+        # call is rejected before the kernel allocates anything (x = 1e9
+        # would ask _miller for about 8 GB).
+        assert bessel_jn(0, 1e4) == pytest.approx(-0.0070961603533888015, abs=1e-12)
+        assert bessel_jn(-10_000, -1e4) == bessel_jn(10_000, 1e4)
+        assert bessel_jn(10_000, 1.0) == 0.0
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(rates_mod, "_jn_array", no_kernel)
+        past = math.nextafter(1e4, math.inf)
+        for n, x in ((0, past), (0, -past), (10_001, 1.0), (-10_001, 1.0), (0, 1e9)):
+            with pytest.raises(ValidationError, match=r"\|n\|, \|x\| <= 10000"):
+                bessel_jn(n, x)
+
     def test_normalization_identity(self):
         # J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1; the unsquared tail decays
         # slowly past the turning point, hence the wide order margin

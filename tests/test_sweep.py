@@ -16,6 +16,7 @@ from lzs_sim import (
     DriveParams,
     LeakConfig,
     NonConvergent,
+    PopulationMap,
     QubitModel,
     RateKernelParams,
     SweepGrid,
@@ -94,6 +95,29 @@ class TestSweepGrid:
             SweepGrid(-1e308, 1e308, 3, 0.0, 1.0, 3)
         with pytest.raises(ValidationError, match="amp_max - amp_min must be finite"):
             SweepGrid(0.0, 1.0, 3, -1e308, 1e308, 3)
+
+
+class TestPopulationMap:
+    GRID = SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "values, frequency, message",
+        [
+            (np.full((2, 3), 0.5), 1.0, r"map shape \(2, 3\) does not match grid \(2, 2\)"),
+            ([[0.5, np.inf], [0.5, 0.5]], 1.0, "map values must be finite"),
+            ([[0.5, 1.0 + 2e-9], [0.5, 0.5]], 1.0, r"must lie in \[0, 1\]"),
+            ([[0.5, -2e-12], [0.5, 0.5]], 1.0, r"must lie in \[0, 1\]"),
+            (np.full((2, 2), 0.5), 0.0, "frequency must be positive and finite"),
+        ],
+        ids=["wrong_shape", "not_finite", "above_one", "below_zero", "zero_frequency"],
+    )
+    def test_rejects(self, values, frequency, message):
+        with pytest.raises(ValidationError, match=message):
+            PopulationMap(self.GRID, np.array(values), frequency, "x")
+
+    def test_clips_within_the_simplex_tolerances(self):
+        pmap = PopulationMap(self.GRID, np.array([[1.0 + 1e-9, -1e-12], [0.5, 0.5]]), 1.0, "x")
+        assert pmap.values.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
 
 class TestRunSweep:
