@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientLevels, ValidationError, _number
+from .errors import InsufficientLevels, _number
 from .model import DriveParams, QubitModel, crossing_position
 
 __all__ = [
@@ -45,20 +45,27 @@ class Regime(enum.Enum):
 @dataclass(frozen=True)
 class RegimeReport:
     """Comparison of the resonance-peak span delta_a = omega with the
-    smallest consecutive diamond spacing delta_d."""
+    smallest consecutive diamond spacing delta_d; the ratio and the regime
+    follow from the two."""
 
     delta_a: float
     delta_d: float
-    ratio: float
-    regime: Regime
     spacing_pair: tuple[int, int]
 
     def __post_init__(self):
         for name in ("delta_a", "delta_d"):
             value = _number(getattr(self, name), f"{name} must be positive and finite", above=0)
             object.__setattr__(self, name, value)
-        if (self.ratio >= 1.0) != (self.regime is Regime.HIGH_FREQUENCY):
-            raise ValidationError("regime label inconsistent with ratio")
+
+    @property
+    def ratio(self) -> float:
+        """delta_a / delta_d; infinite when the quotient overflows."""
+        return self.delta_a / self.delta_d
+
+    @property
+    def regime(self) -> Regime:
+        """HighFrequency from a ratio of 1 up, else LowFrequency."""
+        return Regime.HIGH_FREQUENCY if self.ratio >= 1.0 else Regime.LOW_FREQUENCY
 
 
 def diamond_boundaries(model: QubitModel) -> tuple[DiamondBoundary, ...]:
@@ -87,13 +94,4 @@ def regime_classify(model: QubitModel, drive: DriveParams) -> RegimeReport:
     spacings = np.diff(model.left_offsets)
     idx = int(np.argmin(spacings))
     delta_d = float(spacings[idx])
-    delta_a = drive.frequency
-    ratio = delta_a / delta_d
-    regime = Regime.HIGH_FREQUENCY if ratio >= 1.0 else Regime.LOW_FREQUENCY
-    return RegimeReport(
-        delta_a=delta_a,
-        delta_d=delta_d,
-        ratio=ratio,
-        regime=regime,
-        spacing_pair=(idx, idx + 1),
-    )
+    return RegimeReport(delta_a=drive.frequency, delta_d=delta_d, spacing_pair=(idx, idx + 1))

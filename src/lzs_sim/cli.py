@@ -25,6 +25,10 @@ Configuration grammar (INI-like, ``#`` starts a comment)::
     [output]                    # optional section
     directory = out
 
+The table ``_GRAMMAR`` is the grammar: each key's section, the kinds of
+its arguments and of its value tokens, and its count error.  One token
+parser, ``_parse_token``, reads every argument and value.
+
 Unknown sections or keys are hard errors with line and column; semantic
 violations (negative rates, non-ascending ladders, ...) raise
 ValidationError.  ``run`` computes every map before it touches the
@@ -79,32 +83,29 @@ __all__ = [
 ]
 
 _CSV_HEADER = "eps_ghz,amp_ghz,p_left"
-# Every key: its section and the kind of its value.  Keywords are
-# unique across sections.
+# The grammar: every key's section, the kinds of its key arguments, the
+# kinds of its value tokens, and the key's own count error.  "floats" is
+# one or more numbers and "text" the whole value.  The count error is for
+# the arguments of a key that takes any, else for its value; without one,
+# too few tokens are a missing value and one too many is unexpected.
+# Keywords are unique across sections.
 _GRAMMAR = {
-    "left_levels": ("model", "floats"),
-    "right_levels": ("model", "floats"),
-    "crossing": ("model", "float"),
-    "relax": ("model", "float"),
-    "interwell": ("model", "float"),
-    "leak_threshold": ("model", "int"),
-    "leak_return": ("model", "float"),
-    "frequency": ("drive", "float"),
-    "frequencies": ("drive", "floats"),
-    "dephasing": ("drive", "float"),
-    "eps": ("grid", "range"),
-    "amp": ("grid", "range"),
-    "n_margin": ("kernel", "int"),
-    "directory": ("output", "text"),
+    "left_levels": ("model", "", "floats", None),
+    "right_levels": ("model", "", "floats", None),
+    "crossing": ("model", "int int", "float", "crossing takes two level indices"),
+    "relax": ("model", "well int int", "float", "relax takes a well letter and two level indices"),
+    "interwell": ("model", "state state", "float", "interwell takes a source and a target state"),
+    "leak_threshold": ("model", "", "int", None),
+    "leak_return": ("model", "", "float", None),
+    "frequency": ("drive", "", "float", None),
+    "frequencies": ("drive", "", "floats", None),
+    "dephasing": ("drive", "", "float", None),
+    "eps": ("grid", "", "float float int", "eps takes 'min max points'"),
+    "amp": ("grid", "", "float float int", "amp takes 'min max points'"),
+    "n_margin": ("kernel", "", "int", None),
+    "directory": ("output", "", "text", None),
 }
-_SECTIONS = {section for section, _ in _GRAMMAR.values()}
-# The indexed [model] entries: the kinds of their key arguments, and the
-# error when the argument count is wrong.  Other keys take no arguments.
-_ENTRIES = {
-    "crossing": ("int int", "crossing takes two level indices"),
-    "relax": ("well int int", "relax takes a well letter and two level indices"),
-    "interwell": ("state state", "interwell takes a source and a target state"),
-}
+_SECTIONS = {row[0] for row in _GRAMMAR.values()}
 _STATE_RE = re.compile(r"([LR])([0-9]+)$")
 _MAP_FILE_RE = re.compile(r"map_\d+\.(csv|pgm)(\.tmp)?")
 
@@ -126,67 +127,47 @@ def _tokens(part: str, offset: int):
     return [(m.group(0), offset + m.start() + 1) for m in re.finditer(r"\S+", part)]
 
 
-def _plain(token: str) -> str:
-    """The token itself, or '' when it holds an underscore or a non-ASCII
-    character, which Python's float() and int() accept ('1_0', '٣') but
-    the grammar does not."""
-    return token if token.isascii() and "_" not in token else ""
-
-
-def _parse_float(token: str, line: int, col: int) -> float:
-    try:
-        value = float(_plain(token))
-    except ValueError:
-        raise ParseError(f"expected a number, got '{token}'", line, col) from None
-    if not math.isfinite(value):
-        raise ParseError(f"expected a finite number, got '{token}'", line, col)
-    return value
-
-
-def _parse_int(token: str, line: int, col: int) -> int:
-    try:
-        return int(_plain(token))
-    except ValueError:
-        raise ParseError(f"expected an integer, got '{token}'", line, col) from None
-
-
-def _parse_arg(kind: str, token: str, line: int, col: int):
-    """One key argument of an indexed entry: a level index, a well letter
-    or a state such as L0, which parses to (well, level)."""
-    if kind == "int":
-        return _parse_int(token, line, col)
+def _parse_token(kind: str, token: str, line: int, col: int):
+    """One token of a kind: an int (of any size), a finite float, a well
+    letter, a state such as L0, which parses to (well, level), or text.
+    int() and float() accept tokens the grammar does not: '1_0' and
+    non-ASCII digits such as '٣' are errors here."""
+    if kind == "text":
+        return token
     if kind == "well":
         if token not in ("L", "R"):
             raise ParseError("expected well L or R", line, col)
         return token
-    m = _STATE_RE.fullmatch(token)
-    if m is None:
-        raise ParseError(f"expected a state like L0 or R1, got '{token}'", line, col)
-    return m.group(1), int(m.group(2))
+    if kind == "state":
+        m = _STATE_RE.fullmatch(token)
+        if m is None:
+            raise ParseError(f"expected a state like L0 or R1, got '{token}'", line, col)
+        return m.group(1), int(m.group(2))
+    plain = token if token.isascii() and "_" not in token else ""
+    try:
+        value = int(plain) if kind == "int" else float(plain)
+    except ValueError:
+        what = "an integer" if kind == "int" else "a number"
+        raise ParseError(f"expected {what}, got '{token}'", line, col) from None
+    # Only a float can be infinite: isfinite() overflows on a huge int.
+    if kind == "float" and not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got '{token}'", line, col)
+    return value
 
 
-def _parse_value(kind: str, keyword: str, text: str, line: int, col: int):
-    """The value of one key, parsed by its kind from the text after '=',
-    which starts at column col."""
-    toks = _tokens(text, col - 1)
-    if kind == "range":
-        if len(toks) != 3:
-            raise ParseError(f"{keyword} takes 'min max points'", line, col)
-        parsers = (_parse_float, _parse_float, _parse_int)
-        return tuple(parse(tok, line, c) for parse, (tok, c) in zip(parsers, toks))
-    if not toks:
-        raise ParseError("missing value", line, col)
-    if kind == "text":
-        return text.strip()
-    if kind == "floats":
-        return [_parse_float(tok, line, tok_col) for tok, tok_col in toks]
-    if len(toks) > 1:
-        tok, tok_col = toks[1]
+def _parse_tokens(kinds: str, toks, error, line: int, col: int) -> list:
+    """toks parsed by their kinds; a wrong count raises error at col."""
+    if kinds == "floats":
+        kinds = "float " * max(1, len(toks))
+    kinds = kinds.split()
+    if len(toks) != len(kinds):
+        if error:
+            raise ParseError(error, line, col)
+        if len(toks) < len(kinds):
+            raise ParseError("missing value", line, col)
+        tok, tok_col = toks[len(kinds)]
         raise ParseError(f"unexpected token '{tok}'", line, tok_col)
-    tok, tok_col = toks[0]
-    if kind == "int":
-        return _parse_int(tok, line, tok_col)
-    return _parse_float(tok, line, tok_col)
+    return [_parse_token(kind, tok, line, c) for kind, (tok, c) in zip(kinds, toks)]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -227,24 +208,20 @@ def parse_config(text: str) -> RunConfig:
         if not key_toks:
             raise ParseError("missing key before '='", lineno, lead_col)
         (keyword, key_col), args = key_toks[0], key_toks[1:]
-        key_section, kind = _GRAMMAR.get(keyword, (None, None))
+        key_section, arg_kinds, value_kinds, error = _GRAMMAR.get(keyword, (None,) * 4)
         if key_section != section:
             raise ParseError(
                 f"unknown key '{keyword}' in [{section}]", lineno, key_col
             )
 
-        arg_kinds, arity_error = _ENTRIES.get(keyword, ("", None))
-        arg_kinds = arg_kinds.split()
-        if args and not arg_kinds:
-            tok, col = args[0]
-            raise ParseError(f"unexpected token '{tok}'", lineno, col)
-        if len(args) != len(arg_kinds):
-            raise ParseError(arity_error, lineno, key_col)
-        key = tuple(
-            _parse_arg(arg_kind, tok, lineno, col)
-            for arg_kind, (tok, col) in zip(arg_kinds, args)
-        )
-        value = _parse_value(kind, keyword, body[eq + 1 :], lineno, eq + 2)
+        key = tuple(_parse_tokens(arg_kinds, args, arg_kinds and error, lineno, key_col))
+        text_value = body[eq + 1 :]
+        toks = _tokens(text_value, eq + 1)
+        if value_kinds == "text" and toks:  # one token: the value, inner spaces kept
+            toks = [(text_value.strip(), toks[0][1])]
+        value = _parse_tokens(value_kinds, toks, not arg_kinds and error, lineno, eq + 2)
+        if " " not in value_kinds and value_kinds != "floats":  # a single token
+            value = value[0]
         if key in found[keyword]:
             # Every argument as parsed: L00 shows as L0, 01 as 1.
             shown = " ".join(
@@ -277,7 +254,7 @@ def _assemble(text, found):
 
     # (keyword, row well, column well) -> one of the five model arrays
     arrays = {}
-    for keyword in _ENTRIES:
+    for keyword in [key for key, row in _GRAMMAR.items() if row[1]]:  # indexed keys
         for args, (value, line) in found[keyword].items():
             if keyword == "crossing":
                 rows, cols, (i, j) = "L", "R", args

@@ -218,8 +218,10 @@ class DriveParams:
 
 def crossing_position(model: QubitModel, i: int, j: int) -> float:
     """Global detuning (GHz) at which |i,L> and |j,R> are degenerate."""
-    if not 0 <= i < model.n_left:
+    i = _count(i, "left level must be a nonnegative integer", 0)
+    j = _count(j, "right level must be a nonnegative integer", 0)
+    if i >= model.n_left:
         raise IndexError(f"left level {i} out of range [0, {model.n_left})")
-    if not 0 <= j < model.n_right:
+    if j >= model.n_right:
         raise IndexError(f"right level {j} out of range [0, {model.n_right})")
     return model.right_offsets[j] - model.left_offsets[i]

@@ -92,13 +92,16 @@ _RESCALE = 1e-250
 class RateKernelParams:
     """Truncation control for the photon sum.
 
-    Every photon number with |n| <= A/w + n_margin is kept.
+    Every photon number with |n| <= A/w + n_margin is kept.  n_margin may
+    not pass the Bessel kernel's range: no amplitude could use it.
     """
 
     n_margin: int = 20
 
     def __post_init__(self):
         n_margin = _count(self.n_margin, "n_margin must be a nonnegative integer", 0)
+        if n_margin > _BESSEL_RANGE:
+            raise ValidationError(f"n_margin exceeds the Bessel kernel's range {_BESSEL_RANGE:g}")
         object.__setattr__(self, "n_margin", n_margin)
 
 

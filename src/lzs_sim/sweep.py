@@ -77,6 +77,7 @@ import math
 import mmap
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,6 +365,8 @@ def run_frequency_batch(
     if not drive_list:
         raise ValidationError("drive_list must not be empty")
     shape = (len(drive_list),) + grid.shape
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise ValidationError(f"the batch's maps would take more than {sys.maxsize} bytes")
 
     def plan_of(m: int) -> SweepPlan:
         top = DriveParams(grid.amp_max, drive_list[m].frequency, drive_list[m].dephasing)

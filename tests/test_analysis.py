@@ -1,5 +1,7 @@
 """Diamond geometry, regime classification, resonance peak positions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,16 +95,36 @@ class TestRegimeReport:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0.0, 2.0, 0.0, Regime.LOW_FREQUENCY), "delta_a must be positive and finite"),
-            ((1.0, -2.0, -0.5, Regime.LOW_FREQUENCY), "delta_d must be positive and finite"),
-            ((1.0, 2.0, 0.5, Regime.HIGH_FREQUENCY), "regime label inconsistent with ratio"),
-            ((2.0, 1.0, 2.0, Regime.LOW_FREQUENCY), "regime label inconsistent with ratio"),
+            ((0.0, 2.0), "delta_a must be positive and finite"),
+            ((1.0, -2.0), "delta_d must be positive and finite"),
         ],
-        ids=["delta_a_zero", "delta_d_negative", "high_below_one", "low_above_one"],
+        ids=["delta_a_zero", "delta_d_negative"],
     )
     def test_invariants(self, args, message):
         with pytest.raises(ValidationError, match=message):
             RegimeReport(*args, spacing_pair=(0, 1))
+
+    @pytest.mark.parametrize(
+        "delta_a, delta_d, ratio, regime",
+        [
+            (1.0, 2.0, 0.5, Regime.LOW_FREQUENCY),
+            (2.0, 2.0, 1.0, Regime.HIGH_FREQUENCY),
+            (3, 2, 1.5, Regime.HIGH_FREQUENCY),
+            (1.7e308, 1e-10, math.inf, Regime.HIGH_FREQUENCY),
+        ],
+        ids=["low", "boundary", "high", "overflowing_ratio"],
+    )
+    def test_ratio_and_regime_follow_the_deltas(self, delta_a, delta_d, ratio, regime):
+        report = RegimeReport(delta_a, delta_d, (0, 1))
+        assert report.ratio == ratio and type(report.ratio) is float
+        assert report.regime is regime
+
+    @pytest.mark.parametrize("ratio", [math.nan, False, 0.5])
+    def test_ratio_is_not_an_input(self, ratio):
+        with pytest.raises(TypeError):
+            RegimeReport(1.0, 2.0, ratio, Regime.LOW_FREQUENCY, (0, 1))
+        with pytest.raises(TypeError):
+            RegimeReport(1.0, 2.0, (0, 1), ratio=ratio)
 
 
 class TestResonancePositions:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -197,6 +198,31 @@ PARSE_ERRORS = {
     "crossing_index": (
         edit(MINIMAL, "crossing 0 0", "crossing 0 a"),
         "ParseError: line 4, column 12: expected an integer, got 'a'",
+    ),
+    # Each argument is parsed before the value count is checked.
+    "crossing_index_before_value": (
+        edit(MINIMAL, "crossing 0 0 = 0.05", "crossing a 0 ="),
+        "ParseError: line 4, column 10: expected an integer, got 'a'",
+    ),
+    "extra_int_token": (
+        edit(MINIMAL, "interwell L0 R0 = 0.01", "interwell L0 R0 = 0.01\nleak_threshold = 1 x"),
+        "ParseError: line 6, column 20: unexpected token 'x'",
+    ),
+    "extra_kernel_token": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[kernel]\nn_margin = 1 2"),
+        "ParseError: line 15, column 14: unexpected token '2'",
+    ),
+    "missing_batch": (
+        edit(MINIMAL, "frequency = 1.0", "frequencies ="),
+        "ParseError: line 8, column 14: missing value",
+    ),
+    "empty_directory": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\ndirectory ="),
+        "ParseError: line 15, column 12: missing value",
+    ),
+    "range_too_long": (
+        edit(MINIMAL, "eps = -1 1 3", "eps = 1 2 3 4"),
+        "ParseError: line 12, column 6: eps takes 'min max points'",
     ),
     "relax_arity": (
         edit(THREE_STATE, "relax R 1 0", "relax R 1"),
@@ -451,6 +477,21 @@ class TestParseConfig:
         with pytest.raises((ParseError, ValidationError)) as err:
             parse_config(text)
         assert f"{type(err.value).__name__}: {err.value}" == expected
+
+    def test_readme_lists_every_grammar_row(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        row = r"^\| `(\w+)` \| `\[(\w+)\]` \| (?:`([\w ]+)` )?\| `([\w ]+)` \|$"
+        listed = [(key, section, args or "", values) for key, section, args, values in re.findall(row, readme, re.M)]
+        assert listed == [(key, *row[:3]) for key, row in cli._GRAMMAR.items()]
+
+    def test_integer_of_any_size_parses_exactly(self):
+        digits = "9" * 400
+        text = edit(
+            MINIMAL,
+            "interwell L0 R0 = 0.01",
+            f"interwell L0 R0 = 0.01\nleak_threshold = {digits}\nleak_return = 1.0",
+        )
+        assert parse_config(text).model.leak.threshold == int(digits)
 
     def test_interwell_same_well_rejected(self):
         text = THREE_STATE.replace(
@@ -844,6 +885,23 @@ class TestMainEntry:
         assert main(["probe", path, "--eps", "0", "--amp", "1e308"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Bessel kernel's range" in err
+
+    @pytest.mark.parametrize(
+        "old, new, command",
+        [
+            ("amp = 0 1 2", "amp = 0 1 2\n[kernel]\nn_margin = " + "9" * 400, "run"),
+            ("amp = 0 1 2", "amp = 0 1 2\n[kernel]\nn_margin = " + "9" * 400, "probe"),
+            ("eps = -1 1 3", "eps = -1 1 " + "9" * 400, "run"),
+        ],
+        ids=["n_margin_run", "n_margin_probe", "eps_points"],
+    )
+    def test_count_too_large_to_use_exit_two(self, tmp_path, capsys, old, new, command):
+        path = self.write_config(tmp_path, edit(MINIMAL, old, new))
+        options = ["--out", str(tmp_path / "out")] if command == "run" else ["--eps", "0", "--amp", "1"]
+        assert main([command, path, *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_workers_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, MINIMAL)

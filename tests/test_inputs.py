@@ -18,7 +18,6 @@ from lzs_sim import (
     QubitModel,
     RateKernelParams,
     RateMatrix,
-    Regime,
     RegimeReport,
     StateIndex,
     SweepGrid,
@@ -26,6 +25,7 @@ from lzs_sim import (
     Well,
     bessel_jn,
     build_rate_matrix,
+    crossing_position,
     lzs_rate,
     run_frequency_batch,
     stationary_four_state,
@@ -35,6 +35,7 @@ from lzs_sim import (
 MODEL = QubitModel(
     left_offsets=(0.0,), right_offsets=(0.0,), crossings=[[0.1]], left_to_right=[[0.01]]
 )
+LADDER = QubitModel((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 3.0), crossings=np.eye(4))
 DRIVE = DriveParams(1.0, 1.0, 0.1)
 GRID = SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2)
 L0, R0 = StateIndex(Well.LEFT, 0), StateIndex(Well.RIGHT, 0)
@@ -59,11 +60,11 @@ NUMBERS = {
         True,
     ),
     "RegimeReport.delta_a": (
-        lambda v: RegimeReport(v, 2.0, 0.5, Regime.LOW_FREQUENCY, (0, 1)).delta_a,
+        lambda v: RegimeReport(v, 2.0, (0, 1)).delta_a,
         True,
     ),
     "RegimeReport.delta_d": (
-        lambda v: RegimeReport(1.0, v, 0.5, Regime.LOW_FREQUENCY, (0, 1)).delta_d,
+        lambda v: RegimeReport(1.0, v, (0, 1)).delta_d,
         True,
     ),
     "QubitModel.left_offsets": (
@@ -99,6 +100,8 @@ COUNTS = {
     "RateKernelParams.n_margin": (lambda v: RateKernelParams(v).n_margin, True),
     "SweepGrid.n_eps": (lambda v: SweepGrid(0.0, 1.0, v, 0.0, 1.0, 2).n_eps, True),
     "SweepGrid.n_amp": (lambda v: SweepGrid(0.0, 1.0, 2, 0.0, 1.0, v).n_amp, True),
+    "crossing_position.i": (lambda v: crossing_position(LADDER, v, 0), False),
+    "crossing_position.j": (lambda v: crossing_position(LADDER, 0, v), False),
     "run_frequency_batch.workers": (
         lambda v: run_frequency_batch(MODEL, [DRIVE], GRID, workers=v)[0].values.tolist(),
         False,
@@ -140,3 +143,10 @@ def test_a_float_is_not_a_count(name):
     call, _ = COUNTS[name]
     with pytest.raises(ValidationError):
         call(3.0)
+
+
+@pytest.mark.parametrize("value", [-1, 0.5, "0"], ids=repr)
+@pytest.mark.parametrize("name", ["crossing_position.i", "crossing_position.j"])
+def test_crossing_position_takes_level_counts(name, value):
+    with pytest.raises(ValidationError):
+        COUNTS[name][0](value)

@@ -464,6 +464,13 @@ class TestLzsRate:
         with pytest.raises(ValidationError):
             RateKernelParams(n_margin=True)
 
+    def test_n_margin_past_the_bessel_range_rejected(self):
+        # No amplitude can use more than 1e4: A/w + n_margin may not pass it.
+        assert RateKernelParams(n_margin=10**4).n_margin == 10**4
+        for n_margin in (10**4 + 1, 10**400):
+            with pytest.raises(ValidationError, match="Bessel kernel's range"):
+                RateKernelParams(n_margin=n_margin)
+
     def test_photon_range_within_bessel_range(self):
         # bessel_jn is accurate for |n|, x <= 1e4: A/w + n_margin up to 1e4
         # sums, and past it (or once A/w overflows) both paths reject the

@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -773,6 +774,17 @@ class TestFrequencyBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
             run_frequency_batch(TWO_STATE, [], SweepGrid(-1, 1, 3, 0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "n_eps, n_amp",
+        [(10**400, 2), (2, 10**400), (sys.maxsize // 16 + 1, 2)],
+        ids=["eps_points", "amp_points", "one_point_past"],
+    )
+    def test_batch_past_the_address_space_rejected(self, n_eps, n_amp):
+        # Rejected before anything is allocated, not an OverflowError.
+        grid = SweepGrid(-1, 1, n_eps, 0, 1, n_amp)
+        with pytest.raises(ValidationError, match="would take more than"):
+            run_frequency_batch(TWO_STATE, [DRIVE], grid)
 
     def test_batch_forks_once(self, always_fork, forks):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
