@@ -407,7 +407,8 @@ def _regime_payload(model: QubitModel, drive: DriveParams):
     return {
         "delta_a_ghz": report.delta_a,
         "delta_d_ghz": report.delta_d,
-        "ratio": report.ratio,
+        # JSON has no infinity: a ratio that overflows is written as null.
+        "ratio": report.ratio if math.isfinite(report.ratio) else None,
         "classification": report.regime.value,
         "spacing_pair": list(report.spacing_pair),
     }
@@ -463,7 +464,7 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
         ],
         "maps": reports,
     }
-    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_artifact(out / "manifest.json", payload.encode("ascii"))
     return 0
 
@@ -500,11 +501,12 @@ def _boundaries(config: RunConfig) -> int:
                 "(single left level)"
             )
         else:
+            ratio = math.inf if payload["ratio"] is None else payload["ratio"]
             print(
                 f"frequency_ghz {drive.frequency:.17g} "
                 f"delta_a {payload['delta_a_ghz']:.17g} "
                 f"delta_d {payload['delta_d_ghz']:.17g} "
-                f"ratio {payload['ratio']:.17g} "
+                f"ratio {ratio:.17g} "
                 f"regime {payload['classification']}"
             )
     return 0

@@ -413,17 +413,24 @@ class GTHPlan:
 
     def accepts(self, values: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The acceptance check of populations q (n, points) against the
-        generators of values (entries, points): finite, q >= -1e-12,
-        |sum(q) - 1| <= 1e-9 and ||M q||_inf <= 1e-10 ||M||_inf, with
-        M q and ||M||_inf taken over the pattern and the diagonal."""
-        diag = -_sum_into(values, self._by_col, self.n)
+        generators of values (entries, points): every column's outflow
+        finite, q finite, q >= -1e-12, |sum(q) - 1| <= 1e-9 and
+        ||M q||_inf <= 1e-10 ||M||_inf, with M q and ||M||_inf taken over
+        the pattern and the diagonal.
+
+        The outflows are summed in row order, as ``RateMatrix`` sums its
+        diagonal.  Rates are >= 0 or nan, so an entry that is not finite
+        makes its column's outflow not finite too: a point passes only
+        where every entry of its ``RateMatrix`` is finite."""
         with np.errstate(invalid="ignore", over="ignore"):
+            diag = -_sum_into(values, self._by_col, self.n)
             flow = _sum_into(values * q[self.cols], self._by_row, self.n) + diag * q
             # Rates are >= 0, so the row sums of |M| need no abs.
             scale = _sum_into(values, self._by_row, self.n) - diag
             bound = _RESIDUAL_REL * np.maximum(scale.max(axis=0), 1e-300)
             return (
-                np.isfinite(q).all(axis=0)
+                np.isfinite(diag).all(axis=0)
+                & np.isfinite(q).all(axis=0)
                 & (q.min(axis=0) >= -_NEGATIVITY_TOL)
                 & (np.abs(flow).max(axis=0) <= bound)
                 & (np.abs(_chain(q) - 1.0) <= _EXCESS_TOL)

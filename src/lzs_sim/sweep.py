@@ -24,15 +24,15 @@ all points of one pattern in one call; with several closed classes it
 gives the populations reached from 0R.
 ``probe`` (``stationary_solve`` of ``build_rate_matrix``) takes the same
 path on a block of one, so a map value equals what it gives, bit for
-bit.  A block rejects a point as ``RateMatrix`` rejects its generator,
-when an entry or a column's outflow (the diagonal, summed in row order)
-is not finite, and solves only the points before the first one it
-rejects.  A run stops at its first failing point in (map, amplitude
-row, detuning) order, with the error ``probe`` gives there: a
-ValidationError for a rejected generator, NonConvergent for a point
-that fails the acceptance check.  Blocks hold whole rows and run in
-order, so the point and error named do not depend on the block layout
-or the worker count.
+bit.  A block solves all its points.  The acceptance check fails a
+point whose solve is inaccurate, and also one whose generator
+``RateMatrix`` rejects: an entry or a column's outflow that is not
+finite.  A run stops at its first failing point in (map, amplitude
+row, detuning) order, with the error ``probe`` gives there: the block
+builds that point's generator with ``build_rate_matrix`` and re-raises
+its ValidationError, naming the point, or else raises NonConvergent.
+Blocks hold whole rows and run in order, so the point and error named
+depend on the grid alone, not on the block layout or the worker count.
 
 One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
 It first fixes the number of processes from the run's work, counted as
@@ -83,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError, _count, _number
-from .master import _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, _ranks, _sum_into, solve_points
+from .master import _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, build_rate_matrix, solve_points
 from .model import DriveParams, QubitModel
 from .rates import PhotonTable, RateKernelParams, _chain
 
@@ -198,7 +198,6 @@ _BLOCK_POINTS = 2048
 # must have: a second process starts at 2M, above the measured
 # break-even (see the module docstring).
 _WORK_PER_PROCESS = 1_000_000
-_DBL_MAX = np.finfo(float).max
 
 
 class SweepPlan:
@@ -206,7 +205,9 @@ class SweepPlan:
     drive.dephasing at amplitudes up to drive.amplitude: the generator's
     pattern (rows, cols) with its static values and each pumped
     crossing's entries, as ``master._generator_layout`` gives them to
-    ``build_rate_matrix`` too, and the Lorentzian denominator table."""
+    ``build_rate_matrix`` too, and the Lorentzian denominator table.  It
+    keeps the model, drive and kernel to build a failing point's
+    generator as ``probe`` does."""
 
     def __init__(
         self,
@@ -224,8 +225,8 @@ class SweepPlan:
             drive,
             kernel,
         )
+        self.model, self.drive, self.kernel = model, drive, kernel
         self.n = len(model.states())
-        self.by_col = _ranks(self.cols.tolist())
         self.eps_values = eps_values
         self.n_left = model.n_left
 
@@ -246,38 +247,21 @@ class SweepPlan:
 
     def block(self, amps) -> np.ndarray:
         """P_L at every detuning of each amplitude in amps, as
-        (len(amps), n_eps).  Raises the error ``probe`` gives at the
-        block's first failing point in row order: ValidationError where
-        probe's RateMatrix rejects the generator, NonConvergent where the
-        point fails the acceptance check."""
+        (len(amps), n_eps).  Every point is solved; at the first one in
+        row order that is not accepted, the block raises the error
+        ``probe`` gives there: ``build_rate_matrix``'s ValidationError
+        where RateMatrix rejects the generator, else NonConvergent."""
         n_eps = self.eps_values.size
-
-        def at(point):
-            return float(self.eps_values[point % n_eps]), amps[point // n_eps]
-
-        # RateMatrix's rule: every entry finite (max propagates nan), and
-        # every column's outflow, the diagonal, summed in row order.  An
-        # outflow of fewer than n entries, none above DBL_MAX / (2n),
-        # cannot overflow, so only the other points are summed.
-        values = self.values(amps)
-        top = values.max(axis=0, initial=0.0)
-        finite = np.isfinite(top)
-        near = np.flatnonzero(finite & (top > _DBL_MAX / (2 * self.n)))
-        with np.errstate(over="ignore"):
-            finite[near] = np.isfinite(_sum_into(values[:, near], self.by_col, self.n)).all(axis=0)
-        # Only the points before the first rejected one are solved: all of
-        # them, and no copy, when every point is finite.
-        stop = finite.size if finite.all() else int(np.argmin(finite))
-        if stop:
-            q, ok = solve_points(self.rows, self.cols, self.n, self.n_left, values[:, :stop])
-            if not ok.all():
-                eps, amp = at(int(np.argmin(ok)))
-                raise NonConvergent("stationary solve failed the acceptance check", eps=eps, amp=amp)
-        if stop < finite.size:
-            eps, amp = at(stop)
-            raise ValidationError(
-                f"rate matrix entries must be finite (eps={eps} GHz, amp={amp} GHz)"
-            )
+        q, ok = solve_points(self.rows, self.cols, self.n, self.n_left, self.values(amps))
+        if not ok.all():
+            point = int(np.argmin(ok))
+            eps, amp = float(self.eps_values[point % n_eps]), amps[point // n_eps]
+            drive = DriveParams(amp, self.drive.frequency, self.drive.dephasing)
+            try:
+                build_rate_matrix(self.model, eps, drive, self.kernel)
+            except ValidationError as exc:
+                raise ValidationError(f"{exc} (eps={eps} GHz, amp={amp} GHz)") from None
+            raise NonConvergent("stationary solve failed the acceptance check", eps=eps, amp=amp)
         return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
 
 

@@ -632,6 +632,29 @@ class TestRunCommand:
             blob = (tmp_path / "out" / entry["files"][kind]["name"]).read_bytes()
             assert entry["files"][kind]["sha256"] == hashlib.sha256(blob).hexdigest()
 
+    def test_overflowing_ratio_is_null_in_strict_json(self, tmp_path, capsys):
+        # delta_a / delta_d = 1.7e308 / 1e-10 overflows.  JSON has no
+        # Infinity, so the manifest writes null; boundaries prints inf.
+        text = edit(
+            FIRST_DIAMOND_SMALL,
+            "left_levels = 0.0", "left_levels = 0 1e-10",
+            "frequency = 1.0", "frequency = 1.7e308",
+        )
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        manifest = (tmp_path / "out" / "manifest.json").read_text()
+        (entry,) = json.loads(manifest, parse_constant=refuse)["maps"]
+        assert entry["regime"]["ratio"] is None
+        assert entry["regime"]["classification"] == "HighFrequency"
+        assert '"ratio": null' in manifest
+        assert main(["boundaries", str(path)]) == 0
+        assert " ratio inf regime HighFrequency\n" in capsys.readouterr().out
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(MINIMAL)
         run(cfg, out_dir=tmp_path / "a")
@@ -854,26 +877,31 @@ class TestMainEntry:
     )
     def test_run_names_the_first_point_probe_rejects(self, tmp_path, capsys, base, pairs, eps, code, others):
         # run names the first point of the first row (amp = 0) that probe
-        # rejects, with probe's error, whatever the block layout: exit 2
-        # where probe's RateMatrix rejects the generator, exit 1 where the
-        # point fails the acceptance check.  probe gives the codes shown
-        # at the other (eps, amp) points; nothing warns.
-        message = {
-            1: "stationary solve failed the acceptance check",
-            2: "rate matrix entries must be finite",
-        }[code]
+        # rejects, with probe's error line there and the point appended,
+        # whatever the block layout: exit 2 where probe's RateMatrix
+        # rejects the generator, exit 1 where the point fails the
+        # acceptance check.  probe gives the codes shown at the other
+        # (eps, amp) points, and the same error line wherever it exits 2;
+        # nothing warns.
+        messages = {
+            1: "error: stationary solve failed the acceptance check\n",
+            2: "error: rate matrix entries must be finite\n",
+        }
         path = self.write_config(tmp_path, edit(base, *pairs))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["run", path, "--out", str(out), "--workers", "1"]) == code
-            err = capsys.readouterr().err
-            assert err == f"error: {message} (eps={eps} GHz, amp=0.0 GHz)\n"
             assert main(["probe", path, "--eps", str(eps), "--amp", "0"]) == code
-            assert capsys.readouterr().err == f"error: {message}\n"
+            probed = capsys.readouterr().err
+            assert probed == messages[code]
+            assert main(["run", path, "--out", str(out), "--workers", "1"]) == code
+            named = probed.replace("\n", f" (eps={eps} GHz, amp=0.0 GHz)\n")
+            assert capsys.readouterr().err == named
             for (other_eps, amp), other_code in others.items():
                 probe = ["probe", path, "--eps", str(other_eps), "--amp", str(amp)]
                 assert main(probe) == other_code
+                if other_code == 2:
+                    assert capsys.readouterr().err == messages[2]
         assert not out.exists()
 
     def test_amplitude_past_the_bessel_range_exit_two(self, tmp_path, capsys):

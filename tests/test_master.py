@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -366,6 +367,28 @@ class TestRowEngineParts:
         solved, ok = plan.solve(values)
         assert solved[:, 0] == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
         assert list(ok) == [True, True]
+
+    @pytest.mark.parametrize(
+        "rows, cols, bad",
+        [
+            ([0, 1], [1, 0], [1.0, math.inf]),
+            ([0, 1], [1, 0], [1.0, math.nan]),
+            # Both rates leave state 0: its outflow overflows.
+            ([0, 0, 1, 2], [1, 2, 0, 0], [1.0, 1.0, 1e308, 1e308]),
+        ],
+        ids=["inf_entry", "nan_entry", "outflow_overflows"],
+    )
+    def test_check_rejects_a_generator_that_is_not_finite(self, rows, cols, bad):
+        # RateMatrix's rule, whatever q: the first point has an entry or a
+        # column's outflow that is not finite.  The second, every rate 1,
+        # is accepted beside it, and nothing warns.
+        n = max(rows) + 1
+        plan = master_mod.GTHPlan(rows, cols, n)
+        values = np.column_stack([bad, np.ones(len(rows))])
+        q = np.full((n, 2), 1.0 / n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(plan.accepts(values, q)) == [False, True]
 
     def test_singular_stack_is_left_to_the_caller(self):
         # Zero rates on a connected pattern, or no pattern at all: some
