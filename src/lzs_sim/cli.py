@@ -107,7 +107,7 @@ _GRAMMAR = {
 }
 _SECTIONS = {row[0] for row in _GRAMMAR.values()}
 _STATE_RE = re.compile(r"([LR])([0-9]+)$")
-_MAP_FILE_RE = re.compile(r"map_\d+\.(csv|pgm)(\.tmp)?")
+_MAP_FILE_RE = re.compile(r"map_[0-9]+\.(csv|pgm)(\.tmp)?")
 
 
 @dataclass(frozen=True)
@@ -360,13 +360,12 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eps_col, amp_col, p_col = np.array(cols, dtype=float).T
     except ValueError:
         raise ValidationError("CSV rows must hold three numbers") from None
-    n = len(cols)
-    n_eps = 1
-    while n_eps < n and amp_col[n_eps] == amp_col[0]:
-        n_eps += 1
-    if n % n_eps:
+    # A row ends where the detuning falls: it never falls within a row.
+    restarts = np.flatnonzero(eps_col[1:] < eps_col[:-1])
+    n_eps = int(restarts[0]) + 1 if restarts.size else len(cols)
+    if len(cols) % n_eps:
         raise ValidationError("CSV rows do not form a rectangular grid")
-    return eps_col[:n_eps], amp_col[::n_eps], p_col.reshape(n // n_eps, n_eps)
+    return eps_col[:n_eps], amp_col[::n_eps], p_col.reshape(-1, n_eps)
 
 
 def pgm_bytes(pmap: PopulationMap) -> bytes:

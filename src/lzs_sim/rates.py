@@ -55,8 +55,9 @@ frequency: its denominators are built once, over the support of the
 map's largest amplitude, and every point adds the photons of its own
 amplitude's support in ascending n, as lzs_rate does, so every rate has
 lzs_rate's bits.  A rate that is not finite (an overflowing delta**2,
-or a gamma2**2 that underflows to 0 on a resonance) comes out as inf or
-nan, without a warning, for the caller to reject.
+a gamma2**2 that underflows to 0 on a resonance, or in a table a
+detuning from a crossing that overflows) comes out as inf or nan,
+without a warning, for the caller to reject.
 
 The Bessel kernel is self-contained: an ascending power series for
 x < 2 and Miller's normalized downward recurrence otherwise, run in
@@ -296,7 +297,10 @@ class PhotonTable:
     squared Bessel weights (``_photon_weights``) by the table and adds
     the terms of exactly the photons of that amplitude's support, in
     ascending n in ``_chain``'s order, so W has lzs_rate's bits at every
-    point.
+    point.  A detuning from a crossing that overflows is held as nan, so
+    that crossing's rates there are nan and the point fails the
+    acceptance check, as lzs_rate rejects that detuning for probe; the
+    table itself rejects no detuning.
     """
 
     def __init__(
@@ -311,8 +315,7 @@ class PhotonTable:
         positions = np.asarray(positions, dtype=float)
         with np.errstate(over="ignore"):
             self.eps_local = np.asarray(eps_values, dtype=float)[None, :] - positions[:, None]
-        if not np.isfinite(self.eps_local).all():
-            raise ValidationError("eps_local must be finite")
+        self.eps_local[~np.isfinite(self.eps_local)] = np.nan
         self.drive = drive
         self.kernel = kernel
         self.ns = _photon_range(drive.amplitude / drive.frequency + kernel.n_margin)

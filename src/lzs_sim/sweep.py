@@ -27,7 +27,11 @@ path on a block of one, so a map value equals what it gives, bit for
 bit.  A block solves all its points.  The acceptance check fails a
 point whose solve is inaccurate, and also one whose generator
 ``RateMatrix`` rejects: an entry or a column's outflow that is not
-finite.  A run stops at its first failing point in (map, amplitude
+finite.  A detuning from a crossing that overflows makes the table's
+rates nan there, so it too fails at its point, where ``lzs_rate``
+rejects it.  A map's plan rejects the whole map only where A/w +
+n_margin at its top amplitude passes the Bessel kernel's range, 1e4.
+A run stops at its first failing point in (map, amplitude
 row, detuning) order, with the error ``probe`` gives there: the block
 builds that point's generator with ``build_rate_matrix`` and re-raises
 its ValidationError, naming the point, or else raises NonConvergent.
@@ -183,7 +187,10 @@ def model_fingerprint(
     if model.leak is None:
         digest.update(b"\x00")
     else:
-        digest.update(struct.pack("<qd", model.leak.threshold, model.leak.return_rate))
+        # Every threshold past the ladders pumps alike, so one that "q"
+        # cannot hold is packed as the largest it can.
+        threshold = min(model.leak.threshold, 2**63 - 1)
+        digest.update(struct.pack("<qd", threshold, model.leak.return_rate))
     # -1.0 fills the removed Lorentzian cutoff's slot: manifests keep their bytes.
     digest.update(
         struct.pack("<ddqd", drive.frequency, drive.dephasing, kernel.n_margin, -1.0)

@@ -115,6 +115,13 @@ def edit(text, *pairs):
     return text
 
 
+# The errors probe gives at a failing point, which run gives too, with
+# the point appended.
+FAILED_CHECK = "stationary solve failed the acceptance check"
+NOT_FINITE_ENTRIES = "rate matrix entries must be finite"
+NOT_FINITE_DETUNING = "eps_local must be finite"
+
+
 # Every error parse_config raises for the grammar or while assembling the
 # model, as "<type>: <exact message>".  The last three cases pin the
 # order of the assembly checks.
@@ -501,15 +508,18 @@ class TestParseConfig:
             parse_config(text)
 
 
-def small_map():
-    model = QubitModel(
+def small_map_model():
+    return QubitModel(
         left_offsets=(0.0,),
         right_offsets=(0.0,),
         crossings=np.array([[0.05]]),
         left_to_right=np.array([[0.01]]),
     )
+
+
+def small_map():
     drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
-    return run_sweep(model, drive, SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3))
+    return run_sweep(small_map_model(), drive, SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3))
 
 
 class TestCsvFormat:
@@ -534,6 +544,20 @@ class TestCsvFormat:
         eps, amp, values = read_csv(path)
         assert np.array_equal(eps, pmap.grid.eps_values)
         assert np.array_equal(amp, pmap.grid.amp_values)
+        assert np.array_equal(values, pmap.values)
+
+    @pytest.mark.parametrize("n_amp", [3, 4, 5])
+    def test_round_trip_with_equal_amplitude_rows(self, tmp_path, n_amp):
+        # linspace(0, 5e-324, n_amp) repeats its values, so two rows share
+        # an amplitude: the rows are told apart by where detuning restarts.
+        grid = SweepGrid(-1.0, 1.0, 3, 0.0, 5e-324, n_amp)
+        assert len(set(grid.amp_values.tolist())) < n_amp
+        pmap = run_sweep(small_map_model(), DriveParams(0.0, 1.0, 0.1), grid)
+        path = tmp_path / "map.csv"
+        write_csv(path, pmap)
+        eps, amp, values = read_csv(path)
+        assert np.array_equal(eps, grid.eps_values)
+        assert np.array_equal(amp, grid.amp_values)
         assert np.array_equal(values, pmap.values)
 
     def test_checksum_matches_bytes(self, tmp_path):
@@ -669,11 +693,36 @@ class TestRunCommand:
         batch = MINIMAL.replace("frequency = 1.0", "frequencies = 1 2 3 4 5 6")
         run(parse_config(batch), out_dir=out)
         (out / "map_03.csv.tmp").write_bytes(b"left by a crashed write")
+        (out / "map_07.pgm.tmp").write_bytes(b"left by a crashed write")
         (out / "notes.txt").write_text("not ours")
+        # An Arabic-Indic digit: not a name a run writes.
+        (out / "map_\u0663.csv").write_text("not ours")
         run(parse_config(MINIMAL), out_dir=out)
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["manifest.json", "map_00.csv", "map_00.pgm", "notes.txt"]
+        assert names == ["manifest.json", "map_00.csv", "map_00.pgm", "map_\u0663.csv", "notes.txt"]
         assert (out / "notes.txt").read_text() == "not ours"
+        assert (out / "map_\u0663.csv").read_text() == "not ours"
+
+    def test_leak_threshold_past_64_bits_runs(self, tmp_path):
+        # Every threshold past the ladders pumps alike: 2**63 gives the
+        # maps of threshold 1 and the fingerprint of 2**63 - 1.
+        def run_with(threshold):
+            text = edit(
+                MINIMAL,
+                "interwell L0 R0 = 0.01",
+                f"interwell L0 R0 = 0.01\nleak_threshold = {threshold}\nleak_return = 1.0",
+            )
+            path, out = tmp_path / f"{threshold}.cfg", tmp_path / str(threshold)
+            path.write_text(text)
+            assert main(["run", str(path), "--out", str(out)]) == 0
+            return out, json.loads((out / "manifest.json").read_text())["maps"][0]["fingerprint"]
+
+        huge, huge_print = run_with(2**63)
+        one, _ = run_with(1)
+        _, top_print = run_with(2**63 - 1)
+        assert huge_print == top_print
+        for name in ("map_00.csv", "map_00.pgm"):
+            assert (huge / name).read_bytes() == (one / name).read_bytes()
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -763,7 +812,7 @@ class TestMainEntry:
         path = self.write_config(tmp_path, text)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "eps_local must be finite" in err
+        assert err == "error: eps_local must be finite (eps=-1.5e+308 GHz, amp=0.0 GHz)\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_exit_two(self, tmp_path, capsys):
@@ -800,7 +849,7 @@ class TestMainEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "base, pairs, eps, code, others",
+        "base, pairs, eps, code, error, others",
         [
             # n_margin = 0: photon -1 lies outside amplitude 0's support, so
             # its 0/0 on resonance at eps = -1 is not summed; at eps = 0 the
@@ -813,7 +862,8 @@ class TestMainEntry:
                 ),
                 0.0,
                 2,
-                {(-1.0, 0.0): 0},
+                NOT_FINITE_ENTRIES,
+                {(-1.0, 0.0): (0, None)},
             ),
             # J_20(A)**2 is 0 at both amplitudes, but photon 20 lies in both
             # supports: its 0/0 on resonance at eps = 20 is summed.
@@ -828,6 +878,7 @@ class TestMainEntry:
                 ),
                 20.0,
                 2,
+                NOT_FINITE_ENTRIES,
                 {},
             ),
             # Every rate is finite, but R1's outflow overflows.
@@ -836,6 +887,7 @@ class TestMainEntry:
                 ("relax R 1 0 = 1.0", "relax R 1 0 = 1e308\ninterwell R1 L0 = 1e308"),
                 -1.0,
                 2,
+                NOT_FINITE_ENTRIES,
                 {},
             ),
             # The first point fails the acceptance check; the L0 -> R0 entry,
@@ -849,7 +901,8 @@ class TestMainEntry:
                 ),
                 -1.0,
                 1,
-                {(0.0, 0.0): 2},
+                FAILED_CHECK,
+                {(0.0, 0.0): (2, NOT_FINITE_ENTRIES)},
             ),
             # The same at the grid's first point, (0.5, 0), with L0 -> R0
             # overflowing at (0.905, 1): with 201 detunings both rows are
@@ -865,44 +918,71 @@ class TestMainEntry:
                     ),
                     0.5,
                     1,
-                    {(0.905, 1.0): 2},
+                    FAILED_CHECK,
+                    {(0.905, 1.0): (2, NOT_FINITE_ENTRIES)},
                 )
                 for n_eps in (201, 2049)
             ],
+            # Ladders and grid are finite, but the detuning from the
+            # crossing at 1e308 overflows at the grid's first point.
+            (
+                FIRST_DIAMOND_SMALL,
+                ("right_levels = 0.0 12.0", "right_levels = 0 1e308", "eps = -1 1 3", "eps = -1.5e308 0 3"),
+                -1.5e308,
+                2,
+                NOT_FINITE_DETUNING,
+                {(0.0, 0.0): (0, None)},
+            ),
+            # The first point fails the acceptance check; the detuning from
+            # the crossing of L1 (at 1e308) and R0 overflows only at the
+            # last column, which the map neither rejects as a whole nor
+            # reaches.
+            (
+                FIRST_DIAMOND,
+                (
+                    "left_levels = 0.0", "left_levels = 0.0 1e308",
+                    "crossing 0 0 = 0.04", "crossing 0 0 = 3e153",
+                    "crossing 0 1 = 0.4", "crossing 0 1 = 0.4\ncrossing 1 0 = 0.1",
+                    "interwell L0 R0 = 0.002", "interwell L0 R0 = 1.75e308",
+                    "eps = -6 6 201", "eps = 0.5 1e308 3",
+                    "amp = 0 12.5 201", "amp = 0 1 2",
+                ),
+                0.5,
+                1,
+                FAILED_CHECK,
+                {(1e308, 0.0): (2, NOT_FINITE_DETUNING), (5e307, 1.0): (0, None)},
+            ),
         ],
         ids=[
             "outside_the_support", "zero_weight_in_the_support", "outflow_overflows",
-            "entry_overflows", "one_block", "row_blocks",
+            "entry_overflows", "one_block", "row_blocks", "detuning_overflows",
+            "detuning_overflows_after_the_first_failure",
         ],
     )
-    def test_run_names_the_first_point_probe_rejects(self, tmp_path, capsys, base, pairs, eps, code, others):
+    def test_run_names_the_first_point_probe_rejects(
+        self, tmp_path, capsys, always_fork, forks, base, pairs, eps, code, error, others
+    ):
         # run names the first point of the first row (amp = 0) that probe
         # rejects, with probe's error line there and the point appended,
-        # whatever the block layout: exit 2 where probe's RateMatrix
-        # rejects the generator, exit 1 where the point fails the
-        # acceptance check.  probe gives the codes shown at the other
-        # (eps, amp) points, and the same error line wherever it exits 2;
+        # whatever the block layout and however many processes share the
+        # rows: exit 2 where probe's RateMatrix or lzs_rate rejects the
+        # point, exit 1 where it fails the acceptance check.  probe gives
+        # the codes and errors shown at the other (eps, amp) points;
         # nothing warns.
-        messages = {
-            1: "error: stationary solve failed the acceptance check\n",
-            2: "error: rate matrix entries must be finite\n",
-        }
         path = self.write_config(tmp_path, edit(base, *pairs))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["probe", path, "--eps", str(eps), "--amp", "0"]) == code
-            probed = capsys.readouterr().err
-            assert probed == messages[code]
-            assert main(["run", path, "--out", str(out), "--workers", "1"]) == code
-            named = probed.replace("\n", f" (eps={eps} GHz, amp=0.0 GHz)\n")
-            assert capsys.readouterr().err == named
-            for (other_eps, amp), other_code in others.items():
-                probe = ["probe", path, "--eps", str(other_eps), "--amp", str(amp)]
-                assert main(probe) == other_code
-                if other_code == 2:
-                    assert capsys.readouterr().err == messages[2]
-        assert not out.exists()
+            assert main(["probe", path, f"--eps={eps}", "--amp", "0"]) == code
+            assert capsys.readouterr().err == f"error: {error}\n"
+            for workers in ("1", "2"):
+                assert main(["run", path, "--out", str(out), "--workers", workers]) == code
+                assert capsys.readouterr().err == f"error: {error} (eps={eps} GHz, amp=0.0 GHz)\n"
+                assert not out.exists()
+            assert forks  # --workers 2 shared the rows with a child
+            for (other_eps, amp), (other_code, other_error) in others.items():
+                assert main(["probe", path, f"--eps={other_eps}", "--amp", str(amp)]) == other_code
+                assert capsys.readouterr().err == (f"error: {other_error}\n" if other_error else "")
 
     def test_amplitude_past_the_bessel_range_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, edit(MINIMAL, "amp = 0 1 2", "amp = 0 1e308 2"))
