@@ -363,9 +363,13 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # A row ends where the detuning falls: it never falls within a row.
     restarts = np.flatnonzero(eps_col[1:] < eps_col[:-1])
     n_eps = int(restarts[0]) + 1 if restarts.size else len(cols)
-    if len(cols) % n_eps:
+    eps, amp = eps_col[:n_eps], amp_col[::n_eps]
+    # Every row repeats the first row's detunings at one amplitude.
+    if len(cols) != eps.size * amp.size or (
+        (np.tile(eps, amp.size) != eps_col) | (np.repeat(amp, n_eps) != amp_col)
+    ).any():
         raise ValidationError("CSV rows do not form a rectangular grid")
-    return eps_col[:n_eps], amp_col[::n_eps], p_col.reshape(-1, n_eps)
+    return eps, amp, p_col.reshape(-1, n_eps)
 
 
 def pgm_bytes(pmap: PopulationMap) -> bytes:

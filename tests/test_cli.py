@@ -100,7 +100,8 @@ amp = 0 8 21
 """
 
 
-FIRST_DIAMOND = (Path(__file__).resolve().parents[1] / "configs" / "first_diamond.cfg").read_text()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FIRST_DIAMOND = (CONFIGS / "first_diamond.cfg").read_text()
 # first_diamond on the grid eps = -1 1 3, amp = 0 1 2.
 FIRST_DIAMOND_SMALL = FIRST_DIAMOND.replace("eps = -6 6 201", "eps = -1 1 3").replace(
     "amp = 0 12.5 201", "amp = 0 1 2"
@@ -613,6 +614,12 @@ class TestPgmFormat:
         ("map.pgm", b"P5\n2 2\n255\n" + bytes(3), "raster size mismatch"),
         ("map.csv", b"eps,amp,p\n0,0,0.5\n", "unexpected CSV header"),
         ("map.csv", b"eps_ghz,amp_ghz,p_left\n0,0,0.5\n1,0,0.5\n0,1,0.5\n", "rectangular"),
+        (
+            "map.csv",
+            b"eps_ghz,amp_ghz,p_left\n0,0,0.5\n1,0,0.5\n2,0,0.5\n0,1,0.5\n1,1,0.5\n0,7,0.5\n",
+            "rectangular",
+        ),
+        ("map.csv", b"eps_ghz,amp_ghz,p_left\n0,0,0.5\n1,0,0.5\n0,1,0.5\n1,2,0.5\n", "rectangular"),
     ],
     ids=[
         "pgm_size_not_integers",
@@ -623,6 +630,8 @@ class TestPgmFormat:
         "pgm_raster_size",
         "csv_bad_header",
         "csv_not_rectangular",
+        "csv_rows_not_a_grid",
+        "csv_row_with_two_amplitudes",
     ],
 )
 def test_malformed_file_is_a_validation_error(tmp_path, name, blob, message):
@@ -863,7 +872,7 @@ class TestMainEntry:
                 0.0,
                 2,
                 NOT_FINITE_ENTRIES,
-                {(-1.0, 0.0): (0, None)},
+                {(-1.0, 0.0): (0, "P_left 3.9999999999999998e-201")},
             ),
             # J_20(A)**2 is 0 at both amplitudes, but photon 20 lies in both
             # supports: its 0/0 on resonance at eps = 20 is summed.
@@ -931,7 +940,7 @@ class TestMainEntry:
                 -1.5e308,
                 2,
                 NOT_FINITE_DETUNING,
-                {(0.0, 0.0): (0, None)},
+                {(0.0, 0.0): (0, "P_left 0.44444444444444448")},
             ),
             # The first point fails the acceptance check; the detuning from
             # the crossing of L1 (at 1e308) and R0 overflows only at the
@@ -950,7 +959,7 @@ class TestMainEntry:
                 0.5,
                 1,
                 FAILED_CHECK,
-                {(1e308, 0.0): (2, NOT_FINITE_DETUNING), (5e307, 1.0): (0, None)},
+                {(1e308, 0.0): (2, NOT_FINITE_DETUNING), (5e307, 1.0): (0, "P_left 0")},
             ),
         ],
         ids=[
@@ -966,9 +975,9 @@ class TestMainEntry:
         # rejects, with probe's error line there and the point appended,
         # whatever the block layout and however many processes share the
         # rows: exit 2 where probe's RateMatrix or lzs_rate rejects the
-        # point, exit 1 where it fails the acceptance check.  probe gives
-        # the codes and errors shown at the other (eps, amp) points;
-        # nothing warns.
+        # point, exit 1 where it fails the acceptance check.  At the other
+        # (eps, amp) points probe gives the codes shown, with the error
+        # shown or, where it passes, the P_left line shown; nothing warns.
         path = self.write_config(tmp_path, edit(base, *pairs))
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -980,9 +989,13 @@ class TestMainEntry:
                 assert capsys.readouterr().err == f"error: {error} (eps={eps} GHz, amp=0.0 GHz)\n"
                 assert not out.exists()
             assert forks  # --workers 2 shared the rows with a child
-            for (other_eps, amp), (other_code, other_error) in others.items():
+            for (other_eps, amp), (other_code, text) in others.items():
                 assert main(["probe", path, f"--eps={other_eps}", "--amp", str(amp)]) == other_code
-                assert capsys.readouterr().err == (f"error: {other_error}\n" if other_error else "")
+                captured = capsys.readouterr()
+                if other_code:
+                    assert captured.err == f"error: {text}\n"
+                else:
+                    assert captured.err == "" and text in captured.out.splitlines()
 
     def test_amplitude_past_the_bessel_range_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, edit(MINIMAL, "amp = 0 1 2", "amp = 0 1e308 2"))
@@ -993,6 +1006,10 @@ class TestMainEntry:
         assert main(["probe", path, "--eps", "0", "--amp", "1e308"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Bessel kernel's range" in err
+        # The photons summed depend on the amplitude alone: a point 1e20 GHz
+        # from every crossing stays within the range.
+        assert main(["probe", str(CONFIGS / "first_diamond.cfg"), "--eps", "1e20", "--amp", "1"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "old, new, command",
@@ -1092,6 +1109,19 @@ class TestMainEntry:
         assert "crossing 0L-0R position_ghz 0" in out
         assert "crossing 0L-1R position_ghz 6" in out
         assert "regime undetermined" in out
+        # Six frequencies on both sides of the boundary ratio 1, which is
+        # HighFrequency.
+        assert main(["boundaries", str(CONFIGS / "frequency_batch.cfg")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "crossing 0L-0R position_ghz 0",
+            "crossing 1L-0R position_ghz -13",
+            "frequency_ghz 5 delta_a 5 delta_d 13 ratio 0.38461538461538464 regime LowFrequency",
+            "frequency_ghz 8 delta_a 8 delta_d 13 ratio 0.61538461538461542 regime LowFrequency",
+            "frequency_ghz 11 delta_a 11 delta_d 13 ratio 0.84615384615384615 regime LowFrequency",
+            "frequency_ghz 13 delta_a 13 delta_d 13 ratio 1 regime HighFrequency",
+            "frequency_ghz 15 delta_a 15 delta_d 13 ratio 1.1538461538461537 regime HighFrequency",
+            "frequency_ghz 17 delta_a 17 delta_d 13 ratio 1.3076923076923077 regime HighFrequency",
+        ]
 
     def test_one_worker_run_never_loads_the_pool(self, tmp_path):
         # In a fresh interpreter: neither importing the CLI nor a run with
