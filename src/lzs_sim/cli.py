@@ -181,7 +181,10 @@ def parse_config(text: str) -> RunConfig:
     # a key without arguments is stored under ().
     found: dict[str, dict] = {keyword: {} for keyword in _GRAMMAR}
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Lines end at \n, \r\n or \r only: str.splitlines() would also break
+    # at \f, \v, \x85, U+2028 and the like, which stay whitespace here.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         body = raw.split("#", 1)[0]
         stripped = body.strip()
         if not stripped:
@@ -556,7 +559,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:  # a BOM is not text
             config = parse_config(fh.read())
         if args.command == "run":
             return run(config, workers=args.workers, out_dir=args.out)

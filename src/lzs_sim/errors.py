@@ -4,6 +4,15 @@ import contextlib
 import math
 import numbers
 
+__all__ = [
+    "SimulationError",
+    "NonConvergent",
+    "DegenerateSystem",
+    "InsufficientLevels",
+    "ValidationError",
+    "ParseError",
+]
+
 
 class SimulationError(Exception):
     """Base class for runtime failures of the simulation engine."""

@@ -42,22 +42,9 @@ One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
 It first fixes the number of processes from the run's work, counted as
 points times pattern entries over all maps: W = min(workers, tasks,
 max(1, work // _WORK_PER_PROCESS)), so a process is forked only for a
-share of the work that pays for it.  End to end on two cores (medians
-of 8-10 alternating pairs of runs, every run forking), ``--workers 2``
-against 1:
-
-    input                 entry-points   --workers 2 against 1
-    first_diamond            0.20M            +10.7%
-    second_diamond           0.32M             +6.5%
-    frequency_batch          0.66M             -0.1%
-    ten-level  61 x  61      0.19M             +3.4%
-    ten-level 141 x 141      1.01M            -13.5%
-    ten-level 181 x 181      1.67M            -20.0%
-    ten-level 261 x 261      3.47M            -22.4%
-    ten-level 401 x 401      8.20M            -35.6%
-
-An earlier measurement put the ten-level break-even between 1.7M and
-3.5M, so a second process starts at 2M.  Each map is then cut into
+share of the work that pays for it: a second process starts at 2M,
+inside an earlier measurement's ten-level break-even of 1.7M to 3.5M
+(README has the ``--workers 2`` timings).  Each map is then cut into
 tasks (map, first row, amplitudes), one block each, capped at
 ceil(rows / W) rows when W > 1, and W = min(W, tasks) processes share
 them: this process forks W - 1 children once per run, and process w
@@ -202,8 +189,8 @@ def model_fingerprint(
 # the engine's per-call cost, few enough to keep its buffers small.
 _BLOCK_POINTS = 2048
 # The work, in points times pattern entries, that each process of a run
-# must have: a second process starts at 2M, above the measured
-# break-even (see the module docstring).
+# must have: a second process starts at 2M, inside the measured
+# break-even (see README for the timings).
 _WORK_PER_PROCESS = 1_000_000
 
 

@@ -1,5 +1,6 @@
 """Config parsing, file formats, and the command-line entry point."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -114,6 +115,16 @@ def edit(text, *pairs):
         assert text.count(old) == 1, old
         text = text.replace(old, new)
     return text
+
+
+# The characters other than \n and \r at which str.splitlines() breaks.
+# In a config they are whitespace inside a line, not line ends.
+NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def without_hash(cfg):
+    """cfg's fields other than config_sha256, comparable with ==."""
+    return repr(dataclasses.replace(cfg, config_sha256=""))
 
 
 # The errors probe gives at a failing point, which run gives too, with
@@ -388,6 +399,14 @@ class TestParseConfig:
         )
         cfg = parse_config(text)
         assert cfg.model.n_left == 1
+        # A comment runs to the line end, past any other separator.
+        for sep in NOT_LINE_ENDS:
+            text = MINIMAL.replace("[drive]", f"# comment{sep}still comment\n[drive]  # x{sep}y")
+            assert without_hash(parse_config(text)) == without_hash(parse_config(MINIMAL)), ascii(sep)
+        # \r\n and \r end lines as \n does.
+        for end in ("\r\n", "\r"):
+            text = MINIMAL.replace("\n", end)
+            assert without_hash(parse_config(text)) == without_hash(parse_config(MINIMAL)), ascii(end)
 
     def test_three_state_structure(self):
         cfg = parse_config(THREE_STATE)
@@ -426,6 +445,12 @@ class TestParseConfig:
         text = MINIMAL.replace("dephasing = 0.1", "dephasing = 0.1\nphase = 3")
         with pytest.raises(ParseError, match=r"line 10, column 1.*unknown key"):
             parse_config(text)
+        # A line holding only a page break (or another separator) is one
+        # blank line.
+        for sep in NOT_LINE_ENDS:
+            paged = text.replace("[drive]", f"{sep}\n[drive]")
+            with pytest.raises(ParseError, match=r"line 11, column 1.*unknown key"):
+                parse_config(paged)
 
     def test_bad_number_reports_column(self):
         text = MINIMAL.replace("dephasing = 0.1", "dephasing = abc")
@@ -1109,6 +1134,10 @@ class TestMainEntry:
         assert "crossing 0L-0R position_ghz 0" in out
         assert "crossing 0L-1R position_ghz 6" in out
         assert "regime undetermined" in out
+        # The same file saved with a UTF-8 byte-order mark.
+        Path(path).write_bytes(b"\xef\xbb\xbf" + THREE_STATE.encode())
+        assert main(["boundaries", path]) == 0
+        assert capsys.readouterr() == (out, "")
         # Six frequencies on both sides of the boundary ratio 1, which is
         # HighFrequency.
         assert main(["boundaries", str(CONFIGS / "frequency_batch.cfg")]) == 0

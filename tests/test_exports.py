@@ -6,7 +6,7 @@ import inspect
 import lzs_sim
 import lzs_sim.errors as errors
 
-MODULES = ("analysis", "master", "model", "rates", "sweep")
+MODULES = ("analysis", "errors", "master", "model", "rates", "sweep")
 
 
 def test_exports_match_the_modules():

@@ -1,0 +1,58 @@
+#!/bin/sh
+# Compare the command-line output of a git ref with the working tree's.
+#
+# Usage: tools/parent_diff.sh [REF]    (REF defaults to HEAD~1)
+#
+# Extracts REF with `git archive` into a temporary directory, then, on
+# that tree and on the working tree, runs `python -W error -m
+# lzs_sim.cli` with that tree's src/ on PYTHONPATH for:
+#   - `run` of every configs/*.cfg at --workers 1, 2 and 8;
+#   - `probe configs/second_diamond.cfg --eps -6 --amp 3`;
+#   - `boundaries` of every configs/*.cfg.
+# Each case records its stdout, its exit status and, for `run`, its
+# output directory.  Prints `diff -r` of the two sides and the stderr of
+# every case that exits nonzero; stderr is not diffed, since a run's
+# timings go there.  Exits 0 when the outputs are identical, 1 when they
+# differ.  A call takes about 20 s on two cores.  Needs the parent commit in the clone: a depth-1 checkout
+# does not have it.
+set -u
+
+ref=${1:-HEAD~1}
+repo=$(git rev-parse --show-toplevel) || exit 2
+scratch=$(mktemp -d) || exit 2
+trap 'rm -rf "$scratch"' EXIT
+trap 'exit 130' INT TERM
+
+mkdir "$scratch/ref"
+git -C "$repo" archive "$ref" | tar -x -C "$scratch/ref" || exit 2
+
+# one_case <name> <arguments...>: one CLI call in $tree, recorded under $side.
+one_case() {
+    out=$scratch/out/$side/$1
+    shift
+    mkdir -p "$out"
+    status=0
+    (cd "$tree" && PYTHONPATH="$tree/src" python -W error -m lzs_sim.cli "$@") \
+        > "$out/stdout" 2> "$scratch/stderr" || status=$?
+    echo "$status" > "$out/status"
+    if [ "$status" -ne 0 ]; then
+        echo "== $side ${out##*/}: exit $status"
+        cat "$scratch/stderr"
+    fi
+}
+
+for side in ref work; do
+    if [ "$side" = ref ]; then tree=$scratch/ref; else tree=$repo; fi
+    for cfg in "$tree"/configs/*.cfg; do
+        base=$(basename "$cfg" .cfg)
+        for workers in 1 2 8; do
+            one_case "run-$base-w$workers" run "configs/$base.cfg" --workers "$workers" \
+                --out "$scratch/out/$side/run-$base-w$workers/maps"
+        done
+        one_case "boundaries-$base" boundaries "configs/$base.cfg"
+    done
+    one_case probe probe configs/second_diamond.cfg --eps -6 --amp 3
+done
+
+echo "== diff -r $ref working-tree"
+diff -r "$scratch/out/ref" "$scratch/out/work" && echo "(no difference)"
