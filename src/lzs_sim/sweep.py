@@ -39,26 +39,24 @@ Blocks hold whole rows and run in order, so the point and error named
 depend on the grid alone, not on the block layout or the worker count.
 
 One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
-It first fixes the number of processes from the run's work, counted as
-points times pattern entries over all maps: W = min(workers, tasks,
-max(1, work // _WORK_PER_PROCESS)), so a process is forked only for a
-share of the work that pays for it: a second process starts at 2M,
-inside an earlier measurement's ten-level break-even of 1.7M to 3.5M
-(README has the ``--workers 2`` timings).  Each map is then cut into
-tasks (map, first row, amplitudes), one block each, capped at
-ceil(rows / W) rows when W > 1, and W = min(W, tasks) processes share
-them: this process forks W - 1 children once per run, and process w
-writes tasks w, w + W, ... into one shared anonymous mapping, building
-a map's plan at the first of that map's tasks it reaches.  With W = 1
-(any run below 2 * _WORK_PER_PROCESS, or without ``os.fork``) the same
-loop writes every task, in order, into that same shared mapping, cut as
-a one-worker run cuts them.  A child reports only its exit status.  If
-any share fails, every child is reaped and this process computes all
-tasks again, in order: a failure that recurs raises exactly the
-exception a one-worker run raises, and one that was a child's alone
-leaves a complete run.  A point's bits depend neither on its block nor
-on its process nor on BLAS threading (no step uses BLAS), which makes
-the result bit-identical for any worker count.
+It cuts each map into tasks (map, first row, amplitudes), one block
+each, from the grid alone, and lists them map after map.  The number of
+processes then follows from the run's work, counted as points times
+pattern entries over all maps: W = min(workers, tasks, max(1, work //
+_WORK_PER_PROCESS)), so a process is forked only for a share of the
+work that pays for it (README has the ``--workers 2`` timings).  This
+process forks W - 1 children once per run, and process w writes tasks
+w, w + W, ... of that one list into one shared anonymous mapping,
+building a map's plan at the first of that map's tasks it reaches.
+With W = 1 (any run below 2 * _WORK_PER_PROCESS, or without
+``os.fork``) it writes every task, in order, into that same mapping.  A
+child reports only its exit status.  If any share fails, every child is
+reaped and this process computes all tasks again, in order: a failure
+that recurs raises exactly the exception a one-worker run raises, and
+one that was a child's alone leaves a complete run.  The worker count
+changes neither the tasks nor a point's bits, which depend neither on
+its process nor on BLAS threading (no step uses BLAS), so the result is
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -186,11 +184,11 @@ def model_fingerprint(
 
 
 # Rows are solved in blocks of about this many points: enough to spread
-# the engine's per-call cost, few enough to keep its buffers small.
+# the engine's per-call cost, few enough to keep its buffers small.  A
+# run's tasks are these blocks, whatever its worker count.
 _BLOCK_POINTS = 2048
 # The work, in points times pattern entries, that each process of a run
-# must have: a second process starts at 2M, inside the measured
-# break-even (see README for the timings).
+# must have: a second process starts at 2M (README has the timings).
 _WORK_PER_PROCESS = 1_000_000
 
 
@@ -260,27 +258,26 @@ class SweepPlan:
 
 
 def _schedule(model: QubitModel, n_maps: int, grid: SweepGrid, workers: int):
-    """The run's tasks (map, first row, amplitudes), map after map, and
-    the number of processes W that share them.  Each process must have
-    _WORK_PER_PROCESS of the run's work, counted in points times pattern
-    entries, and a task: W = min(workers, tasks, max(1, work //
-    _WORK_PER_PROCESS)), or 1 without ``os.fork``."""
+    """The run's tasks (map, first row, amplitudes), map after map: blocks
+    of whole rows, up to _BLOCK_POINTS points, cut from the grid alone.
+    And the number of processes W that share them: each process must
+    have _WORK_PER_PROCESS of the run's work, counted in points times
+    pattern entries, and a task, so W = min(workers, tasks, max(1, work
+    // _WORK_PER_PROCESS)), or 1 without ``os.fork``."""
     work = n_maps * grid.n_eps * grid.n_amp * len(_generator_layout(model)[0])
     processes = min(workers, max(1, work // _WORK_PER_PROCESS)) if hasattr(os, "fork") else 1
     rows = max(1, _BLOCK_POINTS // grid.n_eps)
-    if processes > 1:
-        rows = min(rows, -(-grid.n_amp // processes))
     amps = grid.amp_values.tolist()
     tasks = [(m, k, amps[k : k + rows]) for m in range(n_maps) for k in range(0, grid.n_amp, rows)]
     return tasks, min(processes, len(tasks))
 
 
-def _compute(tasks, plan_of, out, first: int, step: int):
-    """Write tasks first, first + step, ... into out: task (m, k, amps)
-    gives rows k, k + 1, ... of map m.  A map's plan is built at the
-    first of its tasks that this process reaches."""
+def _compute(tasks, plan_of, out):
+    """Write the tasks into out: task (m, k, amps) gives rows k, k + 1,
+    ... of map m.  A map's plan is built at the first of its tasks in
+    the list."""
     planned = None
-    for m, k, amps in tasks[first::step]:
+    for m, k, amps in tasks:
         if m != planned:
             plan, planned = plan_of(m), m
         out[m, k : k + len(amps)] = plan.block(amps)
@@ -288,7 +285,8 @@ def _compute(tasks, plan_of, out, first: int, step: int):
 
 def _forked(tasks, plan_of, out, workers: int) -> bool:
     """Compute the tasks in this process and workers - 1 forked children,
-    process w taking tasks w, w + workers, ... of out, a shared mapping.
+    process w writing tasks w, w + workers, ... into out, a shared
+    mapping.
     True when every share is written; a child reports only its exit
     status.  Every child is reaped before this returns."""
     children, ok = [], True
@@ -298,12 +296,12 @@ def _forked(tasks, plan_of, out, workers: int) -> bool:
             if pid == 0:
                 code = 1
                 try:
-                    _compute(tasks, plan_of, out, w, workers)
+                    _compute(tasks[w::workers], plan_of, out)
                     code = 0
                 finally:
                     os._exit(code)
             children.append(pid)
-        _compute(tasks, plan_of, out, 0, workers)
+        _compute(tasks[::workers], plan_of, out)
     except Exception:
         ok = False
     finally:
@@ -353,7 +351,7 @@ def run_frequency_batch(
     tasks, processes = _schedule(model, len(drive_list), grid, workers)
     out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
     if processes == 1 or not _forked(tasks, plan_of, out, processes):
-        _compute(tasks, plan_of, out, 0, 1)
+        _compute(tasks, plan_of, out)
     return [
         PopulationMap(
             grid=grid,

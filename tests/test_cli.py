@@ -1010,6 +1010,8 @@ class TestMainEntry:
             assert main(["probe", path, f"--eps={eps}", "--amp", "0"]) == code
             assert capsys.readouterr().err == f"error: {error}\n"
             for workers in ("1", "2"):
+                if workers == "2":
+                    always_fork(1)  # each of the two rows a task of its own
                 assert main(["run", path, "--out", str(out), "--workers", workers]) == code
                 assert capsys.readouterr().err == f"error: {error} (eps={eps} GHz, amp=0.0 GHz)\n"
                 assert not out.exists()
@@ -1156,13 +1158,14 @@ class TestMainEntry:
         # In a fresh interpreter: neither importing the CLI nor a run with
         # one worker, nor one with two forked workers, loads
         # multiprocessing or concurrent.futures, or a test-only
-        # dependency.  The threshold is pinned so that this small grid
-        # forks.
+        # dependency.  The threshold and the block size are pinned so that
+        # this small grid forks.
         path = self.write_config(tmp_path, THREE_STATE)
         script = (
             "import json, sys\n"
             "import lzs_sim.cli, lzs_sim.sweep\n"
             "lzs_sim.sweep._WORK_PER_PROCESS = 1\n"
+            "lzs_sim.sweep._BLOCK_POINTS = 1\n"
             "pool = ('multiprocessing', 'concurrent.futures', 'scipy', 'mpmath', 'hypothesis', 'pytest')\n"
             "seen = [[m for m in pool if m in sys.modules]]\n"
             "codes = []\n"

@@ -136,18 +136,23 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_does_not_change_bits(self, always_fork, forks, workers):
+        # One block of four rows, against blocks of 4 / workers rows shared
+        # by as many processes.
         grid = SweepGrid(-1.0, 1.0, 7, 0.0, 2.0, 4)
         serial = run_sweep(TWO_STATE, DRIVE, grid, workers=1)
+        always_fork(4 // workers * grid.n_eps)
         parallel = run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
         assert np.array_equal(serial.values, parallel.values)
         assert len(forks) == workers - 1
 
     def test_pool_never_exceeds_rows(self, always_fork, forks):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
+        alone = run_sweep(TWO_STATE, DRIVE, grid)
+        always_fork(1)
         pooled = run_sweep(TWO_STATE, DRIVE, grid, workers=8)
         # Three one-row blocks: two forked workers, and this process.
         assert len(forks) == 2
-        assert np.array_equal(pooled.values, run_sweep(TWO_STATE, DRIVE, grid).values)
+        assert np.array_equal(pooled.values, alone.values)
 
     def test_without_fork_workers_run_in_process(self, always_fork, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -187,8 +192,9 @@ class TestRunSweep:
     def test_nonconvergent_from_a_worker(
         self, always_fork, forks, monkeypatch, workers, n_amp, failing_rows
     ):
-        # Blocks hold two rows each.  Points of the failing rows are told
-        # apart by their generator values, whichever process solves them.
+        # One block at one worker, then blocks of two rows each.  Points of
+        # the failing rows are told apart by their generator values,
+        # whichever process solves them.
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, n_amp)
         amps = grid.amp_values.tolist()
         top = DriveParams(amps[-1], DRIVE.frequency, DRIVE.dephasing)
@@ -202,7 +208,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(GTHPlan, "accepts", reject_failing_rows)
         errors = []
-        for w in (1, workers):
+        for w, rows in ((1, n_amp), (workers, 2)):
+            always_fork(rows * grid.n_eps)
             with pytest.raises(NonConvergent) as err:
                 run_sweep(TWO_STATE, DRIVE, grid, workers=w)
             errors.append((err.value.eps, err.value.amp, str(err.value)))
@@ -233,7 +240,10 @@ class TestRunSweep:
         config.write_text(re.sub(r"amp = .*", "amp = 0 15 4", TEN_LEVEL_CFG))
         assert cli.main(["run", str(config), "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
         monkeypatch.setattr(sweep_mod.SweepPlan, "block", failing_in_child)
+        # Each two-worker run cuts its 4 rows into two blocks of two.
+        always_fork(2 * grid.n_eps)
         assert np.array_equal(run_sweep(TWO_STATE, DRIVE, grid, workers=2).values, alone.values)
+        always_fork(2 * 401)  # ten-level's 401 detunings
         assert cli.main(["run", str(config), "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
         for path in sorted((tmp_path / "w1").iterdir()):
             assert (tmp_path / "w2" / path.name).read_bytes() == path.read_bytes()
@@ -261,7 +271,8 @@ class TestRunSweep:
         # workers 2 and of one row at workers 4: only children fail, and
         # the rerun in this process raises the one-worker error.
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
-        for workers in (1, 2, 4):
+        for workers, rows in ((1, 4), (2, 2), (4, 1)):
+            always_fork(rows * grid.n_eps)
             with pytest.raises(Local, match=r"^lost at 2\.0$"):
                 run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
         assert len(forks) == 0 + 1 + 3
@@ -717,7 +728,8 @@ class TestBlocks:
         # two workers, six (seven blocks) at eight.
         config = ten_level_config(27, 27)
         outputs = []
-        for workers in (1, 2, 8):
+        for workers, rows in ((1, 27), (2, 14), (8, 4)):
+            always_fork(rows * config.grid.n_eps)
             out = tmp_path / f"w{workers}"
             assert cli.run(config, workers, out) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
@@ -766,6 +778,7 @@ class TestFrequencyBatch:
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
         drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0, 3.0)]
         alone = run_frequency_batch(TWO_STATE, drives, grid)
+        always_fork(2 * grid.n_eps)
         pooled = run_frequency_batch(TWO_STATE, drives, grid, workers=2)
         # Six two-row blocks over three maps, shared by one child and this
         # process: one fork for the run, not one for each map.
@@ -794,8 +807,11 @@ class TestFrequencyBatch:
             return ok & np.array([col.tobytes() not in failing for col in values.T])
 
         monkeypatch.setattr(GTHPlan, "accepts", reject_failing_points)
+        # One four-row block per map at one worker, two-row blocks at 2
+        # and 3.
         errors = []
-        for workers in (1, 2, 3):
+        for workers, rows in ((1, 4), (2, 2), (3, 2)):
+            always_fork(rows * grid.n_eps)
             with pytest.raises(NonConvergent) as err:
                 run_frequency_batch(TWO_STATE, drives, grid, workers=workers)
             errors.append((err.value.eps, err.value.amp, str(err.value)))
@@ -825,14 +841,15 @@ class TestForkRule:
     def test_each_process_gets_its_share_of_the_work(
         self, forks, monkeypatch, workers, shares, children
     ):
-        # Two maps of 6 rows; the threshold is a 1 / shares part of both
-        # maps' work, so with shares = 2 only the second map's work makes
-        # the second process pay.
+        # Two maps of 6 rows, pooled in a task per row; the threshold is a
+        # 1 / shares part of both maps' work, so with shares = 2 only the
+        # second map's work makes the second process pay.
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.5, 6)
         drives = [DriveParams(0.0, f, 0.1) for f in (1.0, 2.0)]
         entries = len(sweep_mod._generator_layout(TWO_STATE)[0])
         work = len(drives) * grid.n_eps * grid.n_amp * entries
         alone = run_frequency_batch(TWO_STATE, drives, grid)
+        monkeypatch.setattr(sweep_mod, "_BLOCK_POINTS", 1)
         monkeypatch.setattr(sweep_mod, "_WORK_PER_PROCESS", work // shares)
         pooled = run_frequency_batch(TWO_STATE, drives, grid, workers=workers)
         assert len(forks) == children
@@ -842,20 +859,52 @@ class TestForkRule:
     @pytest.mark.parametrize(
         "name, processes",
         [
-            ("ten_level", (2, 8)),
-            ("first_diamond", (1, 1)),
-            ("second_diamond", (1, 1)),
-            ("frequency_batch", (1, 1)),
+            ("ten_level", (1, 2, 8, 8)),
+            ("first_diamond", (1, 1, 1, 1)),
+            ("second_diamond", (1, 1, 1, 1)),
+            ("frequency_batch", (1, 1, 1, 1)),
         ],
     )
     def test_shipped_configs_fork_only_where_it_pays(self, name, processes):
         # The decision alone, on each shipped config's full grid at
-        # --workers 2 and 8: ten-level has 8.2M entry-points, the 3-state
-        # configs at most 0.66M.
+        # --workers 1, 2, 8 and 64: ten-level has 8.2M entry-points, so 8
+        # processes at most, the 3-state configs at most 0.66M.
         path = CONFIGS / f"{name}.cfg"
         config = cli.parse_config(path.read_text())
         n_maps = len(config.drives)
         assert processes == tuple(
             sweep_mod._schedule(config.model, n_maps, config.grid, workers)[1]
-            for workers in (2, 8)
+            for workers in (1, 2, 8, 64)
         )
+
+    @pytest.mark.parametrize(
+        "name, tasks",
+        [
+            ("two_state", 1),
+            ("ten_level", 81),
+            ("first_diamond", 21),
+            ("second_diamond", 21),
+            ("frequency_batch", 66),
+        ],
+    )
+    def test_tasks_depend_on_the_grid_alone(self, monkeypatch, name, tasks):
+        # The same blocks of up to _BLOCK_POINTS points at any worker
+        # count, even where every process would pay: TWO_STATE on 5 x 4 is
+        # one task of four rows, a shipped map 5, 10 or 11 rows a task.
+        monkeypatch.setattr(sweep_mod, "_WORK_PER_PROCESS", 1)
+        if name == "two_state":
+            model, n_maps, grid = TWO_STATE, 1, SweepGrid(-1.0, 1.0, 5, 0.0, 3.0, 4)
+        else:
+            config = cli.parse_config((CONFIGS / f"{name}.cfg").read_text())
+            model, n_maps, grid = config.model, len(config.drives), config.grid
+        lists = [sweep_mod._schedule(model, n_maps, grid, workers)[0] for workers in (1, 2, 8, 64)]
+        assert lists[1:] == lists[:1] * 3
+        assert len(lists[0]) == tasks
+
+    def test_one_task_map_forks_no_child(self, always_fork, forks):
+        # Eight processes would pay, but the 5 x 4 map is one task, so the
+        # run stays in this process.
+        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 3.0, 4)
+        alone = run_sweep(TWO_STATE, DRIVE, grid)
+        assert np.array_equal(run_sweep(TWO_STATE, DRIVE, grid, workers=8).values, alone.values)
+        assert forks == []
