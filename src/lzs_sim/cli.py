@@ -34,8 +34,9 @@ violations (negative rates, non-ascending ladders, ...) raise
 ValidationError.  ``run`` computes every map before it touches the
 output directory, then writes one CSV and one PGM per drive frequency
 plus a JSON manifest with checksums; the manifest is written last, so
-its presence marks a complete run, and map files of an earlier run into
-the same directory do not outlive the run that follows.
+its presence marks a complete run.  Before the first map is written,
+the old manifest and every map file of an earlier run go, in one pass;
+directories are never touched.
 
 The program entry (``console_main``: ``lzs-sim`` and ``python -m
 lzs_sim.cli``) freezes the collector's heap after the command returns,
@@ -426,12 +427,12 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     Every map is computed before anything in the output directory
     changes, so an error on the way (an invalid config or worker count,
     a non-convergent point) leaves the directory as it was, or absent;
-    an unwritable directory is reported only after the compute.  Then
-    the old manifest is deleted before the first map is written, and the
-    new one is written after all maps, so its absence marks an
-    incomplete output directory.  Map files (and their temp files) left
-    by an earlier run are deleted before the manifest is written; other
-    files in the directory are left alone.
+    an unwritable directory is reported only after the compute.  Then,
+    before the first map is written, one pass deletes the old manifest
+    and every map file (``map_<digits>.csv`` or ``.pgm``, temp files
+    included) of an earlier run; it leaves directories and every other
+    file alone.  The new manifest is written after all maps, so its
+    absence marks an incomplete output directory.
     """
     maps = run_frequency_batch(
         config.model, config.drives, config.grid, config.kernel, workers
@@ -439,6 +440,9 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
+    for path in out.glob("map_*"):
+        if _MAP_FILE_RE.fullmatch(path.name) and not path.is_dir():
+            path.unlink()
     writers = (("csv", write_csv), ("pgm", write_pgm))
     reports = []
     for idx, (drive, pmap) in enumerate(zip(config.drives, maps)):
@@ -454,10 +458,6 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
                 "files": files,
             }
         )
-    written = {f["name"] for report in reports for f in report["files"].values()}
-    for path in out.glob("map_*"):
-        if _MAP_FILE_RE.fullmatch(path.name) and path.name not in written:
-            path.unlink()
     manifest = {
         "config_sha256": config.config_sha256,
         "boundaries": [
@@ -500,21 +500,19 @@ def _boundaries(config: RunConfig) -> int:
             f"position_ghz {b.position:.17g}"
         )
     for drive in config.drives:
-        payload = _regime_payload(config.model, drive)
-        if payload is None:
+        try:
+            report = regime_classify(config.model, drive)
+        except InsufficientLevels:
             print(
                 f"frequency_ghz {drive.frequency:.17g} regime undetermined "
                 "(single left level)"
             )
-        else:
-            ratio = math.inf if payload["ratio"] is None else payload["ratio"]
-            print(
-                f"frequency_ghz {drive.frequency:.17g} "
-                f"delta_a {payload['delta_a_ghz']:.17g} "
-                f"delta_d {payload['delta_d_ghz']:.17g} "
-                f"ratio {ratio:.17g} "
-                f"regime {payload['classification']}"
-            )
+            continue
+        print(
+            f"frequency_ghz {drive.frequency:.17g} delta_a {report.delta_a:.17g} "
+            f"delta_d {report.delta_d:.17g} ratio {report.ratio:.17g} "
+            f"regime {report.regime.value}"
+        )
     return 0
 
 
@@ -548,7 +546,9 @@ def main(argv=None) -> int:
     probe_p = sub.add_parser(
         "probe", help="print stationary populations at one (eps, amp) point"
     )
-    probe_p.add_argument("config", help="configuration file")
+    probe_p.add_argument(
+        "config", help="configuration file; probe uses its first drive frequency"
+    )
     probe_p.add_argument("--eps", type=float, required=True, help="detuning (GHz)")
     probe_p.add_argument("--amp", type=float, required=True, help="amplitude (GHz)")
 

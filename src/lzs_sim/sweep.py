@@ -254,7 +254,9 @@ class SweepPlan:
             except ValidationError as exc:
                 raise ValidationError(f"{exc} (eps={eps} GHz, amp={amp} GHz)") from None
             raise NonConvergent("stationary solve failed the acceptance check", eps=eps, amp=amp)
-        return _chain(q[: self.n_left]).reshape(len(amps), n_eps)
+        # At most 1, as p_left gives it: a well holding nearly everything
+        # can sum to 1 + 2**-52.
+        return np.minimum(_chain(q[: self.n_left]), 1.0).reshape(len(amps), n_eps)
 
 
 def _schedule(model: QubitModel, n_maps: int, grid: SweepGrid, workers: int):

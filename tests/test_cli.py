@@ -731,11 +731,31 @@ class TestRunCommand:
         (out / "notes.txt").write_text("not ours")
         # An Arabic-Indic digit: not a name a run writes.
         (out / "map_\u0663.csv").write_text("not ours")
-        run(parse_config(MINIMAL), out_dir=out)
+        # A directory with a map's name: not a file a run wrote.
+        (out / "map_07.csv").mkdir()
+        (out / "map_07.csv" / "notes.txt").write_text("not ours")
+        assert run(parse_config(MINIMAL), out_dir=out) == 0
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["manifest.json", "map_00.csv", "map_00.pgm", "map_\u0663.csv", "notes.txt"]
+        assert names == [
+            "manifest.json",
+            "map_00.csv",
+            "map_00.pgm",
+            "map_07.csv",
+            "map_\u0663.csv",
+            "notes.txt",
+        ]
         assert (out / "notes.txt").read_text() == "not ours"
         assert (out / "map_\u0663.csv").read_text() == "not ours"
+        assert (out / "map_07.csv" / "notes.txt").read_text() == "not ours"
+
+    def test_directory_at_manifest_stops_the_run_before_any_write(self, tmp_path):
+        path, out = tmp_path / "run.cfg", tmp_path / "out"
+        path.write_text(MINIMAL)
+        (out / "manifest.json").mkdir(parents=True)
+        (out / "map_03.csv").write_text("left by an earlier run")
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "map_03.csv"]
+        assert (out / "map_03.csv").read_text() == "left by an earlier run"
 
     def test_leak_threshold_past_64_bits_runs(self, tmp_path):
         # Every threshold past the ladders pumps alike: 2**63 gives the
@@ -759,8 +779,11 @@ class TestRunCommand:
             assert (huge / name).read_bytes() == (one / name).read_bytes()
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # The old manifest and every old map go before the first write, so
+        # a rerun that fails leaves no file of the six-map run before it.
         out = tmp_path / "out"
-        run(parse_config(MINIMAL), out_dir=out)
+        batch = MINIMAL.replace("frequency = 1.0", "frequencies = 1 2 3 4 5 6")
+        run(parse_config(batch), out_dir=out)
 
         def fail(path, pmap):
             raise OSError("disk full")
@@ -768,7 +791,7 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "write_pgm", fail)
         with pytest.raises(OSError, match="disk full"):
             run(parse_config(THREE_STATE), out_dir=out)
-        assert not (out / "manifest.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["map_00.csv"]
 
 
 class TestMainEntry:

@@ -329,6 +329,17 @@ class TestRowEngineParts:
         eps=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=5),
         drive=random_drives,
     )
+    @example(  # P_L sums to 1 + 2**-52; the block and p_left both give 1
+        model=QubitModel(
+            left_offsets=(0.0, 1.0, 7.0, 8.0),
+            right_offsets=(0.0,),
+            crossings=np.array([[0.0], [0.0], [1.0], [0.0]]),
+            right_to_left=np.array([[0.0, 0.0, 0.0, 2.0]]),
+            leak=LeakConfig(threshold=1, return_rate=1.0),
+        ),
+        eps=[0.0],
+        drive=DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.125),
+    )
     @settings(max_examples=150, deadline=None)
     def test_stack_matches_build_rate_matrix(self, model, eps, drive):
         # Given the same rates, the plan's pattern values are

@@ -8,7 +8,10 @@
 # lzs_sim.cli` with that tree's src/ on PYTHONPATH for:
 #   - `run` of every configs/*.cfg at --workers 1, 2 and 8;
 #   - `probe configs/second_diamond.cfg --eps -6 --amp 3`;
-#   - `boundaries` of every configs/*.cfg.
+#   - `boundaries` of every configs/*.cfg;
+#   - a rerun: `run configs/frequency_batch.cfg` (six maps), then `run
+#     configs/first_diamond.cfg` (one map) into the same directory,
+#     which also holds a `notes.txt` the runs must leave alone.
 # Each case records its stdout, its exit status and, for `run`, its
 # output directory.  Prints `diff -r` of the two sides and the stderr of
 # every case that exits nonzero; stderr is not diffed, since a run's
@@ -52,6 +55,10 @@ for side in ref work; do
         one_case "boundaries-$base" boundaries "configs/$base.cfg"
     done
     one_case probe probe configs/second_diamond.cfg --eps -6 --amp 3
+    rerun=$scratch/out/$side/rerun/maps
+    mkdir -p "$rerun" && echo "not written by lzs-sim" > "$rerun/notes.txt"
+    one_case rerun-batch run configs/frequency_batch.cfg --workers 1 --out "$rerun"
+    one_case rerun run configs/first_diamond.cfg --workers 1 --out "$rerun"
 done
 
 echo "== diff -r $ref working-tree"
