@@ -34,7 +34,9 @@ violations (negative rates, non-ascending ladders, ...) raise
 ValidationError.  ``run`` computes every map before it touches the
 output directory, then writes one CSV and one PGM per drive frequency
 plus a JSON manifest with checksums; the manifest is written last, so
-its presence marks a complete run.  Before the first map is written,
+its presence marks a complete run.  Each file is written to a temp
+file and renamed into place; a write that fails removes its temp file,
+so a failed run leaves none behind.  Before the first map is written,
 the old manifest and every map file of an earlier run go, in one pass;
 directories are never touched.
 
@@ -48,6 +50,7 @@ streams and the rest of the shutdown still run.  ``main`` never does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -75,9 +78,7 @@ from .sweep import PopulationMap, SweepGrid, run_frequency_batch
 __all__ = [
     "RunConfig",
     "parse_config",
-    "write_csv",
     "read_csv",
-    "write_pgm",
     "read_pgm",
     "run",
     "main",
@@ -327,13 +328,24 @@ def _assemble(text, found):
     )
 
 
-def _write_artifact(path: Path, data: bytes) -> str:
-    """Write bytes atomically (temp file + rename), return the sha256."""
+def _write_artifact(path: Path, data: bytes) -> dict:
+    """Write bytes atomically (temp file + rename); return the file's
+    manifest record, its name and sha256.  The only writer of a file.
+
+    When the write or the rename raises, the temp file goes and the
+    error is raised unchanged.  A temp file that could not be opened
+    was never this call's, so a failed open removes nothing."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-    return hashlib.sha256(data).hexdigest()
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+    return {"name": path.name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def csv_bytes(pmap: PopulationMap) -> bytes:
@@ -347,12 +359,8 @@ def csv_bytes(pmap: PopulationMap) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def write_csv(path, pmap: PopulationMap) -> str:
-    return _write_artifact(Path(path), csv_bytes(pmap))
-
-
 def read_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of write_csv: (eps_values, amp_values, values)."""
+    """Inverse of csv_bytes: (eps_values, amp_values, values)."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header != _CSV_HEADER:
@@ -382,10 +390,6 @@ def pgm_bytes(pmap: PopulationMap) -> bytes:
     pixels = np.floor(pmap.values * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{pmap.grid.n_eps} {pmap.grid.n_amp}\n255\n".encode("ascii")
     return header + pixels[::-1].tobytes()
-
-
-def write_pgm(path, pmap: PopulationMap) -> str:
-    return _write_artifact(Path(path), pgm_bytes(pmap))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -432,7 +436,8 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     and every map file (``map_<digits>.csv`` or ``.pgm``, temp files
     included) of an earlier run; it leaves directories and every other
     file alone.  The new manifest is written after all maps, so its
-    absence marks an incomplete output directory.
+    absence marks an incomplete output directory.  A write that fails
+    removes its temp file, so a failed run adds no ``.tmp`` file.
     """
     maps = run_frequency_batch(
         config.model, config.drives, config.grid, config.kernel, workers
@@ -443,13 +448,11 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     for path in out.glob("map_*"):
         if _MAP_FILE_RE.fullmatch(path.name) and not path.is_dir():
             path.unlink()
-    writers = (("csv", write_csv), ("pgm", write_pgm))
     reports = []
     for idx, (drive, pmap) in enumerate(zip(config.drives, maps)):
         files = {}
-        for kind, write in writers:
-            name = f"map_{idx:02d}.{kind}"
-            files[kind] = {"name": name, "sha256": write(out / name, pmap)}
+        for kind, to_bytes in (("csv", csv_bytes), ("pgm", pgm_bytes)):
+            files[kind] = _write_artifact(out / f"map_{idx:02d}.{kind}", to_bytes(pmap))
         reports.append(
             {
                 "frequency_ghz": drive.frequency,

@@ -21,11 +21,8 @@ from lzs_sim import (
     DriveParams,
     LeakConfig,
     QubitModel,
-    RateMatrix,
     Regime,
-    StateIndex,
     SweepGrid,
-    Well,
     bessel_jn,
     build_rate_matrix,
     diamond_boundaries,
@@ -38,10 +35,7 @@ from lzs_sim import (
 )
 from lzs_sim.cli import parse_config, read_csv
 
-L0 = StateIndex(Well.LEFT, 0)
-L1 = StateIndex(Well.LEFT, 1)
-R0 = StateIndex(Well.RIGHT, 0)
-R1 = StateIndex(Well.RIGHT, 1)
+from conftest import L0, L1, R0, R1, four_state_matrix, three_state_matrix
 
 
 @pytest.fixture
@@ -121,35 +115,6 @@ def test_criterion_2_rate_formula_limits(verdict):
             assert lzs_rate(2.0 * delta, eps, drive) == 4.0 * lzs_rate(
                 delta, eps, drive
             )
-
-
-def three_state_matrix(a, b, g, h):
-    return RateMatrix.from_channels(
-        (L0, R0, R1),
-        [
-            (R0, L0, a),
-            (L0, R0, a),
-            (L0, R1, b),
-            (R1, L0, b),
-            (R1, R0, g),
-            (L0, R0, h),
-        ],
-    )
-
-
-def four_state_matrix(v, b, g, h, k):
-    return RateMatrix.from_channels(
-        (L0, L1, R0, R1),
-        [
-            (R0, L1, v),
-            (L1, R0, v),
-            (L0, R1, b),
-            (R1, L0, b),
-            (R1, R0, g),
-            (L0, R0, h),
-            (L1, L0, k),
-        ],
-    )
 
 
 def test_criterion_3_oracle_equivalence(verdict):

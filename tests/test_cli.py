@@ -1,6 +1,7 @@
 """Config parsing, file formats, and the command-line entry point."""
 
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
@@ -35,8 +36,6 @@ from lzs_sim.cli import (
     read_csv,
     read_pgm,
     run,
-    write_csv,
-    write_pgm,
 )
 
 MINIMAL = """\
@@ -566,7 +565,7 @@ class TestCsvFormat:
     def test_seventeen_digit_round_trip(self, tmp_path):
         pmap = small_map()
         path = tmp_path / "map.csv"
-        write_csv(path, pmap)
+        cli._write_artifact(path, csv_bytes(pmap))
         eps, amp, values = read_csv(path)
         assert np.array_equal(eps, pmap.grid.eps_values)
         assert np.array_equal(amp, pmap.grid.amp_values)
@@ -580,17 +579,21 @@ class TestCsvFormat:
         assert len(set(grid.amp_values.tolist())) < n_amp
         pmap = run_sweep(small_map_model(), DriveParams(0.0, 1.0, 0.1), grid)
         path = tmp_path / "map.csv"
-        write_csv(path, pmap)
+        cli._write_artifact(path, csv_bytes(pmap))
         eps, amp, values = read_csv(path)
         assert np.array_equal(eps, grid.eps_values)
         assert np.array_equal(amp, grid.amp_values)
         assert np.array_equal(values, pmap.values)
 
     def test_checksum_matches_bytes(self, tmp_path):
-        pmap = small_map()
+        data = csv_bytes(small_map())
         path = tmp_path / "map.csv"
-        digest = write_csv(path, pmap)
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        record = cli._write_artifact(path, data)
+        assert path.read_bytes() == data
+        assert record == {
+            "name": "map.csv",
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        }
 
 
 class TestPgmFormat:
@@ -603,7 +606,7 @@ class TestPgmFormat:
     def test_quantization_rule(self, tmp_path):
         pmap = small_map()
         path = tmp_path / "map.pgm"
-        write_pgm(path, pmap)
+        cli._write_artifact(path, pgm_bytes(pmap))
         raster = read_pgm(path)
         expected = np.floor(pmap.values * 255.0 + 0.5).astype(np.uint8)
         assert np.array_equal(raster, expected[::-1])
@@ -611,7 +614,7 @@ class TestPgmFormat:
     def test_amplitude_increases_upward(self, tmp_path):
         pmap = small_map()
         path = tmp_path / "map.pgm"
-        write_pgm(path, pmap)
+        cli._write_artifact(path, pgm_bytes(pmap))
         raster = read_pgm(path)
         top = np.floor(pmap.values[-1] * 255.0 + 0.5).astype(np.uint8)
         assert np.array_equal(raster[0], top)
@@ -626,6 +629,38 @@ class TestPgmFormat:
         blob = pgm_bytes(pmap)
         raster = np.frombuffer(blob[len(b"P5\n2 2\n255\n") :], dtype=np.uint8)
         assert list(raster) == [128, 64, 0, 255]
+
+
+class TestWriteArtifact:
+    def test_failed_rename_raises_its_error_and_removes_the_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "map.csv"
+        path.write_bytes(b"an earlier run's map")
+        error = OSError("rename refused")
+
+        def refuse(src, dst):
+            raise error
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError) as raised:
+            cli._write_artifact(path, b"new bytes")
+        assert raised.value is error
+        assert [p.name for p in tmp_path.iterdir()] == ["map.csv"]
+        assert path.read_bytes() == b"an earlier run's map"
+
+    def test_failed_write_removes_the_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._write_artifact(tmp_path / "map.csv", "text, not bytes")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_open_removes_nothing(self, tmp_path):
+        # A directory at the temp file's name is not the writer's to remove.
+        (tmp_path / "map.csv.tmp").mkdir()
+        with pytest.raises(IsADirectoryError):
+            cli._write_artifact(tmp_path / "map.csv", b"bytes")
+        assert [p.name for p in tmp_path.iterdir()] == ["map.csv.tmp"]
+        assert (tmp_path / "map.csv.tmp").is_dir()
 
 
 @pytest.mark.parametrize(
@@ -780,18 +815,94 @@ class TestRunCommand:
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         # The old manifest and every old map go before the first write, so
-        # a rerun that fails leaves no file of the six-map run before it.
+        # a rerun that fails leaves no file of the six-map run before it,
+        # and the failed write leaves no temp file.
         out = tmp_path / "out"
         batch = MINIMAL.replace("frequency = 1.0", "frequencies = 1 2 3 4 5 6")
         run(parse_config(batch), out_dir=out)
+        replace = os.replace
 
-        def fail(path, pmap):
-            raise OSError("disk full")
+        def fail_on_pgm(src, dst):
+            if str(dst).endswith(".pgm"):
+                raise OSError("disk full")
+            replace(src, dst)
 
-        monkeypatch.setattr(cli, "write_pgm", fail)
+        monkeypatch.setattr(os, "replace", fail_on_pgm)
         with pytest.raises(OSError, match="disk full"):
             run(parse_config(THREE_STATE), out_dir=out)
         assert sorted(p.name for p in out.iterdir()) == ["map_00.csv"]
+
+    def test_failed_run_adds_no_file(self, tmp_path, capsys):
+        # A directory at the first map's name fails that map's rename: the
+        # run exits 1 with the rename's error and leaves no temp file.
+        path, out = tmp_path / "run.cfg", tmp_path / "out"
+        path.write_text(FIRST_DIAMOND_SMALL)
+        (out / "map_00.csv").mkdir(parents=True)
+        (out / "map_00.csv" / "notes.txt").write_text("not ours")
+        before = sorted(out.rglob("*"))
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        error = OSError(
+            errno.EISDIR,
+            os.strerror(errno.EISDIR),
+            str(out / "map_00.csv.tmp"),
+            None,
+            str(out / "map_00.csv"),
+        )
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(out.rglob("*")) == before
+        assert (out / "map_00.csv" / "notes.txt").read_text() == "not ours"
+
+
+class TestShippedOutputs:
+    def test_shipped_map_digests_are_pinned(self, tmp_path):
+        # Every map file of every shipped config, at its full grid on one
+        # worker, as the manifest records it.  One value moved by one ulp
+        # changes a CSV's digest.  The bits rest on numpy's IEEE
+        # arithmetic and np.linspace, and on libm's exp and log in
+        # rates._jn_series.  A change to map bytes on purpose updates this
+        # table and says why in CHANGES.md.
+        pinned = {
+            "first_diamond": {
+                "map_00.csv": "f54d1db3f963c97fc85c1e0ecf6233edb7115cab88a9b3ffd697eaed58ee27bc",
+                "map_00.pgm": "1d696815600807c7f22c1616036b9dcb09ce32ad654a28bd86645f4d82fb7d66",
+            },
+            "frequency_batch": {
+                "map_00.csv": "b3d0e79dd448257fb2ccd81b5495dfab8d1c6e229f9c983bd34fa1709de4b7b9",
+                "map_00.pgm": "ac6868ae11edcc1ceea4356b08e10aecd3e0e8fe9233f3c0f144be47f351c0e0",
+                "map_01.csv": "e474577e7318fb2ac887f30e0656851dff223761b5aff7c1665c63357c511cfe",
+                "map_01.pgm": "222f9148107398bafa9636dc3365b77e9876ecd9fcc0e721c5d975c425649666",
+                "map_02.csv": "8c77dc801075ead7fadc550d0ac7803b7e18dce5c906a322c657eddc411248c2",
+                "map_02.pgm": "dfa95c7b29636374ba6b33d8eac1638f96f8aa2fdeca3d3908abce37f9a02445",
+                "map_03.csv": "4b7f2c4b3d563138f75cf85550fad665fe4dbbf4e85d3eec6169cc0a32fbb23c",
+                "map_03.pgm": "7b90e5349f3dc91a870ef0d0144dd6045b4a120281d025f84c7f18744ac9a60b",
+                "map_04.csv": "f99fef42d173e68856db2366384177124782d90297a71bac291835dd0d193def",
+                "map_04.pgm": "7ea60f2665d458d088774ec1242e1ad7b1c4ddc2e1e456cfbb774d84bf774d95",
+                "map_05.csv": "372e88d97511cefee5d31c146c4a1dc4a5b6102a65f2e7f68bfd87605b41332f",
+                "map_05.pgm": "c2a1eca49921063ea17f2b1bd6b8be08bccd2502dfe4619296260cfc9a690364",
+            },
+            "second_diamond": {
+                "map_00.csv": "cefa6c8005c342dd06233e5d3820f2b067ea298ec9dacce9291b1dc6ec895df6",
+                "map_00.pgm": "b879fe55a78d36e6f11123f2bc372c86245030c397fc323ce19d2a8ae3c06218",
+            },
+            "ten_level": {
+                "map_00.csv": "63d8231084e2d64b100d09cd64c217e785a6a01a6c1bcfd7ebaec54c19486355",
+                "map_00.pgm": "58fd3c266f5206731024276a6a113b8343ea1c48a20c7345e0e94742d65e9d6d",
+            },
+        }
+        configs = sorted(CONFIGS.glob("*.cfg"))
+        assert [path.stem for path in configs] == sorted(pinned)
+        for path in configs:
+            out = tmp_path / path.stem
+            assert run(parse_config(path.read_text()), workers=1, out_dir=out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            got = {
+                record["name"]: record["sha256"]
+                for entry in manifest["maps"]
+                for record in entry["files"].values()
+            }
+            assert got == pinned[path.stem], path.stem
+            for name, digest in got.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestMainEntry:

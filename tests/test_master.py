@@ -32,45 +32,9 @@ from lzs_sim import (
 from lzs_sim.rates import PhotonTable
 from lzs_sim.sweep import SweepPlan
 
-L0 = StateIndex(Well.LEFT, 0)
-L1 = StateIndex(Well.LEFT, 1)
-R0 = StateIndex(Well.RIGHT, 0)
-R1 = StateIndex(Well.RIGHT, 1)
+from conftest import L0, L1, R0, R1, four_state_matrix, three_state_matrix
 
 rates_01 = st.floats(1e-6, 1.0)
-
-
-def three_state_matrix(a, b, g, h):
-    """States (0L, 0R, 1R): pump a on 0R<->0L, pump b on 0L<->1R,
-    decay g on 1R->0R, decay h on 0L->0R."""
-    return RateMatrix.from_channels(
-        (L0, R0, R1),
-        [
-            (R0, L0, a),
-            (L0, R0, a),
-            (L0, R1, b),
-            (R1, L0, b),
-            (R1, R0, g),
-            (L0, R0, h),
-        ],
-    )
-
-
-def four_state_matrix(v, b, g, h, k):
-    """States (0L, 1L, 0R, 1R): pump v on 0R<->1L, pump b on 0L<->1R,
-    decays g: 1R->0R, h: 0L->0R, k: 1L->0L."""
-    return RateMatrix.from_channels(
-        (L0, L1, R0, R1),
-        [
-            (R0, L1, v),
-            (L1, R0, v),
-            (L0, R1, b),
-            (R1, L0, b),
-            (R1, R0, g),
-            (L0, R0, h),
-            (L1, L0, k),
-        ],
-    )
 
 
 def channel_rate_matrix(model, eps, drive):

@@ -11,13 +11,17 @@
 #   - `boundaries` of every configs/*.cfg;
 #   - a rerun: `run configs/frequency_batch.cfg` (six maps), then `run
 #     configs/first_diamond.cfg` (one map) into the same directory,
-#     which also holds a `notes.txt` the runs must leave alone.
+#     which also holds a `notes.txt` the runs must leave alone;
+#   - a failed write: `run configs/first_diamond.cfg` into a directory
+#     that holds a directory `map_00.csv`, which stops the run with exit
+#     1; the case records that directory's listing after the run.
 # Each case records its stdout, its exit status and, for `run`, its
 # output directory.  Prints `diff -r` of the two sides and the stderr of
-# every case that exits nonzero; stderr is not diffed, since a run's
-# timings go there.  Exits 0 when the outputs are identical, 1 when they
-# differ.  A call takes about 20 s on two cores.  Needs the parent commit in the clone: a depth-1 checkout
-# does not have it.
+# every case that exits nonzero.  Stderr is not diffed, since an error
+# names a path inside its side's own output directory.  Exits 0 when
+# the outputs are identical, 1 when they differ.  A call takes about
+# 20 s on two cores.  REF must be in the clone: a depth-1 checkout has
+# only its own commit.
 set -u
 
 ref=${1:-HEAD~1}
@@ -59,6 +63,10 @@ for side in ref work; do
     mkdir -p "$rerun" && echo "not written by lzs-sim" > "$rerun/notes.txt"
     one_case rerun-batch run configs/frequency_batch.cfg --workers 1 --out "$rerun"
     one_case rerun run configs/first_diamond.cfg --workers 1 --out "$rerun"
+    failed=$scratch/out/$side/failed-write/maps
+    mkdir -p "$failed/map_00.csv"
+    one_case failed-write run configs/first_diamond.cfg --workers 1 --out "$failed"
+    ls -A "$failed" > "$scratch/out/$side/failed-write/listing"
 done
 
 echo "== diff -r $ref working-tree"
