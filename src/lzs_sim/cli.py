@@ -22,18 +22,19 @@ Configuration grammar (INI-like, ``#`` starts a comment)::
     [kernel]                    # optional section
     n_margin = 20
 
-    [output]                    # optional section
-    directory = out
-
 The table ``_GRAMMAR`` is the grammar: each key's section, the kinds of
 its arguments and of its value tokens, and its count error.  One token
 parser, ``_parse_token``, reads every argument and value.
 
 Unknown sections or keys are hard errors with line and column; semantic
 violations (negative rates, non-ascending ladders, ...) raise
-ValidationError.  ``run`` computes every map before it touches the
-output directory, then writes one CSV and one PGM per drive frequency
-plus a JSON manifest with checksums; the manifest is written last, so
+ValidationError.  The config says what is computed, not where it goes:
+``run`` writes into the directory its caller names, on the command line
+``--out`` or, without it, ``out/<config file stem>``.
+
+``run`` computes every map before it touches the output directory,
+then writes one CSV and one PGM per drive frequency plus a JSON
+manifest with checksums; the manifest is written last, so
 its presence marks a complete run.  Each file is written to a temp
 file and renamed into place; a write that fails removes its temp file,
 so a failed run leaves none behind.  Before the first map is written,
@@ -87,10 +88,10 @@ __all__ = [
 _CSV_HEADER = "eps_ghz,amp_ghz,p_left"
 # The grammar: every key's section, the kinds of its key arguments, the
 # kinds of its value tokens, and the key's own count error.  "floats" is
-# one or more numbers and "text" the whole value.  The count error is for
-# the arguments of a key that takes any, else for its value; without one,
-# too few tokens are a missing value and one too many is unexpected.
-# Keywords are unique across sections.
+# one or more numbers.  The count error is for the arguments of a key
+# that takes any, else for its value; without one, too few tokens are a
+# missing value and one too many is unexpected.  Keywords are unique
+# across sections.
 _GRAMMAR = {
     "left_levels": ("model", "", "floats", None),
     "right_levels": ("model", "", "floats", None),
@@ -105,7 +106,6 @@ _GRAMMAR = {
     "eps": ("grid", "", "float float int", "eps takes 'min max points'"),
     "amp": ("grid", "", "float float int", "amp takes 'min max points'"),
     "n_margin": ("kernel", "", "int", None),
-    "directory": ("output", "", "text", None),
 }
 _SECTIONS = {row[0] for row in _GRAMMAR.values()}
 _STATE_RE = re.compile(r"([LR])([0-9]+)$")
@@ -120,7 +120,6 @@ class RunConfig:
     drives: tuple[DriveParams, ...]
     grid: SweepGrid
     kernel: RateKernelParams
-    output_dir: str
     config_sha256: str
 
 
@@ -131,11 +130,9 @@ def _tokens(part: str, offset: int):
 
 def _parse_token(kind: str, token: str, line: int, col: int):
     """One token of a kind: an int (of any size), a finite float, a well
-    letter, a state such as L0, which parses to (well, level), or text.
+    letter, or a state such as L0, which parses to (well, level).
     int() and float() accept tokens the grammar does not: '1_0' and
     non-ASCII digits such as '٣' are errors here."""
-    if kind == "text":
-        return token
     if kind == "well":
         if token not in ("L", "R"):
             raise ParseError("expected well L or R", line, col)
@@ -220,10 +217,7 @@ def parse_config(text: str) -> RunConfig:
             )
 
         key = tuple(_parse_tokens(arg_kinds, args, arg_kinds and error, lineno, key_col))
-        text_value = body[eq + 1 :]
-        toks = _tokens(text_value, eq + 1)
-        if value_kinds == "text" and toks:  # one token: the value, inner spaces kept
-            toks = [(text_value.strip(), toks[0][1])]
+        toks = _tokens(body[eq + 1 :], eq + 1)
         value = _parse_tokens(value_kinds, toks, not arg_kinds and error, lineno, eq + 2)
         if " " not in value_kinds and value_kinds != "floats":  # a single token
             value = value[0]
@@ -323,7 +317,6 @@ def _assemble(text, found):
         drives=drives,
         grid=grid,
         kernel=kernel,
-        output_dir=get("directory", "out"),
         config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 
@@ -425,8 +418,9 @@ def _regime_payload(model: QubitModel, drive: DriveParams):
     }
 
 
-def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
-    """Execute every sweep of the config and write maps plus manifest.
+def run(config: RunConfig, workers: int, out_dir) -> int:
+    """Execute every sweep of the config and write maps plus manifest
+    into the directory out_dir, created if absent.
 
     Every map is computed before anything in the output directory
     changes, so an error on the way (an invalid config or worker count,
@@ -442,7 +436,7 @@ def run(config: RunConfig, workers: int = 1, out_dir=None) -> int:
     maps = run_frequency_batch(
         config.model, config.drives, config.grid, config.kernel, workers
     )
-    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     for path in out.glob("map_*"):
@@ -544,7 +538,7 @@ def main(argv=None) -> int:
         help="worker processes (default: the usable cores, here %(default)s); "
         "--workers 1 forces one process",
     )
-    run_p.add_argument("--out", default=None, help="override output directory")
+    run_p.add_argument("--out", help="output directory (default: out/<config name>)")
 
     probe_p = sub.add_parser(
         "probe", help="print stationary populations at one (eps, amp) point"
@@ -565,15 +559,17 @@ def main(argv=None) -> int:
         with open(args.config, encoding="utf-8-sig") as fh:  # a BOM is not text
             config = parse_config(fh.read())
         if args.command == "run":
-            return run(config, workers=args.workers, out_dir=args.out)
+            out = Path("out", Path(args.config).stem) if args.out is None else args.out
+            return run(config, workers=args.workers, out_dir=out)
         if args.command == "probe":
             return _probe(config, args.eps, args.amp)
         return _boundaries(config)
     except (ParseError, UnicodeDecodeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SimulationError, OSError, MemoryError) as exc:
+        # Python's own MemoryError has no message; name the error then.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -181,10 +181,6 @@ PARSE_ERRORS = {
         edit(MINIMAL, "left_levels = 0.0", "left_levels ="),
         "ParseError: line 2, column 14: missing value",
     ),
-    "missing_directory": (
-        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\ndirectory =  "),
-        "ParseError: line 15, column 12: missing value",
-    ),
     "bad_number": (
         edit(MINIMAL, "dephasing = 0.1", "dephasing = abc"),
         "ParseError: line 9, column 13: expected a number, got 'abc'",
@@ -234,10 +230,6 @@ PARSE_ERRORS = {
         edit(MINIMAL, "frequency = 1.0", "frequencies ="),
         "ParseError: line 8, column 14: missing value",
     ),
-    "empty_directory": (
-        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\ndirectory ="),
-        "ParseError: line 15, column 12: missing value",
-    ),
     "range_too_long": (
         edit(MINIMAL, "eps = -1 1 3", "eps = 1 2 3 4"),
         "ParseError: line 12, column 6: eps takes 'min max points'",
@@ -283,8 +275,13 @@ PARSE_ERRORS = {
         "ParseError: line 5, column 14: expected a state like L0 or R1, got 'R\u0660'",
     ),
     "unknown_format": (
-        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\nformats = csv"),
-        "ParseError: line 15, column 1: unknown key 'formats' in [output]",
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\nformats = csv"),
+        "ParseError: line 14, column 1: unknown key 'formats' in [grid]",
+    ),
+    # --out, not the config, says where the maps go.
+    "output_section": (
+        edit(MINIMAL, "amp = 0 1 2", "amp = 0 1 2\n[output]\ndirectory = out"),
+        "ParseError: line 14, column 1: unknown section '[output]'",
     ),
     "duplicate_key": (
         edit(MINIMAL, "frequency = 1.0", "frequency = 1.0\nfrequency = 2.0"),
@@ -389,7 +386,6 @@ class TestParseConfig:
         assert cfg.model.n_left == 1 and cfg.model.n_right == 1
         assert cfg.drives[0].frequency == 1.0
         assert cfg.grid.shape == (2, 3)
-        assert cfg.output_dir == "out"
         assert cfg.config_sha256 == hashlib.sha256(MINIMAL.encode()).hexdigest()
 
     def test_comments_and_blank_lines_ignored(self):
@@ -429,12 +425,9 @@ class TestParseConfig:
         assert cfg.model.leak.threshold == 1
         assert cfg.model.leak.return_rate == 0.5
 
-    def test_kernel_and_output_sections(self):
-        text = MINIMAL + "\n[kernel]\nn_margin = 10\n"
-        text += "\n[output]\ndirectory = maps\n"
-        cfg = parse_config(text)
+    def test_kernel_section(self):
+        cfg = parse_config(MINIMAL + "\n[kernel]\nn_margin = 10\n")
         assert cfg.kernel.n_margin == 10
-        assert cfg.output_dir == "maps"
 
     def test_unknown_section(self):
         with pytest.raises(ParseError, match=r"line 1, column 1"):
@@ -705,13 +698,13 @@ def test_malformed_file_is_a_validation_error(tmp_path, name, blob, message):
 class TestRunCommand:
     def test_writes_all_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL)
-        assert run(cfg, out_dir=tmp_path / "out") == 0
+        assert run(cfg, 1, tmp_path / "out") == 0
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["manifest.json", "map_00.csv", "map_00.pgm"]
 
     def test_manifest_contents(self, tmp_path):
         cfg = parse_config(THREE_STATE)
-        run(cfg, out_dir=tmp_path / "out")
+        run(cfg, 1, tmp_path / "out")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config_sha256"] == cfg.config_sha256
         positions = sorted(
@@ -750,8 +743,8 @@ class TestRunCommand:
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(MINIMAL)
-        run(cfg, out_dir=tmp_path / "a")
-        run(cfg, out_dir=tmp_path / "b")
+        run(cfg, 1, tmp_path / "a")
+        run(cfg, 1, tmp_path / "b")
         for name in ("map_00.csv", "map_00.pgm", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
@@ -760,7 +753,7 @@ class TestRunCommand:
     def test_rerun_removes_stale_maps_only(self, tmp_path):
         out = tmp_path / "out"
         batch = MINIMAL.replace("frequency = 1.0", "frequencies = 1 2 3 4 5 6")
-        run(parse_config(batch), out_dir=out)
+        run(parse_config(batch), 1, out)
         (out / "map_03.csv.tmp").write_bytes(b"left by a crashed write")
         (out / "map_07.pgm.tmp").write_bytes(b"left by a crashed write")
         (out / "notes.txt").write_text("not ours")
@@ -769,7 +762,7 @@ class TestRunCommand:
         # A directory with a map's name: not a file a run wrote.
         (out / "map_07.csv").mkdir()
         (out / "map_07.csv" / "notes.txt").write_text("not ours")
-        assert run(parse_config(MINIMAL), out_dir=out) == 0
+        assert run(parse_config(MINIMAL), 1, out) == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == [
             "manifest.json",
@@ -819,7 +812,7 @@ class TestRunCommand:
         # and the failed write leaves no temp file.
         out = tmp_path / "out"
         batch = MINIMAL.replace("frequency = 1.0", "frequencies = 1 2 3 4 5 6")
-        run(parse_config(batch), out_dir=out)
+        run(parse_config(batch), 1, out)
         replace = os.replace
 
         def fail_on_pgm(src, dst):
@@ -829,7 +822,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(os, "replace", fail_on_pgm)
         with pytest.raises(OSError, match="disk full"):
-            run(parse_config(THREE_STATE), out_dir=out)
+            run(parse_config(THREE_STATE), 1, out)
         assert sorted(p.name for p in out.iterdir()) == ["map_00.csv"]
 
     def test_failed_run_adds_no_file(self, tmp_path, capsys):
@@ -916,6 +909,43 @@ class TestMainEntry:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
 
+    def test_out_defaults_to_the_config_stem(self, tmp_path, monkeypatch):
+        # Without --out, run writes out/<config file stem> under the working
+        # directory, whatever directory the config is in, and nothing else.
+        config = tmp_path / "configs" / "small.cfg"
+        config.parent.mkdir()
+        config.write_text(MINIMAL)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["run", str(config)]) == 0
+        written = sorted(str(p.relative_to(work)) for p in work.rglob("*"))
+        maps = ["manifest.json", "map_00.csv", "map_00.pgm"]
+        assert written == ["out", "out/small", *(f"out/small/{name}" for name in maps)]
+        given = tmp_path / "given"
+        assert main(["run", str(config), "--out", str(given)]) == 0
+        for name in maps:
+            assert (work / "out" / "small" / name).read_bytes() == (given / name).read_bytes()
+
+    def test_out_of_memory_is_an_error_line(self, tmp_path, monkeypatch, capsys):
+        # A grid that fits the address space but not memory makes numpy
+        # raise MemoryError in the sweep.  It is simulated: a kernel that
+        # overcommits may grant a huge request, which then exhausts memory.
+        numpy_error = (
+            "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+            "and data type float64"
+        )
+        path, out = self.write_config(tmp_path, MINIMAL), tmp_path / "out"
+        for error, line in ((MemoryError(numpy_error), numpy_error), (MemoryError(), "MemoryError")):
+
+            def no_memory(*args, error=error):
+                raise error
+
+            monkeypatch.setattr(cli, "run_frequency_batch", no_memory)
+            assert main(["run", path, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {line}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize(
         "affinity, cpu_count, workers",
         [({0, 3, 5}, 8, 3), (None, 8, 8), (None, None, 1)],
@@ -941,7 +971,7 @@ class TestMainEntry:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_config_exit_two(self, tmp_path, capsys):
+    def test_bad_config_exit_two(self, tmp_path, capsys, monkeypatch):
         path = self.write_config(tmp_path, "[model]\nwat = 1\n")
         assert main(["run", path]) == 2
         assert "unknown key" in capsys.readouterr().err
@@ -964,11 +994,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown key 'lorentz_cutoff' in [kernel]" in err
         assert not (tmp_path / "out").exists()
-        path = self.write_config(tmp_path, MINIMAL + "\n[output]\nformats = csv\n")
+        path = self.write_config(tmp_path, MINIMAL + "formats = csv\n")
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "unknown key 'formats' in [output]" in err
+        assert err.startswith("error:") and "unknown key 'formats' in [grid]" in err
         assert not (tmp_path / "out").exists()
+        # A config names no directory: [output] is an unknown section, and
+        # neither the directory it names nor the default is created.
+        path = self.write_config(tmp_path, MINIMAL + "\n[output]\ndirectory = maps\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err == "error: line 15, column 1: unknown section '[output]'\n"
+        assert not (tmp_path / "maps").exists() and not (tmp_path / "out").exists()
         # Grid and ladders are finite, but a detuning from the 1e308 crossing
         # overflows: the error probe gives, and no output directory.
         text = edit(
@@ -1026,7 +1063,7 @@ class TestMainEntry:
                 FIRST_DIAMOND_SMALL,
                 (
                     "dephasing = 0.1", "dephasing = 1e-200",
-                    "[output]", "[kernel]\nn_margin = 0\n\n[output]",
+                    "amp = 0 1 2", "amp = 0 1 2\n\n[kernel]\nn_margin = 0",
                 ),
                 0.0,
                 2,

@@ -392,11 +392,14 @@ def engine_cases(draw):
 
 def first_diamond_case(*edits):
     """configs/first_diamond.cfg on the grid eps = -1 1 3, amp = 0 1 2,
-    with the (pattern, replacement) line edits, as an engine case."""
-    text = re.sub(r"eps = .*", "eps = -1 1 3", FIRST_DIAMOND_CFG)
-    text = re.sub(r"amp = .*", "amp = 0 1 2", text)
+    with the (pattern, replacement) line edits, as an engine case.  Each
+    pattern must match exactly once: an edit that matches nothing would
+    leave the case silently unedited."""
+    edits = (r"eps = .*", "eps = -1 1 3", r"amp = .*", "amp = 0 1 2", *edits)
+    text = FIRST_DIAMOND_CFG
     for pattern, replacement in zip(edits[::2], edits[1::2]):
-        text = re.sub(pattern, replacement, text)
+        text, count = re.subn(pattern, replacement, text)
+        assert count == 1, pattern
     config = cli.parse_config(text)
     return config.model, config.drives[0], config.grid, config.kernel
 
@@ -492,7 +495,7 @@ class TestRowEngine:
         # so its 0/0 on resonance at eps = -1 is not summed; eps = 0 is inf
         first_diamond_case(
             r"dephasing = .*", "dephasing = 1e-200",
-            r"\[output\]", "[kernel]\nn_margin = 0\n\n[output]",
+            r"amp = .*", "amp = 0 1 2\n\n[kernel]\nn_margin = 0",
         )
     )
     @example(  # J_20(A)**2 is 0 at both amplitudes, but photon 20 lies in

@@ -7,6 +7,9 @@
 # that tree and on the working tree, runs `python -W error -m
 # lzs_sim.cli` with that tree's src/ on PYTHONPATH for:
 #   - `run` of every configs/*.cfg at --workers 1, 2 and 8;
+#   - the default location: `run` of every configs/*.cfg at --workers 1
+#     without --out, from a fresh empty working directory and with the
+#     config's absolute path; the case records the tree it writes there;
 #   - `probe configs/second_diamond.cfg --eps -6 --amp 3`;
 #   - `boundaries` of every configs/*.cfg;
 #   - a rerun: `run configs/frequency_batch.cfg` (six maps), then `run
@@ -33,13 +36,15 @@ trap 'exit 130' INT TERM
 mkdir "$scratch/ref"
 git -C "$repo" archive "$ref" | tar -x -C "$scratch/ref" || exit 2
 
-# one_case <name> <arguments...>: one CLI call in $tree, recorded under $side.
+# one_case <name> <arguments...>: one CLI call in $cwd, or in $tree when
+# $cwd is empty, recorded under $side.
+cwd=
 one_case() {
     out=$scratch/out/$side/$1
     shift
     mkdir -p "$out"
     status=0
-    (cd "$tree" && PYTHONPATH="$tree/src" python -W error -m lzs_sim.cli "$@") \
+    (cd "${cwd:-$tree}" && PYTHONPATH="$tree/src" python -W error -m lzs_sim.cli "$@") \
         > "$out/stdout" 2> "$scratch/stderr" || status=$?
     echo "$status" > "$out/status"
     if [ "$status" -ne 0 ]; then
@@ -57,6 +62,10 @@ for side in ref work; do
                 --out "$scratch/out/$side/run-$base-w$workers/maps"
         done
         one_case "boundaries-$base" boundaries "configs/$base.cfg"
+        cwd=$scratch/out/$side/default-$base/cwd
+        mkdir -p "$cwd"
+        one_case "default-$base" run "$tree/configs/$base.cfg" --workers 1
+        cwd=
     done
     one_case probe probe configs/second_diamond.cfg --eps -6 --amp 3
     rerun=$scratch/out/$side/rerun/maps
