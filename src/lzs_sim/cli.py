@@ -129,8 +129,9 @@ def _tokens(part: str, offset: int):
 
 
 def _parse_token(kind: str, token: str, line: int, col: int):
-    """One token of a kind: an int (of any size), a finite float, a well
-    letter, or a state such as L0, which parses to (well, level).
+    """One token of a kind: an int (up to sys.get_int_max_str_digits()
+    digits, 4300 by default), a finite float, a well letter, or a state
+    such as L0, which parses to (well, level), its level an int.
     int() and float() accept tokens the grammar does not: '1_0' and
     non-ASCII digits such as '٣' are errors here."""
     if kind == "well":
@@ -141,11 +142,15 @@ def _parse_token(kind: str, token: str, line: int, col: int):
         m = _STATE_RE.fullmatch(token)
         if m is None:
             raise ParseError(f"expected a state like L0 or R1, got '{token}'", line, col)
-        return m.group(1), int(m.group(2))
+        return m.group(1), _parse_token("int", m.group(2), line, col + 1)
     plain = token if token.isascii() and "_" not in token else ""
     try:
         value = int(plain) if kind == "int" else float(plain)
     except ValueError:
+        # A well-formed integer fails int() only past the digit limit.
+        if kind == "int" and re.fullmatch(r"[+-]?[0-9]+", plain):
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"integer past the limit of {limit} digits", line, col) from None
         what = "an integer" if kind == "int" else "a number"
         raise ParseError(f"expected {what}, got '{token}'", line, col) from None
     # Only a float can be infinite: isfinite() overflows on a huge int.

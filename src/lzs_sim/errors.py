@@ -7,7 +7,6 @@ import numbers
 __all__ = [
     "SimulationError",
     "NonConvergent",
-    "DegenerateSystem",
     "InsufficientLevels",
     "ValidationError",
     "ParseError",
@@ -32,11 +31,6 @@ class NonConvergent(SimulationError):
         super().__init__(message)
         self.eps = eps
         self.amp = amp
-
-
-class DegenerateSystem(SimulationError):
-    """A closed-form stationary solution was requested for an all-zero
-    rate system, which has no distinguished stationary state."""
 
 
 class InsufficientLevels(SimulationError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSystem, NonConvergent, ValidationError, _number
+from .errors import NonConvergent, ValidationError, _number
 from .model import DriveParams, QubitModel, StateIndex, Well, crossing_position
 from .rates import RateKernelParams, _chain, lzs_rate
 
@@ -503,11 +503,12 @@ def stationary_three_state(w_0r0l, w_0l1r, g_1r0r, g_0l0r):
     """Closed-form stationary populations (P_0R, P_0L, P_1R) of the
     minimal first-diamond system: a symmetric pumped channel 0R<->0L,
     a symmetric pumped channel 0L<->1R, decay 1R->0R, and decay 0L->0R.
+    Every rate set, all-zero included, gets the state reached from 0R,
+    as ``stationary_solve`` gives it; none raises but a negative or
+    non-finite rate (ValidationError).
     """
     rates = (w_0r0l, w_0l1r, g_1r0r, g_0l0r)
     a, b, g, h = (_number(r, "rates must be >= 0 and finite", at_least=0) for r in rates)
-    if a == b == g == h == 0.0:
-        raise DegenerateSystem("all rates vanish; stationary state undetermined")
     den = 3.0 * a * b + 2.0 * a * g + b * g + b * h + g * h
     if den > 0.0:
         return ((a * b + a * g + b * g + b * h + g * h) / den, a * (b + g) / den, a * b / den)
@@ -521,12 +522,13 @@ def stationary_three_state(w_0r0l, w_0l1r, g_1r0r, g_0l0r):
 def stationary_four_state(w_0r1l, w_0l1r, g_1r0r, g_0l0r, g_1l0l):
     """Closed-form stationary populations (P_0R, P_0L, P_1R, P_1L) of the
     minimal second-diamond system: symmetric pumping 0R<->1L and
-    0L<->1R, decays 1R->0R, 0L->0R, and 1L->0L.
+    0L<->1R, decays 1R->0R, 0L->0R, and 1L->0L.  Every rate set,
+    all-zero included, gets the state reached from 0R, as
+    ``stationary_solve`` gives it; none raises but a negative or
+    non-finite rate (ValidationError).
     """
     rates = (w_0r1l, w_0l1r, g_1r0r, g_0l0r, g_1l0l)
     v, b, g, h, k = (_number(r, "rates must be >= 0 and finite", at_least=0) for r in rates)
-    if v == b == g == h == k == 0.0:
-        raise DegenerateSystem("all rates vanish; stationary state undetermined")
     if v == 0.0:
         return (1.0, 0.0, 0.0, 0.0)  # ground state is never pumped
     s = b * g + b * h + g * h

@@ -971,6 +971,29 @@ class TestMainEntry:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, column",
+        [
+            ("interwell L0 R0", "interwell L0 R" + "1" * 641, 15),
+            ("crossing 0 0", "crossing 0 " + "1" * 641, 12),
+        ],
+        ids=["state_level", "int_argument"],
+    )
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys, old, new, column):
+        # One integer rule for levels and int arguments: past the
+        # interpreter's digit limit, a parse error, not a traceback.  640
+        # is the smallest limit CPython allows.
+        path = self.write_config(tmp_path, edit(MINIMAL, old, new))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["boundaries", path]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        line = MINIMAL[: MINIMAL.index(old)].count("\n") + 1
+        message = f"line {line}, column {column}: integer past the limit of 640 digits"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_config_exit_two(self, tmp_path, capsys, monkeypatch):
         path = self.write_config(tmp_path, "[model]\nwat = 1\n")
         assert main(["run", path]) == 2

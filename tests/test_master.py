@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import lzs_sim.master as master_mod
 from lzs_sim import (
-    DegenerateSystem,
     DriveParams,
     LeakConfig,
     PopulationVector,
@@ -454,13 +453,16 @@ class TestStationarySolve:
 
 class TestThreeStateClosedForm:
     def test_matches_generic_solver(self):
+        # Every zero pattern of the rates, all-zero included; the nonzero
+        # rates are drawn log-uniformly from [1e-6, 1].
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            a, b, g, h = np.exp(rng.uniform(np.log(1e-6), 0.0, size=4))
-            ref = stationary_three_state(a, b, g, h)
-            p = stationary_solve(three_state_matrix(a, b, g, h))
-            got = (p.probability_of(R0), p.probability_of(L0), p.probability_of(R1))
-            assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-9
+        for zero in itertools.product((False, True), repeat=4):
+            for _ in range(20):
+                a, b, g, h = np.where(zero, 0.0, np.exp(rng.uniform(np.log(1e-6), 0.0, size=4)))
+                ref = stationary_three_state(a, b, g, h)
+                p = stationary_solve(three_state_matrix(a, b, g, h))
+                got = (p.probability_of(R0), p.probability_of(L0), p.probability_of(R1))
+                assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-9
 
     def test_upper_pump_off_reduces_to_two_state(self):
         a, g, h = 0.4, 0.9, 0.03
@@ -492,8 +494,10 @@ class TestThreeStateClosedForm:
         assert stationary_three_state(0.0, 0.5, 0.2, 0.1) == (1.0, 0.0, 0.0)
 
     def test_all_zero_is_degenerate(self):
-        with pytest.raises(DegenerateSystem):
-            stationary_three_state(0.0, 0.0, 0.0, 0.0)
+        # Nothing leaves 0R, so 0R keeps all of it, as stationary_solve says.
+        assert stationary_three_state(0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
+        p = stationary_solve(three_state_matrix(0.0, 0.0, 0.0, 0.0))
+        assert [p.probability_of(s) for s in (R0, L0, R1)] == [1.0, 0.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
@@ -509,18 +513,21 @@ class TestThreeStateClosedForm:
 
 class TestFourStateClosedForm:
     def test_matches_generic_solver(self):
+        # Every zero pattern of the rates, all-zero included; the nonzero
+        # rates are drawn log-uniformly from [1e-6, 1].
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            v, b, g, h, k = np.exp(rng.uniform(np.log(1e-6), 0.0, size=5))
-            ref = stationary_four_state(v, b, g, h, k)
-            p = stationary_solve(four_state_matrix(v, b, g, h, k))
-            got = (
-                p.probability_of(R0),
-                p.probability_of(L0),
-                p.probability_of(R1),
-                p.probability_of(L1),
-            )
-            assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-9
+        for zero in itertools.product((False, True), repeat=5):
+            for _ in range(10):
+                v, b, g, h, k = np.where(zero, 0.0, np.exp(rng.uniform(np.log(1e-6), 0.0, size=5)))
+                ref = stationary_four_state(v, b, g, h, k)
+                p = stationary_solve(four_state_matrix(v, b, g, h, k))
+                got = (
+                    p.probability_of(R0),
+                    p.probability_of(L0),
+                    p.probability_of(R1),
+                    p.probability_of(L1),
+                )
+                assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-9
 
     def test_inversion_concentrates_left_ground(self):
         # fast 1L->0L feeding, slow 0L->0R draining: population piles up
@@ -533,8 +540,10 @@ class TestFourStateClosedForm:
         assert stationary_four_state(0.0, 0.3, 0.2, 0.1, 0.4) == (1.0, 0.0, 0.0, 0.0)
 
     def test_all_zero_is_degenerate(self):
-        with pytest.raises(DegenerateSystem):
-            stationary_four_state(0.0, 0.0, 0.0, 0.0, 0.0)
+        # Nothing leaves 0R, so 0R keeps all of it, as stationary_solve says.
+        assert stationary_four_state(0.0, 0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
+        p = stationary_solve(four_state_matrix(0.0, 0.0, 0.0, 0.0, 0.0))
+        assert [p.probability_of(s) for s in (R0, L0, R1, L1)] == [1.0, 0.0, 0.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError, match="rates must be >= 0 and finite"):

@@ -641,10 +641,3 @@ class TestRowRates:
         assert PhotonTable([], [], self.EPS, DRIVE).rates([]).shape == (0, 0, self.EPS.size)
         table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, DRIVE)
         assert table.rates([]).shape == (4, 0, self.EPS.size)
-
-    @pytest.mark.parametrize("amp", [9.0 + 2**-49, -0.5, math.nan], ids=["above_top", "below_0", "nan"])
-    def test_amplitude_outside_the_table_rejected(self, amp):
-        # The table holds the photons of amplitudes in [0, 9] only.
-        table = PhotonTable(self.DELTAS, self.POSITIONS, self.EPS, DriveParams(9.0, 1.0, 0.1))
-        with pytest.raises(ValidationError, match=r"outside the table's range \[0, 9\.0\]"):
-            table.rates([4.0, amp])
