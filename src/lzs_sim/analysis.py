@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientLevels, _number
+from .errors import _number
 from .model import DriveParams, QubitModel, crossing_position
 
 __all__ = [
@@ -80,17 +80,16 @@ def diamond_boundaries(model: QubitModel) -> tuple[DiamondBoundary, ...]:
     )
 
 
-def regime_classify(model: QubitModel, drive: DriveParams) -> RegimeReport:
+def regime_classify(model: QubitModel, drive: DriveParams) -> RegimeReport | None:
     """Classify the drive as LowFrequency or HighFrequency.
 
     Diamonds merge once one drive quantum spans the smallest gap between
     consecutive left-ladder crossings with the right-well ground state;
-    the boundary case is labeled HighFrequency.
+    the boundary case is labeled HighFrequency.  A model with one
+    left-well level has no such gap, and gets None.
     """
     if model.n_left < 2:
-        raise InsufficientLevels(
-            "regime classification needs at least two left-well levels"
-        )
+        return None
     spacings = np.diff(model.left_offsets)
     idx = int(np.argmin(spacings))
     delta_d = float(spacings[idx])

@@ -65,12 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import diamond_boundaries, regime_classify
-from .errors import (
-    InsufficientLevels,
-    ParseError,
-    SimulationError,
-    ValidationError,
-)
+from .errors import ParseError, SimulationError, ValidationError
 from .master import build_rate_matrix, stationary_solve
 from .model import DriveParams, LeakConfig, QubitModel
 from .rates import RateKernelParams
@@ -409,9 +404,8 @@ def read_pgm(path) -> np.ndarray:
 
 
 def _regime_payload(model: QubitModel, drive: DriveParams):
-    try:
-        report = regime_classify(model, drive)
-    except InsufficientLevels:
+    report = regime_classify(model, drive)
+    if report is None:
         return None
     return {
         "delta_a_ghz": report.delta_a,
@@ -502,9 +496,8 @@ def _boundaries(config: RunConfig) -> int:
             f"position_ghz {b.position:.17g}"
         )
     for drive in config.drives:
-        try:
-            report = regime_classify(config.model, drive)
-        except InsufficientLevels:
+        report = regime_classify(config.model, drive)
+        if report is None:
             print(
                 f"frequency_ghz {drive.frequency:.17g} regime undetermined "
                 "(single left level)"

@@ -7,7 +7,6 @@ import numbers
 __all__ = [
     "SimulationError",
     "NonConvergent",
-    "InsufficientLevels",
     "ValidationError",
     "ParseError",
 ]
@@ -31,10 +30,6 @@ class NonConvergent(SimulationError):
         super().__init__(message)
         self.eps = eps
         self.amp = amp
-
-
-class InsufficientLevels(SimulationError):
-    """An analysis needs more ladder levels than the model provides."""
 
 
 class ValidationError(ValueError):

@@ -29,13 +29,20 @@ from lzs_sim import (
     lzs_rate,
     regime_classify,
     run_sweep,
-    stationary_four_state,
     stationary_solve,
-    stationary_three_state,
 )
 from lzs_sim.cli import parse_config, read_csv
 
-from conftest import L0, L1, R0, R1, four_state_matrix, three_state_matrix
+from conftest import (
+    L0,
+    L1,
+    R0,
+    R1,
+    four_state_matrix,
+    stationary_four_state,
+    stationary_three_state,
+    three_state_matrix,
+)
 
 
 @pytest.fixture
@@ -125,9 +132,9 @@ def test_criterion_3_oracle_equivalence(verdict):
             p = stationary_solve(three_state_matrix(a, b, g, h))
             p0r, p0l, p1r = stationary_three_state(a, b, g, h)
             err = max(
-                abs(p.probability_of(R0) - p0r),
-                abs(p.probability_of(L0) - p0l),
-                abs(p.probability_of(R1) - p1r),
+                abs(p.probabilities[p.states.index(R0)] - p0r),
+                abs(p.probabilities[p.states.index(L0)] - p0l),
+                abs(p.probabilities[p.states.index(R1)] - p1r),
             )
             assert err <= 1e-9, f"three-state mismatch {err:.2e} at {(a, b, g, h)}"
         for _ in range(5000):
@@ -135,10 +142,10 @@ def test_criterion_3_oracle_equivalence(verdict):
             p = stationary_solve(four_state_matrix(v, b, g, h, k))
             p0r, p0l, p1r, p1l = stationary_four_state(v, b, g, h, k)
             err = max(
-                abs(p.probability_of(R0) - p0r),
-                abs(p.probability_of(L0) - p0l),
-                abs(p.probability_of(R1) - p1r),
-                abs(p.probability_of(L1) - p1l),
+                abs(p.probabilities[p.states.index(R0)] - p0r),
+                abs(p.probabilities[p.states.index(L0)] - p0l),
+                abs(p.probabilities[p.states.index(R1)] - p1r),
+                abs(p.probabilities[p.states.index(L1)] - p1l),
             )
             assert err <= 1e-9, f"four-state mismatch {err:.2e} at {(v, b, g, h, k)}"
 

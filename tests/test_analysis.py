@@ -7,7 +7,6 @@ import pytest
 
 from lzs_sim import (
     DriveParams,
-    InsufficientLevels,
     QubitModel,
     Regime,
     RegimeReport,
@@ -77,8 +76,7 @@ class TestRegimeClassify:
 
     def test_single_left_level_insufficient(self):
         m = ladder_model((0.0,), (0.0, 1.0), [[0.1, 0.1]])
-        with pytest.raises(InsufficientLevels):
-            regime_classify(m, self.drive(1.0))
+        assert regime_classify(m, self.drive(1.0)) is None
 
     def test_invariant_under_uniform_shifts(self):
         for shift in (-3.0, 2.5, 40.0):

@@ -26,7 +26,6 @@ from lzs_sim import (
     ValidationError,
     lzs_rate,
     run_sweep,
-    stationary_three_state,
 )
 from lzs_sim.cli import (
     csv_bytes,
@@ -37,6 +36,8 @@ from lzs_sim.cli import (
     read_pgm,
     run,
 )
+
+from conftest import stationary_three_state
 
 MINIMAL = """\
 [model]

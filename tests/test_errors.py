@@ -10,7 +10,6 @@ import lzs_sim.errors as errors
 EXAMPLES = {
     errors.SimulationError: errors.SimulationError("engine failed"),
     errors.NonConvergent: errors.NonConvergent("no fit", eps=-1.5, amp=0.25),
-    errors.InsufficientLevels: errors.InsufficientLevels("needs 3 levels"),
     errors.ValidationError: errors.ValidationError("n_eps must be >= 2"),
     errors.ParseError: errors.ParseError("bad", 3, 4),
 }

@@ -3,7 +3,9 @@
 A number is a finite real that is not a bool (numpy scalars count) and
 is stored as float; a count is an integer that is not a bool (numpy
 integers count) and is stored as int.  Anything else is a
-ValidationError, never a TypeError.
+ValidationError, never a TypeError.  The test oracles of conftest
+(``from_channels`` and the closed forms) take their rates by the same
+rule.
 """
 
 import math
@@ -17,7 +19,6 @@ from lzs_sim import (
     PopulationMap,
     QubitModel,
     RateKernelParams,
-    RateMatrix,
     RegimeReport,
     StateIndex,
     SweepGrid,
@@ -28,9 +29,9 @@ from lzs_sim import (
     crossing_position,
     lzs_rate,
     run_frequency_batch,
-    stationary_four_state,
-    stationary_three_state,
 )
+
+from conftest import from_channels, stationary_four_state, stationary_three_state
 
 MODEL = QubitModel(
     left_offsets=(0.0,), right_offsets=(0.0,), crossings=[[0.1]], left_to_right=[[0.01]]
@@ -81,7 +82,7 @@ NUMBERS = {
     "bessel_jn.x": (lambda v: bessel_jn(0, v), False),
     "build_rate_matrix.eps": (lambda v: build_rate_matrix(MODEL, v, DRIVE).matrix.tolist(), False),
     "RateMatrix.from_channels.rate": (
-        lambda v: RateMatrix.from_channels((L0, R0), [(L0, R0, v)]).matrix.tolist(),
+        lambda v: from_channels((L0, R0), [(L0, R0, v)]).matrix.tolist(),
         False,
     ),
     **{

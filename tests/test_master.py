@@ -24,21 +24,29 @@ from lzs_sim import (
     build_rate_matrix,
     crossing_position,
     lzs_rate,
-    stationary_four_state,
     stationary_solve,
-    stationary_three_state,
 )
 from lzs_sim.rates import PhotonTable
 from lzs_sim.sweep import SweepPlan
 
-from conftest import L0, L1, R0, R1, four_state_matrix, three_state_matrix
+from conftest import (
+    L0,
+    L1,
+    R0,
+    R1,
+    four_state_matrix,
+    from_channels,
+    stationary_four_state,
+    stationary_three_state,
+    three_state_matrix,
+)
 
 rates_01 = st.floats(1e-6, 1.0)
 
 
 def channel_rate_matrix(model, eps, drive):
     """Reference generator: every rate as a (from, to, rate) channel,
-    summed by ``RateMatrix.from_channels`` in channel order."""
+    summed by ``from_channels`` in channel order."""
     leak = StateIndex(Well.LEAK, None)
     threshold = model.leak.threshold if model.leak is not None else None
     channels = []
@@ -67,7 +75,7 @@ def channel_rate_matrix(model, eps, drive):
     if model.leak is not None:
         half = 0.5 * model.leak.return_rate
         channels += [(leak, L0, half), (leak, R0, half)]
-    return RateMatrix.from_channels(model.states(), channels)
+    return from_channels(model.states(), channels)
 
 
 sparse_rates = st.one_of(st.just(0.0), st.floats(1e-4, 2.0))
@@ -110,7 +118,7 @@ random_drives = st.builds(
 
 class TestRateMatrix:
     def test_from_channels_layout(self):
-        m = RateMatrix.from_channels((L0, R0), [(L0, R0, 0.25), (R0, L0, 0.1)])
+        m = from_channels((L0, R0), [(L0, R0, 0.25), (R0, L0, 0.1)])
         # column = source, row = destination
         assert m.matrix[1, 0] == 0.25
         assert m.matrix[0, 1] == 0.1
@@ -118,16 +126,16 @@ class TestRateMatrix:
         assert m.matrix[1, 1] == -0.1
 
     def test_duplicate_channels_accumulate(self):
-        m = RateMatrix.from_channels((L0, R0), [(L0, R0, 0.1), (L0, R0, 0.2)])
+        m = from_channels((L0, R0), [(L0, R0, 0.1), (L0, R0, 0.2)])
         assert m.matrix[1, 0] == pytest.approx(0.3)
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValidationError):
-            RateMatrix.from_channels((L0, R0), [(L0, R0, -0.1)])
+            from_channels((L0, R0), [(L0, R0, -0.1)])
 
     def test_rejects_self_channel(self):
         with pytest.raises(ValidationError):
-            RateMatrix.from_channels((L0, R0), [(L0, L0, 0.1)])
+            from_channels((L0, R0), [(L0, L0, 0.1)])
 
     def test_rejects_nonconserving_matrix(self):
         bad = np.array([[-1.0, 0.0], [0.5, 0.0]])
@@ -148,7 +156,7 @@ class TestRateMatrix:
 
     def test_rejects_duplicate_states(self):
         with pytest.raises(ValidationError, match="duplicate states"):
-            RateMatrix.from_channels((L0, L0), [])
+            from_channels((L0, L0), [])
 
     @given(st.lists(rates_01, min_size=6, max_size=6))
     @settings(max_examples=80, deadline=None)
@@ -376,34 +384,32 @@ class TestRowEngineParts:
 
 class TestStationarySolve:
     def test_symmetric_two_state(self):
-        m = RateMatrix.from_channels((L0, R0), [(L0, R0, 0.3), (R0, L0, 0.3)])
+        m = from_channels((L0, R0), [(L0, R0, 0.3), (R0, L0, 0.3)])
         p = stationary_solve(m)
         assert p.probabilities == pytest.approx([0.5, 0.5], abs=1e-14)
 
     def test_zero_matrix_falls_back_to_ground_right(self):
         m = RateMatrix(matrix=np.zeros((2, 2)), states=(L0, R0))
         p = stationary_solve(m)
-        assert p.probability_of(R0) == 1.0
-        assert p.probability_of(L0) == 0.0
+        assert [p.probabilities[p.states.index(s)] for s in (R0, L0)] == [1.0, 0.0]
 
     def test_reduced_two_state_balance(self):
         # three-state system with the upper pump off: 1R empties, and the
         # remaining pair balances to w/(2w + g)
         a, h = 0.013, 0.004
         p = stationary_solve(three_state_matrix(a, 0.0, 0.9, h))
-        assert p.probability_of(R1) == pytest.approx(0.0, abs=1e-15)
-        assert p.probability_of(L0) == pytest.approx(a / (2 * a + h), rel=1e-12)
+        p1r, p0l = (p.probabilities[p.states.index(s)] for s in (R1, L0))
+        assert p1r == pytest.approx(0.0, abs=1e-15)
+        assert p0l == pytest.approx(a / (2 * a + h), rel=1e-12)
 
     def test_disconnected_graph_resolved_from_ground_right(self):
         # two non-interacting pairs, two closed classes: all population
         # stays in the one holding 0R
         channels = [(L0, R0, 0.0), (L1, R1, 0.5), (R1, L1, 0.5), (R0, L0, 0.2), (L0, R0, 0.2)]
-        m = RateMatrix.from_channels((L0, L1, R0, R1), channels)
+        m = from_channels((L0, L1, R0, R1), channels)
         p = stationary_solve(m)
-        assert p.probability_of(L1) == 0.0
-        assert p.probability_of(R1) == 0.0
-        assert p.probability_of(L0) == 0.5
-        assert p.probability_of(R0) == 0.5
+        got = [p.probabilities[p.states.index(s)] for s in (L1, R1, L0, R0)]
+        assert got == [0.0, 0.0, 0.5, 0.5]
 
     @pytest.mark.parametrize(
         "w_ground, w_upper",
@@ -416,10 +422,9 @@ class TestStationarySolve:
         channels = [
             (L1, R1, w_upper), (R1, L1, w_upper), (R0, L0, w_ground), (L0, R0, w_ground)
         ]
-        m = RateMatrix.from_channels((L0, L1, R0, R1), channels)
+        m = from_channels((L0, L1, R0, R1), channels)
         p = stationary_solve(m)
-        assert p.probability_of(L0) == 0.5
-        assert p.probability_of(R0) == 0.5
+        assert [p.probabilities[p.states.index(s)] for s in (L0, R0)] == [0.5, 0.5]
 
     def test_classes_fed_by_transient_states_match_absorption(self):
         # Two closed classes, {3} and {0, 4}, both fed by the transient
@@ -461,7 +466,7 @@ class TestThreeStateClosedForm:
                 a, b, g, h = np.where(zero, 0.0, np.exp(rng.uniform(np.log(1e-6), 0.0, size=4)))
                 ref = stationary_three_state(a, b, g, h)
                 p = stationary_solve(three_state_matrix(a, b, g, h))
-                got = (p.probability_of(R0), p.probability_of(L0), p.probability_of(R1))
+                got = [p.probabilities[p.states.index(s)] for s in (R0, L0, R1)]
                 assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-9
 
     def test_upper_pump_off_reduces_to_two_state(self):
@@ -497,7 +502,7 @@ class TestThreeStateClosedForm:
         # Nothing leaves 0R, so 0R keeps all of it, as stationary_solve says.
         assert stationary_three_state(0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
         p = stationary_solve(three_state_matrix(0.0, 0.0, 0.0, 0.0))
-        assert [p.probability_of(s) for s in (R0, L0, R1)] == [1.0, 0.0, 0.0]
+        assert [p.probabilities[p.states.index(s)] for s in (R0, L0, R1)] == [1.0, 0.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
@@ -521,12 +526,7 @@ class TestFourStateClosedForm:
                 v, b, g, h, k = np.where(zero, 0.0, np.exp(rng.uniform(np.log(1e-6), 0.0, size=5)))
                 ref = stationary_four_state(v, b, g, h, k)
                 p = stationary_solve(four_state_matrix(v, b, g, h, k))
-                got = (
-                    p.probability_of(R0),
-                    p.probability_of(L0),
-                    p.probability_of(R1),
-                    p.probability_of(L1),
-                )
+                got = [p.probabilities[p.states.index(s)] for s in (R0, L0, R1, L1)]
                 assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-9
 
     def test_inversion_concentrates_left_ground(self):
@@ -543,7 +543,8 @@ class TestFourStateClosedForm:
         # Nothing leaves 0R, so 0R keeps all of it, as stationary_solve says.
         assert stationary_four_state(0.0, 0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
         p = stationary_solve(four_state_matrix(0.0, 0.0, 0.0, 0.0, 0.0))
-        assert [p.probability_of(s) for s in (R0, L0, R1, L1)] == [1.0, 0.0, 0.0, 0.0]
+        got = [p.probabilities[p.states.index(s)] for s in (R0, L0, R1, L1)]
+        assert got == [1.0, 0.0, 0.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError, match="rates must be >= 0 and finite"):
@@ -598,7 +599,7 @@ def test_closed_form_corners_match_stationary_solve(form, rates):
     # state reached from 0R among several closed classes.
     closed_form, matrix, order = CLOSED_FORMS[form]
     p = stationary_solve(matrix(*rates))
-    got = [p.probability_of(s) for s in order]
+    got = [p.probabilities[p.states.index(s)] for s in order]
     assert np.max(np.abs(np.subtract(got, closed_form(*rates)))) <= 1e-15
 
 

@@ -1,4 +1,5 @@
-"""Print the code-line count of each module of src/lzs_sim, and the total.
+"""Print the code-line count of each module of src/lzs_sim and their
+total, then the total of tests/, so code moved into the tests shows.
 
 A code line holds a token other than a comment and lies outside every
 module, class and function docstring; blank lines and lines holding
@@ -12,7 +13,9 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lzs_sim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lzs_sim"
+TESTS = ROOT / "tests"
 SKIP = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER
 }
@@ -44,6 +47,8 @@ def main() -> None:
     for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{name:<10}{count:>6}")
     print(f"{'total':<10}{sum(counts.values()):>6}")
+    tests = sum(code_lines(path.read_text()) for path in TESTS.glob("*.py"))
+    print(f"{'tests/':<10}{tests:>6}")
 
 
 if __name__ == "__main__":
