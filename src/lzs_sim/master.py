@@ -83,6 +83,14 @@ class RateMatrix:
         object.__setattr__(self, "states", tuple(self.states))
 
 
+def _well_population(q: np.ndarray) -> np.ndarray:
+    """A well's population from its states' probabilities q (states
+    along the first axis): their ``_chain`` sum in state order, at most
+    1, since a well holding nearly everything can sum to 1 + 2**-52.
+    ``p_left`` and the map take P_L by this one rule."""
+    return np.minimum(_chain(q), 1.0)
+
+
 @dataclass(frozen=True)
 class PopulationVector:
     """Probabilities over the flat state list; entries sum to one."""
@@ -107,10 +115,7 @@ class PopulationVector:
         object.__setattr__(self, "states", tuple(self.states))
 
     def _well_sum(self, well: Well) -> float:
-        # In state order, as the map engine adds them, and at most 1, as
-        # PopulationMap clips them: a well holding nearly everything can
-        # sum to 1 + 2**-52.
-        return min(1.0, float(_chain(self.probabilities[[s.well is well for s in self.states]])))
+        return float(_well_population(self.probabilities[[s.well is well for s in self.states]]))
 
     @property
     def p_left(self) -> float:

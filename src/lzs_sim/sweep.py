@@ -38,7 +38,7 @@ its ValidationError, naming the point, or else raises NonConvergent.
 Blocks hold whole rows and run in order, so the point and error named
 depend on the grid alone, not on the block layout or the worker count.
 
-One scheduler runs every map of a run; ``run_sweep`` is a batch of one.
+One scheduler runs every map of ``run_frequency_batch``, in drive order.
 It cuts each map into tasks (map, first row, amplitudes), one block
 each, from the grid alone, and lists them map after map.  The number of
 processes then follows from the run's work, counted as points times
@@ -72,11 +72,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError, _count, _number
-from .master import _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, build_rate_matrix, solve_points
+from .master import (
+    _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, _well_population, build_rate_matrix,
+    solve_points,
+)
 from .model import DriveParams, QubitModel
-from .rates import PhotonTable, RateKernelParams, _chain
+from .rates import PhotonTable, RateKernelParams
 
-__all__ = ["SweepGrid", "PopulationMap", "run_sweep", "run_frequency_batch"]
+__all__ = ["SweepGrid", "PopulationMap", "run_frequency_batch"]
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,6 @@ class PopulationMap:
 
     grid: SweepGrid
     values: np.ndarray
-    frequency: float
     fingerprint: str
 
     def __post_init__(self):
@@ -143,11 +145,9 @@ class PopulationMap:
             raise ValidationError("map values must be finite")
         if np.any(vals < -_NEGATIVITY_TOL) or np.any(vals > 1.0 + _EXCESS_TOL):
             raise ValidationError("map values must lie in [0, 1]")
-        frequency = _number(self.frequency, "frequency must be positive and finite", above=0)
         vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "frequency", frequency)
 
 
 def model_fingerprint(
@@ -254,9 +254,7 @@ class SweepPlan:
             except ValidationError as exc:
                 raise ValidationError(f"{exc} (eps={eps} GHz, amp={amp} GHz)") from None
             raise NonConvergent("stationary solve failed the acceptance check", eps=eps, amp=amp)
-        # At most 1, as p_left gives it: a well holding nearly everything
-        # can sum to 1 + 2**-52.
-        return np.minimum(_chain(q[: self.n_left]), 1.0).reshape(len(amps), n_eps)
+        return _well_population(q[: self.n_left]).reshape(len(amps), n_eps)
 
 
 def _schedule(model: QubitModel, n_maps: int, grid: SweepGrid, workers: int):
@@ -312,23 +310,6 @@ def _forked(tasks, plan_of, out, workers: int) -> bool:
     return ok
 
 
-def run_sweep(
-    model: QubitModel,
-    drive_base: DriveParams,
-    grid: SweepGrid,
-    kernel: RateKernelParams = RateKernelParams(),
-    workers: int = 1,
-) -> PopulationMap:
-    """P_L map over the grid; drive_base supplies frequency and
-    dephasing while its amplitude is overridden row by row.
-
-    The sweep stops at its first failing point in row order, with the
-    error ``probe`` gives there (ValidationError or NonConvergent),
-    naming the point's (eps, amp).
-    """
-    return run_frequency_batch(model, [drive_base], grid, kernel, workers)[0]
-
-
 def run_frequency_batch(
     model: QubitModel,
     drive_list,
@@ -336,8 +317,14 @@ def run_frequency_batch(
     kernel: RateKernelParams = RateKernelParams(),
     workers: int = 1,
 ) -> list[PopulationMap]:
-    """One map per drive, sharing model and grid across the batch; each
-    drive supplies frequency and dephasing for its map."""
+    """P_L maps over the grid, one per drive and in drive order, sharing
+    the model and grid: each drive supplies its map's frequency and
+    dephasing, while the amplitude is the grid's, row by row.
+
+    The run stops at its first failing point in (map, row, detuning)
+    order, with the error ``probe`` gives there (ValidationError or
+    NonConvergent), naming the point's (eps, amp).
+    """
     workers = _count(workers, "workers must be a positive integer", 1)
     drive_list = list(drive_list)
     if not drive_list:
@@ -355,11 +342,6 @@ def run_frequency_batch(
     if processes == 1 or not _forked(tasks, plan_of, out, processes):
         _compute(tasks, plan_of, out)
     return [
-        PopulationMap(
-            grid=grid,
-            values=out[m],
-            frequency=drive.frequency,
-            fingerprint=model_fingerprint(model, drive, kernel),
-        )
+        PopulationMap(grid, out[m], model_fingerprint(model, drive, kernel))
         for m, drive in enumerate(drive_list)
     ]

@@ -28,7 +28,7 @@ from lzs_sim import (
     diamond_boundaries,
     lzs_rate,
     regime_classify,
-    run_sweep,
+    run_frequency_batch,
     stationary_solve,
 )
 from lzs_sim.cli import parse_config, read_csv
@@ -163,7 +163,7 @@ def test_criterion_4_first_diamond_structure(verdict):
         )
         drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
         grid = SweepGrid(-6.0, 6.0, 201, 0.0, 12.5, 201)
-        pmap = run_sweep(model, drive, grid)
+        pmap = run_frequency_batch(model, [drive], grid)[0]
         eps = grid.eps_values
         amps = grid.amp_values
         assert amps[32] == 2.0 and amps[176] == 11.0
@@ -316,7 +316,7 @@ def test_criterion_7_determinism_and_io(verdict, tmp_path):
         # The CSV read back equals the in-process sweep bit for bit.
         config = parse_config(DETERMINISM_CONFIG)
         eps, amps, values = read_csv(outs[1] / "map_00.csv")
-        pmap = run_sweep(config.model, config.drives[0], config.grid, config.kernel)
+        pmap = run_frequency_batch(config.model, [config.drives[0]], config.grid, config.kernel)[0]
         assert np.array_equal(eps, config.grid.eps_values)
         assert np.array_equal(amps, config.grid.amp_values)
         assert np.array_equal(values, pmap.values)
@@ -335,7 +335,7 @@ def test_criterion_8_ten_level_smoke(verdict):
         )
         drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
         grid = SweepGrid(-10.0, 10.0, 401, 0.0, 15.0, 401)
-        pmap = run_sweep(model, drive, grid)  # raises on any bad point
+        pmap = run_frequency_batch(model, [drive], grid)[0]  # raises on any bad point
         assert np.all(np.isfinite(pmap.values))
         assert pmap.values.min() >= 0.0
         assert pmap.values.max() <= 1.0

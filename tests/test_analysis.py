@@ -15,7 +15,7 @@ from lzs_sim import (
     crossing_position,
     diamond_boundaries,
     regime_classify,
-    run_sweep,
+    run_frequency_batch,
 )
 
 
@@ -138,7 +138,7 @@ class TestResonancePositions:
         gamma2 = 0.1
         drive = DriveParams(amplitude=2.0, frequency=1.0, dephasing=gamma2)
         grid = SweepGrid(-2.5, 2.5, 251, 1.99, 2.0, 2)
-        row = run_sweep(model, drive, grid).values[1]
+        row = run_frequency_batch(model, [drive], grid)[0].values[1]
         eps = grid.eps_values
         for n in (k * drive.frequency for k in range(-2, 3)):
             sel = np.abs(eps - n) <= 0.5

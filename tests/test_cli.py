@@ -25,7 +25,7 @@ from lzs_sim import (
     SweepGrid,
     ValidationError,
     lzs_rate,
-    run_sweep,
+    run_frequency_batch,
 )
 from lzs_sim.cli import (
     csv_bytes,
@@ -538,7 +538,8 @@ def small_map_model():
 
 def small_map():
     drive = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
-    return run_sweep(small_map_model(), drive, SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3))
+    grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
+    return run_frequency_batch(small_map_model(), [drive], grid)[0]
 
 
 class TestCsvFormat:
@@ -571,7 +572,7 @@ class TestCsvFormat:
         # an amplitude: the rows are told apart by where detuning restarts.
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 5e-324, n_amp)
         assert len(set(grid.amp_values.tolist())) < n_amp
-        pmap = run_sweep(small_map_model(), DriveParams(0.0, 1.0, 0.1), grid)
+        pmap = run_frequency_batch(small_map_model(), [DriveParams(0.0, 1.0, 0.1)], grid)[0]
         path = tmp_path / "map.csv"
         cli._write_artifact(path, csv_bytes(pmap))
         eps, amp, values = read_csv(path)
@@ -617,7 +618,6 @@ class TestPgmFormat:
         pmap = PopulationMap(
             grid=SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2),
             values=np.array([[0.0, 1.0], [0.5, 0.25]]),
-            frequency=1.0,
             fingerprint="synthetic",
         )
         blob = pgm_bytes(pmap)

@@ -16,7 +16,6 @@ import pytest
 from lzs_sim import (
     DriveParams,
     LeakConfig,
-    PopulationMap,
     QubitModel,
     RateKernelParams,
     RegimeReport,
@@ -56,10 +55,6 @@ NUMBERS = {
     "SweepGrid.eps_max": (lambda v: SweepGrid(0.0, v, 3, 0.0, 1.0, 2).eps_max, True),
     "SweepGrid.amp_min": (lambda v: SweepGrid(0.0, 1.0, 3, v, 2.0, 2).amp_min, True),
     "SweepGrid.amp_max": (lambda v: SweepGrid(0.0, 1.0, 3, 0.0, v, 2).amp_max, True),
-    "PopulationMap.frequency": (
-        lambda v: PopulationMap(GRID, np.full(GRID.shape, 0.5), v, "x").frequency,
-        True,
-    ),
     "RegimeReport.delta_a": (
         lambda v: RegimeReport(v, 2.0, (0, 1)).delta_a,
         True,

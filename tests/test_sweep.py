@@ -25,7 +25,6 @@ from lzs_sim import (
     build_rate_matrix,
     lzs_rate,
     run_frequency_batch,
-    run_sweep,
     stationary_solve,
 )
 
@@ -78,29 +77,28 @@ class TestPopulationMap:
     GRID = SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2)
 
     @pytest.mark.parametrize(
-        "values, frequency, message",
+        "values, message",
         [
-            (np.full((2, 3), 0.5), 1.0, r"map shape \(2, 3\) does not match grid \(2, 2\)"),
-            ([[0.5, np.inf], [0.5, 0.5]], 1.0, "map values must be finite"),
-            ([[0.5, 1.0 + 2e-9], [0.5, 0.5]], 1.0, r"must lie in \[0, 1\]"),
-            ([[0.5, -2e-12], [0.5, 0.5]], 1.0, r"must lie in \[0, 1\]"),
-            (np.full((2, 2), 0.5), 0.0, "frequency must be positive and finite"),
+            (np.full((2, 3), 0.5), r"map shape \(2, 3\) does not match grid \(2, 2\)"),
+            ([[0.5, np.inf], [0.5, 0.5]], "map values must be finite"),
+            ([[0.5, 1.0 + 2e-9], [0.5, 0.5]], r"must lie in \[0, 1\]"),
+            ([[0.5, -2e-12], [0.5, 0.5]], r"must lie in \[0, 1\]"),
         ],
-        ids=["wrong_shape", "not_finite", "above_one", "below_zero", "zero_frequency"],
+        ids=["wrong_shape", "not_finite", "above_one", "below_zero"],
     )
-    def test_rejects(self, values, frequency, message):
+    def test_rejects(self, values, message):
         with pytest.raises(ValidationError, match=message):
-            PopulationMap(self.GRID, np.array(values), frequency, "x")
+            PopulationMap(self.GRID, np.array(values), "x")
 
     def test_clips_within_the_simplex_tolerances(self):
-        pmap = PopulationMap(self.GRID, np.array([[1.0 + 1e-9, -1e-12], [0.5, 0.5]]), 1.0, "x")
+        pmap = PopulationMap(self.GRID, np.array([[1.0 + 1e-9, -1e-12], [0.5, 0.5]]), "x")
         assert pmap.values.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
 
 class TestRunSweep:
     def test_matches_pointwise_solves(self):
         grid = SweepGrid(-1.5, 1.5, 7, 0.0, 2.0, 4)
-        pmap = run_sweep(TWO_STATE, DRIVE, grid)
+        pmap = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
         for k, amp in enumerate(grid.amp_values):
             drive = DriveParams(
                 amplitude=float(amp), frequency=1.0, dephasing=0.1
@@ -112,26 +110,26 @@ class TestRunSweep:
                 assert pmap.values[k, m] == p.p_left
 
     def test_zero_coupling_keeps_initial_state(self):
-        pmap = run_sweep(ZERO_COUPLING, DRIVE, SweepGrid(-1.0, 1.0, 2, 0.0, 1.0, 2))
+        pmap = run_frequency_batch(ZERO_COUPLING, [DRIVE], SweepGrid(-1.0, 1.0, 2, 0.0, 1.0, 2))[0]
         assert np.all(pmap.values == 0.0)  # everything stays in 0R
 
     def test_static_row_is_single_lorentzian_balance(self):
         grid = SweepGrid(-2.0, 2.0, 9, 0.0, 1.0, 2)
-        pmap = run_sweep(TWO_STATE, DRIVE, grid)
+        pmap = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
         for m, eps in enumerate(grid.eps_values):
             w = lzs_rate(0.05, float(eps), DRIVE)
             expected = w / (2 * w + 0.01)
             assert pmap.values[0, m] == pytest.approx(expected, rel=1e-10)
 
     def test_values_within_unit_interval(self):
-        pmap = run_sweep(TWO_STATE, DRIVE, SweepGrid(-3.0, 3.0, 11, 0.0, 4.0, 5))
+        pmap = run_frequency_batch(TWO_STATE, [DRIVE], SweepGrid(-3.0, 3.0, 11, 0.0, 4.0, 5))[0]
         assert np.all(pmap.values >= 0.0)
         assert np.all(pmap.values <= 1.0)
 
     def test_repeated_runs_bit_identical(self):
         grid = SweepGrid(-2.0, 2.0, 9, 0.0, 3.0, 5)
-        a = run_sweep(TWO_STATE, DRIVE, grid)
-        b = run_sweep(TWO_STATE, DRIVE, grid)
+        a = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
+        b = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -139,17 +137,17 @@ class TestRunSweep:
         # One block of four rows, against blocks of 4 / workers rows shared
         # by as many processes.
         grid = SweepGrid(-1.0, 1.0, 7, 0.0, 2.0, 4)
-        serial = run_sweep(TWO_STATE, DRIVE, grid, workers=1)
+        serial = run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=1)[0]
         always_fork(4 // workers * grid.n_eps)
-        parallel = run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
+        parallel = run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=workers)[0]
         assert np.array_equal(serial.values, parallel.values)
         assert len(forks) == workers - 1
 
     def test_pool_never_exceeds_rows(self, always_fork, forks):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
-        alone = run_sweep(TWO_STATE, DRIVE, grid)
+        alone = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
         always_fork(1)
-        pooled = run_sweep(TWO_STATE, DRIVE, grid, workers=8)
+        pooled = run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=8)[0]
         # Three one-row blocks: two forked workers, and this process.
         assert len(forks) == 2
         assert np.array_equal(pooled.values, alone.values)
@@ -157,14 +155,15 @@ class TestRunSweep:
     def test_without_fork_workers_run_in_process(self, always_fork, monkeypatch):
         monkeypatch.delattr(os, "fork")
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 4)
-        alone = run_sweep(TWO_STATE, DRIVE, grid, workers=2)
+        forkless = run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=2)[0]
         monkeypatch.undo()
-        assert np.array_equal(alone.values, run_sweep(TWO_STATE, DRIVE, grid).values)
+        alone = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
+        assert np.array_equal(forkless.values, alone.values)
 
     def test_workers_validation(self):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2)
         with pytest.raises(ValidationError):
-            run_sweep(TWO_STATE, DRIVE, grid, workers=0)
+            run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=0)
 
     def test_nonconvergent_carries_coordinates(self, monkeypatch):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 2.0, 3)
@@ -176,7 +175,7 @@ class TestRunSweep:
         # point.
         monkeypatch.setattr(GTHPlan, "accepts", reject)
         with pytest.raises(NonConvergent) as err:
-            run_sweep(TWO_STATE, DRIVE, grid)
+            run_frequency_batch(TWO_STATE, [DRIVE], grid)
         assert err.value.eps == -1.0
         assert err.value.amp == 0.0
         assert "eps=-1.0" in str(err.value)
@@ -211,7 +210,7 @@ class TestRunSweep:
         for w, rows in ((1, n_amp), (workers, 2)):
             always_fork(rows * grid.n_eps)
             with pytest.raises(NonConvergent) as err:
-                run_sweep(TWO_STATE, DRIVE, grid, workers=w)
+                run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=w)
             errors.append((err.value.eps, err.value.amp, str(err.value)))
         assert errors[0] == errors[1]
         assert errors[0][:2] == (-1.0, amps[failing_rows[0]])
@@ -235,14 +234,15 @@ class TestRunSweep:
             return block(self, amps)
 
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 3.0, 4)
-        alone = run_sweep(TWO_STATE, DRIVE, grid)
+        alone = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
         config = tmp_path / "ten_level.cfg"
         config.write_text(re.sub(r"amp = .*", "amp = 0 15 4", TEN_LEVEL_CFG))
         assert cli.main(["run", str(config), "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
         monkeypatch.setattr(sweep_mod.SweepPlan, "block", failing_in_child)
         # Each two-worker run cuts its 4 rows into two blocks of two.
         always_fork(2 * grid.n_eps)
-        assert np.array_equal(run_sweep(TWO_STATE, DRIVE, grid, workers=2).values, alone.values)
+        pooled = run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=2)[0]
+        assert np.array_equal(pooled.values, alone.values)
         always_fork(2 * 401)  # ten-level's 401 detunings
         assert cli.main(["run", str(config), "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
         for path in sorted((tmp_path / "w1").iterdir()):
@@ -274,17 +274,17 @@ class TestRunSweep:
         for workers, rows in ((1, 4), (2, 2), (4, 1)):
             always_fork(rows * grid.n_eps)
             with pytest.raises(Local, match=r"^lost at 2\.0$"):
-                run_sweep(TWO_STATE, DRIVE, grid, workers=workers)
+                run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=workers)
         assert len(forks) == 0 + 1 + 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_fingerprint_tracks_physics_not_grid(self):
-        a = run_sweep(TWO_STATE, DRIVE, SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2))
-        b = run_sweep(TWO_STATE, DRIVE, SweepGrid(-2.0, 2.0, 5, 0.0, 2.0, 3))
+        a = run_frequency_batch(TWO_STATE, [DRIVE], SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2))[0]
+        b = run_frequency_batch(TWO_STATE, [DRIVE], SweepGrid(-2.0, 2.0, 5, 0.0, 2.0, 3))[0]
         assert a.fingerprint == b.fingerprint
         other_drive = DriveParams(amplitude=0.0, frequency=2.0, dephasing=0.1)
-        c = run_sweep(TWO_STATE, other_drive, SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2))
+        c = run_frequency_batch(TWO_STATE, [other_drive], SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2))[0]
         assert a.fingerprint != c.fingerprint
 
     def test_shipped_fingerprints_are_pinned(self):
@@ -315,8 +315,9 @@ class TestRunSweep:
 
     def test_kernel_params_respected(self):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 1.0, 2)
-        base = run_sweep(TWO_STATE, DRIVE, grid)
-        narrow = run_sweep(TWO_STATE, DRIVE, grid, kernel=RateKernelParams(n_margin=0))
+        base = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
+        kernel = RateKernelParams(n_margin=0)
+        narrow = run_frequency_batch(TWO_STATE, [DRIVE], grid, kernel=kernel)[0]
         assert not np.array_equal(base.values, narrow.values)
 
 
@@ -572,10 +573,11 @@ class TestRowEngine:
                 expected = pointwise_map(model, drive, grid, kernel)
             except (ValidationError, NonConvergent) as exc:
                 with pytest.raises(type(exc)) as raised:
-                    run_sweep(model, drive, grid, kernel)
+                    run_frequency_batch(model, [drive], grid, kernel)
                 assert str(raised.value) == str(exc)
             else:
-                assert np.array_equal(run_sweep(model, drive, grid, kernel).values, expected)
+                pmap = run_frequency_batch(model, [drive], grid, kernel)[0]
+                assert np.array_equal(pmap.values, expected)
 
     def test_reducible_model_keeps_the_pair_holding_0r(self, monkeypatch):
         # Two non-interacting pairs, 0L<->0R and 1L<->1R: two closed
@@ -588,7 +590,7 @@ class TestRowEngine:
         )
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
         calls = count_solves(monkeypatch)
-        pmap = run_sweep(model, DRIVE, grid)
+        pmap = run_frequency_batch(model, [DRIVE], grid)[0]
         assert calls == [1]
         assert np.all(pmap.values == 0.5)
         assert np.array_equal(pmap.values, pointwise_map(model, DRIVE, grid))
@@ -601,7 +603,7 @@ class TestRowEngine:
         # in 0L at the zero-rate points.
         grid = SweepGrid(-30.0, 30.0, 61, 0.0, 2.0, 3)
         calls = count_solves(monkeypatch)
-        pmap = run_sweep(underflow_pair(1e-160), DRIVE, grid)
+        pmap = run_frequency_batch(underflow_pair(1e-160), [DRIVE], grid)[0]
         zero = np.array([
             [
                 lzs_rate(1e-160, float(eps), DriveParams(float(amp), 1.0, 0.1)) == 0.0
@@ -629,7 +631,7 @@ class TestRowEngine:
         grid = SweepGrid(-30.0, 30.0, 61, 0.0, 2.0, 5)
         monkeypatch.setattr(sweep_mod, "_BLOCK_POINTS", 2 * grid.n_eps)
         calls = count_solves(monkeypatch)
-        pmap = run_sweep(model, DRIVE, grid)
+        pmap = run_frequency_batch(model, [DRIVE], grid)[0]
         amps = grid.amp_values.tolist()
         top = DriveParams(amps[-1], DRIVE.frequency, DRIVE.dephasing)
         plan = sweep_mod.SweepPlan(model, top, RateKernelParams(), grid.eps_values)
@@ -647,7 +649,7 @@ class TestRowEngine:
         # rescaled.  P_L = (1 + W) / (1 + 2 W) rounds to 1, and the map
         # matches probe bit for bit.
         grid = SweepGrid(-30.0, 30.0, 61, 0.0, 2.0, 3)
-        pmap = run_sweep(underflow_pair(1e-154), DRIVE, grid)
+        pmap = run_frequency_batch(underflow_pair(1e-154), [DRIVE], grid)[0]
         assert np.all(pmap.values == 1.0)
         assert np.array_equal(pmap.values, pointwise_map(underflow_pair(1e-154), DRIVE, grid))
 
@@ -674,7 +676,7 @@ class TestRowEngine:
         probed = [
             stationary_solve(build_rate_matrix(model, eps, drive)).p_left for eps in (0.0, 1.0)
         ]
-        row = run_sweep(model, drive, SweepGrid(0.0, 1.0, 2, 3.5, 4.5, 2)).values[0]
+        row = run_frequency_batch(model, [drive], SweepGrid(0.0, 1.0, 2, 3.5, 4.5, 2))[0].values[0]
         assert probed == row.tolist() == [probed[0]] * 2
         assert probed[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
@@ -724,7 +726,8 @@ class TestBlocks:
             for m, eps in enumerate(grid.eps_values.tolist()):
                 alone = build_rate_matrix(config.model, eps, point_drive, config.kernel)
                 assert stationary_solve(alone).p_left == row[m]
-        assert np.array_equal(whole, run_sweep(config.model, drive, grid, config.kernel).values)
+        pmap = run_frequency_batch(config.model, [drive], grid, config.kernel)[0]
+        assert np.array_equal(whole, pmap.values)
 
     def test_worker_counts_give_identical_bytes(self, always_fork, forks, tmp_path):
         # 27 rows are split into blocks of 27, 14 and 4 rows: one child at
@@ -742,12 +745,6 @@ class TestBlocks:
 
 
 class TestFrequencyBatch:
-    def test_single_entry_equals_run_sweep(self):
-        grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
-        (only,) = run_frequency_batch(TWO_STATE, [DRIVE], grid)
-        direct = run_sweep(TWO_STATE, DRIVE, grid)
-        assert np.array_equal(only.values, direct.values)
-
     def test_six_frequencies_give_six_maps(self):
         grid = SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2)
         drives = [
@@ -755,7 +752,13 @@ class TestFrequencyBatch:
             for f in (5.0, 8.0, 11.0, 13.0, 15.0, 17.0)
         ]
         maps = run_frequency_batch(TWO_STATE, drives, grid)
-        assert [m.frequency for m in maps] == [5.0, 8.0, 11.0, 13.0, 15.0, 17.0]
+        assert len(maps) == 6
+        assert len({pmap.values.tobytes() for pmap in maps}) == 6
+        # Map m is drive m's, bit for bit: the batch keeps the drive order.
+        for pmap, drive in zip(maps, drives):
+            alone = run_frequency_batch(TWO_STATE, [drive], grid)[0]
+            assert pmap.values.tobytes() == alone.values.tobytes()
+            assert pmap.fingerprint == alone.fingerprint
 
     def test_duplicate_frequencies_identical(self):
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 2.0, 3)
@@ -908,6 +911,7 @@ class TestForkRule:
         # Eight processes would pay, but the 5 x 4 map is one task, so the
         # run stays in this process.
         grid = SweepGrid(-1.0, 1.0, 5, 0.0, 3.0, 4)
-        alone = run_sweep(TWO_STATE, DRIVE, grid)
-        assert np.array_equal(run_sweep(TWO_STATE, DRIVE, grid, workers=8).values, alone.values)
+        alone = run_frequency_batch(TWO_STATE, [DRIVE], grid)[0]
+        pooled = run_frequency_batch(TWO_STATE, [DRIVE], grid, workers=8)[0]
+        assert np.array_equal(pooled.values, alone.values)
         assert forks == []
