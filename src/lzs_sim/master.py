@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError, _number
-from .model import DriveParams, QubitModel, StateIndex, Well, crossing_position
+from .model import DriveParams, QubitModel, StateIndex, Well, _frozen, crossing_position
 from .rates import RateKernelParams, _chain, lzs_rate
 
 __all__ = [
@@ -58,14 +58,22 @@ class RateMatrix:
 
     M[a, b] is the total rate from state b into state a (a != b); the
     diagonal holds minus the column's outflow so columns sum to zero.
+
+    ``matrix`` is a float copy that cannot be made writeable: a write, or
+    ``setflags(write=True)`` on it or on any view of it, raises
+    ``ValueError``.  ``np.array(m.matrix)`` gives a writeable copy, and so
+    does a ``pickle`` round trip or ``copy.deepcopy``, because numpy
+    restores every unpickled array as writeable.
     """
 
     matrix: np.ndarray
     states: tuple[StateIndex, ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = _frozen(self.matrix)
         n = len(self.states)
+        if not n:
+            raise ValidationError("a rate matrix needs at least one state")
         if mat.shape != (n, n):
             raise ValidationError(f"matrix shape {mat.shape} does not match {n} states")
         if not np.all(np.isfinite(mat)):
@@ -74,11 +82,9 @@ class RateMatrix:
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
             raise ValidationError("off-diagonal rates must be >= 0")
-        scale = np.max(np.abs(mat)) if mat.size else 0.0
+        scale = np.max(np.abs(mat))
         if np.max(np.abs(mat.sum(axis=0))) > 64 * np.finfo(float).eps * max(scale, 1.0) * n:
             raise ValidationError("column sums must vanish (probability conservation)")
-        mat = mat.copy()
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "states", tuple(self.states))
 
@@ -93,7 +99,15 @@ def _well_population(q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PopulationVector:
-    """Probabilities over the flat state list; entries sum to one."""
+    """Probabilities over the flat state list; entries sum to one.
+
+    ``probabilities`` is a float copy, clipped to [0, 1], that cannot be
+    made writeable: a write, or ``setflags(write=True)`` on it or on any
+    view of it, raises ``ValueError``.  ``np.array(p.probabilities)``
+    gives a writeable copy, and so does a ``pickle`` round trip or
+    ``copy.deepcopy``, because numpy restores every unpickled array as
+    writeable.
+    """
 
     probabilities: np.ndarray
     states: tuple[StateIndex, ...]
@@ -109,9 +123,7 @@ class PopulationVector:
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities must sum to 1, got {total!r}")
-        p = np.clip(p, 0.0, 1.0)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", _frozen(np.clip(p, 0.0, 1.0)))
         object.__setattr__(self, "states", tuple(self.states))
 
     def _well_sum(self, well: Well) -> float:

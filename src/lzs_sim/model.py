@@ -52,6 +52,8 @@ class StateIndex:
     level: int | None
 
     def __post_init__(self):
+        if not isinstance(self.well, Well):
+            raise ValidationError(f"well must be a Well, got {self.well!r}")
         if self.well is Well.LEAK:
             if self.level is not None:
                 raise ValidationError("leak state has no level index")
@@ -83,16 +85,23 @@ class LeakConfig:
         object.__setattr__(self, "return_rate", rate)
 
 
+def _frozen(values) -> np.ndarray:
+    """A float copy of values whose memory is an immutable ``bytes``
+    object, so neither it nor any view of it can be made writeable.
+    Every array that QubitModel, RateMatrix, PopulationVector and
+    PopulationMap store comes from here."""
+    arr = np.asarray(values, dtype=float)
+    return np.frombuffer(arr.tobytes()).reshape(arr.shape)
+
+
 def _as_readonly(a, shape, name) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    arr = _frozen(a)
     if arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} entries must be finite")
     if np.any(arr < 0):
         raise ValidationError(f"{name} entries must be >= 0")
-    arr = arr.copy()
-    arr.setflags(write=False)
     return arr
 
 
@@ -124,6 +133,13 @@ class QubitModel:
         |i, source> to |j, destination>.
     leak:
         Optional :class:`LeakConfig`.
+
+    The five arrays are stored as float copies that cannot be made
+    writeable: a write, or ``setflags(write=True)`` on them or on any
+    view of them, raises ``ValueError``.  ``np.array(model.crossings)``
+    gives a writeable copy.  A ``pickle`` round trip or ``copy.deepcopy``
+    of the model gives writeable copies too, because numpy restores every
+    unpickled array as writeable.
     """
 
     left_offsets: tuple[float, ...]

@@ -76,7 +76,7 @@ from .master import (
     _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, _well_population, build_rate_matrix,
     solve_points,
 )
-from .model import DriveParams, QubitModel
+from .model import DriveParams, QubitModel, _frozen
 from .rates import PhotonTable, RateKernelParams
 
 __all__ = ["SweepGrid", "PopulationMap", "run_frequency_batch"]
@@ -129,6 +129,13 @@ class PopulationMap:
     eps_values[m].  fingerprint hashes the physical configuration
     (model, frequency, dephasing, kernel) so maps can be traced back to
     the inputs that produced them.
+
+    ``values`` is a float copy, clipped to [0, 1], that cannot be made
+    writeable: a write, or ``setflags(write=True)`` on it or on any view
+    of it, raises ``ValueError``.  ``np.array(pmap.values)`` gives a
+    writeable copy, and so does a ``pickle`` round trip or
+    ``copy.deepcopy``, because numpy restores every unpickled array as
+    writeable.
     """
 
     grid: SweepGrid
@@ -145,9 +152,7 @@ class PopulationMap:
             raise ValidationError("map values must be finite")
         if np.any(vals < -_NEGATIVITY_TOL) or np.any(vals > 1.0 + _EXCESS_TOL):
             raise ValidationError("map values must lie in [0, 1]")
-        vals = np.clip(vals, 0.0, 1.0)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(np.clip(vals, 0.0, 1.0)))
 
 
 def model_fingerprint(

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -854,7 +855,9 @@ class TestShippedOutputs:
         # changes a CSV's digest.  The bits rest on numpy's IEEE
         # arithmetic and np.linspace, and on libm's exp and log in
         # rates._jn_series.  A change to map bytes on purpose updates this
-        # table and says why in CHANGES.md.
+        # table and says why in CHANGES.md.  A failure names the platform,
+        # the record a mismatch needs.
+        where = f"Python {sys.version}, numpy {np.__version__}, {platform.machine()}"
         pinned = {
             "first_diamond": {
                 "map_00.csv": "f54d1db3f963c97fc85c1e0ecf6233edb7115cab88a9b3ffd697eaed58ee27bc",
@@ -894,7 +897,7 @@ class TestShippedOutputs:
                 for entry in manifest["maps"]
                 for record in entry["files"].values()
             }
-            assert got == pinned[path.stem], path.stem
+            assert got == pinned[path.stem], f"{path.stem} on {where}"
             for name, digest in got.items():
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 

@@ -1,5 +1,10 @@
-"""Results are frozen: their arrays are read-only, and their fields cannot
-be reassigned."""
+"""Results are frozen: their arrays are read-only for good, and their
+fields cannot be reassigned.
+
+Neither a write nor ``setflags(write=True)`` gets past the freeze.
+``np.array(x)`` gives a writeable copy, and so does a ``pickle`` round
+trip or ``copy.deepcopy``, because numpy restores every unpickled array
+as writeable."""
 
 import dataclasses
 
@@ -50,6 +55,8 @@ def test_arrays_are_read_only_and_fields_fixed(name):
     before = array.copy()
     with pytest.raises(ValueError, match="read-only"):
         array[...] = 0.5
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        array.setflags(write=True)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(owner, field, np.zeros_like(array))
     assert np.array_equal(getattr(owner, field), before)

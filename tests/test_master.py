@@ -143,16 +143,17 @@ class TestRateMatrix:
             RateMatrix(matrix=bad, states=(L0, R0))
 
     @pytest.mark.parametrize(
-        "matrix, message",
+        "matrix, states, message",
         [
-            ([[0.0]], "does not match 2 states"),
-            ([[0.1, 0.0], [-0.1, 0.0]], "off-diagonal rates must be >= 0"),
+            ([[0.0]], (L0, R0), "does not match 2 states"),
+            ([[0.1, 0.0], [-0.1, 0.0]], (L0, R0), "off-diagonal rates must be >= 0"),
+            (np.zeros((0, 0)), (), "at least one state"),
         ],
-        ids=["shape_mismatch", "negative_off_diagonal"],
+        ids=["shape_mismatch", "negative_off_diagonal", "no_states"],
     )
-    def test_rejects_invalid_matrix(self, matrix, message):
+    def test_rejects_invalid_matrix(self, matrix, states, message):
         with pytest.raises(ValidationError, match=message):
-            RateMatrix(matrix=np.array(matrix), states=(L0, R0))
+            RateMatrix(matrix=np.array(matrix), states=states)
 
     def test_rejects_duplicate_states(self):
         with pytest.raises(ValidationError, match="duplicate states"):

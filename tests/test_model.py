@@ -129,6 +129,11 @@ class TestStateIndex:
         with pytest.raises(ValidationError):
             StateIndex(Well.LEFT, True)
 
+    @pytest.mark.parametrize("well", ["L", None, 0], ids=["text", "none", "int"])
+    def test_well_must_be_a_well(self, well):
+        with pytest.raises(ValidationError, match="well must be a Well"):
+            StateIndex(well, 0)
+
 
 class TestDriveParams:
     def test_valid(self):
