@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError, _number
-from .model import DriveParams, QubitModel, StateIndex, Well, _frozen, crossing_position
+from .model import (
+    DriveParams, QubitModel, StateIndex, Well, _frozen, _rebuilt, crossing_position,
+)
 from .rates import RateKernelParams, _chain, lzs_rate
 
 __all__ = [
@@ -52,7 +54,19 @@ _EXCESS_TOL = 1e-9
 _RESCALE_ABOVE = 2.0**600
 
 
-@dataclass(frozen=True)
+def _state_list(states) -> tuple[StateIndex, ...]:
+    """states as a tuple, if they are a tuple or list of at least one
+    state, each a distinct StateIndex; anything else raises
+    ValidationError."""
+    if not (
+        isinstance(states, (tuple, list)) and states
+        and all(isinstance(s, StateIndex) for s in states) and len(set(states)) == len(states)
+    ):
+        raise ValidationError("states must be at least one state, each a distinct StateIndex")
+    return tuple(states)
+
+
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Generator M of the population dynamics dP/dt = M P.
 
@@ -61,32 +75,27 @@ class RateMatrix:
 
     ``matrix`` is a float copy that cannot be made writeable: a write, or
     ``setflags(write=True)`` on it or on any view of it, raises
-    ``ValueError``.  ``np.array(m.matrix)`` gives a writeable copy, and so
-    does a ``pickle`` round trip or ``copy.deepcopy``, because numpy
-    restores every unpickled array as writeable.
+    ``ValueError``.  ``np.array(m.matrix)`` gives a writeable copy.  A
+    ``pickle`` round trip, ``copy.copy`` or ``copy.deepcopy`` rebuilds
+    through the constructor, so the copy is checked and frozen as the
+    original was.  Rate matrices compare and hash by identity.
     """
 
     matrix: np.ndarray
     states: tuple[StateIndex, ...]
 
     def __post_init__(self):
-        mat = _frozen(self.matrix)
+        object.__setattr__(self, "states", _state_list(self.states))
         n = len(self.states)
-        if not n:
-            raise ValidationError("a rate matrix needs at least one state")
-        if mat.shape != (n, n):
-            raise ValidationError(f"matrix shape {mat.shape} does not match {n} states")
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("rate matrix entries must be finite")
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < 0):
+        mat = _frozen(self.matrix, (n, n), "rate matrix")
+        if np.any(mat[~np.eye(n, dtype=bool)] < 0):
             raise ValidationError("off-diagonal rates must be >= 0")
         scale = np.max(np.abs(mat))
         if np.max(np.abs(mat.sum(axis=0))) > 64 * np.finfo(float).eps * max(scale, 1.0) * n:
             raise ValidationError("column sums must vanish (probability conservation)")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "states", tuple(self.states))
+
+    __reduce__ = _rebuilt
 
 
 def _well_population(q: np.ndarray) -> np.ndarray:
@@ -97,34 +106,36 @@ def _well_population(q: np.ndarray) -> np.ndarray:
     return np.minimum(_chain(q), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationVector:
     """Probabilities over the flat state list; entries sum to one.
 
     ``probabilities`` is a float copy, clipped to [0, 1], that cannot be
     made writeable: a write, or ``setflags(write=True)`` on it or on any
     view of it, raises ``ValueError``.  ``np.array(p.probabilities)``
-    gives a writeable copy, and so does a ``pickle`` round trip or
-    ``copy.deepcopy``, because numpy restores every unpickled array as
-    writeable.
+    gives a writeable copy.  A ``pickle`` round trip, ``copy.copy`` or
+    ``copy.deepcopy`` rebuilds through the constructor, so the copy is
+    checked and frozen as the original was.  Population vectors compare
+    and hash by identity.
     """
 
     probabilities: np.ndarray
     states: tuple[StateIndex, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (len(self.states),):
-            raise ValidationError("probability vector length does not match states")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("probabilities must be finite")
+        object.__setattr__(self, "states", _state_list(self.states))
+        p = _frozen(self.probabilities, (len(self.states),), "probability vector")
         if np.any(p < -_NEGATIVITY_TOL) or np.any(p > 1.0 + _EXCESS_TOL):
             raise ValidationError("probabilities must lie in [0, 1]")
+        # The sum is checked on the clipped copy, the one stored, so a
+        # stored vector passes this constructor again.
+        p = _frozen(np.clip(p, 0.0, 1.0), p.shape, "probability vector")
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities must sum to 1, got {total!r}")
-        object.__setattr__(self, "probabilities", _frozen(np.clip(p, 0.0, 1.0)))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "probabilities", p)
+
+    __reduce__ = _rebuilt
 
     def _well_sum(self, well: Well) -> float:
         return float(_well_population(self.probabilities[[s.well is well for s in self.states]]))

@@ -19,7 +19,7 @@ count (``errors._count``), stored as float or int.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,24 +85,33 @@ class LeakConfig:
         object.__setattr__(self, "return_rate", rate)
 
 
-def _frozen(values) -> np.ndarray:
-    """A float copy of values whose memory is an immutable ``bytes``
-    object, so neither it nor any view of it can be made writeable.
+def _frozen(values, shape, what) -> np.ndarray:
+    """values as a float array of the given shape whose memory is an
+    immutable ``bytes`` object, so neither it nor any view of it can be
+    made writeable.  Its entries are numbers (``errors._number``): an
+    ndarray of an integer or float dtype converts directly, anything
+    else entry by entry.  Another shape, a ragged sequence or an entry
+    that is not a finite number raises ValidationError, led by what.
     Every array that QubitModel, RateMatrix, PopulationVector and
     PopulationMap store comes from here."""
-    arr = np.asarray(values, dtype=float)
-    return np.frombuffer(arr.tobytes()).reshape(arr.shape)
-
-
-def _as_readonly(a, shape, name) -> np.ndarray:
-    arr = _frozen(a)
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    arr = values if numeric else np.asarray(values, dtype=object)
     if arr.shape != shape:
-        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} entries must be finite")
-    if np.any(arr < 0):
-        raise ValidationError(f"{name} entries must be >= 0")
-    return arr
+        raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
+    message = f"{what} entries must be finite"
+    if not numeric:
+        values = [_number(v, message) for v in arr.flat]
+    arr = np.asarray(values, dtype=float).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ValidationError(message)
+    return np.frombuffer(arr.tobytes()).reshape(shape)
+
+
+def _rebuilt(self):
+    """``__reduce__`` of the classes whose arrays come from ``_frozen``:
+    ``pickle``, ``copy.copy`` and ``copy.deepcopy`` rebuild through the
+    constructor, so a copy is checked and frozen as the original was."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _ladder(offsets, name) -> tuple[float, ...]:
@@ -114,7 +123,7 @@ def _ladder(offsets, name) -> tuple[float, ...]:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitModel:
     """Immutable device description.
 
@@ -137,9 +146,10 @@ class QubitModel:
     The five arrays are stored as float copies that cannot be made
     writeable: a write, or ``setflags(write=True)`` on them or on any
     view of them, raises ``ValueError``.  ``np.array(model.crossings)``
-    gives a writeable copy.  A ``pickle`` round trip or ``copy.deepcopy``
-    of the model gives writeable copies too, because numpy restores every
-    unpickled array as writeable.
+    gives a writeable copy.  A ``pickle`` round trip, ``copy.copy`` or
+    ``copy.deepcopy`` rebuilds the model through its constructor, so the
+    copy is checked and frozen as the original was.  Models compare and
+    hash by identity.
     """
 
     left_offsets: tuple[float, ...]
@@ -167,27 +177,26 @@ class QubitModel:
             _number(extreme, "level offsets must differ by finite amounts")
         nl, nr = len(left), len(right)
 
-        cross = _as_readonly(self.crossings, (nl, nr), "crossings")
-        object.__setattr__(self, "crossings", cross)
-
         for attr, shape in (
+            ("crossings", (nl, nr)),
             ("left_relax", (nl, nl)),
             ("right_relax", (nr, nr)),
             ("left_to_right", (nl, nr)),
             ("right_to_left", (nr, nl)),
         ):
             value = getattr(self, attr)
-            if value is None:
+            if value is None and attr != "crossings":
                 value = np.zeros(shape)
-            arr = _as_readonly(value, shape, attr)
-            object.__setattr__(self, attr, arr)
-
-        for attr in ("left_relax", "right_relax"):
-            arr = getattr(self, attr)
-            if np.any(np.triu(arr) != 0):
+            arr = _frozen(value, shape, attr)
+            if np.any(arr < 0):
+                raise ValidationError(f"{attr} entries must be >= 0")
+            if attr.endswith("_relax") and np.any(np.triu(arr) != 0):
                 raise ValidationError(
                     f"{attr} must be strictly lower triangular (downward rates only)"
                 )
+            object.__setattr__(self, attr, arr)
+
+    __reduce__ = _rebuilt
 
     @property
     def n_left(self) -> int:

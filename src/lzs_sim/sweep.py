@@ -76,7 +76,7 @@ from .master import (
     _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, _well_population, build_rate_matrix,
     solve_points,
 )
-from .model import DriveParams, QubitModel, _frozen
+from .model import DriveParams, QubitModel, _frozen, _rebuilt
 from .rates import PhotonTable, RateKernelParams
 
 __all__ = ["SweepGrid", "PopulationMap", "run_frequency_batch"]
@@ -121,7 +121,7 @@ class SweepGrid:
         return (self.n_amp, self.n_eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationMap:
     """Left-well population P_L over a sweep grid.
 
@@ -133,9 +133,10 @@ class PopulationMap:
     ``values`` is a float copy, clipped to [0, 1], that cannot be made
     writeable: a write, or ``setflags(write=True)`` on it or on any view
     of it, raises ``ValueError``.  ``np.array(pmap.values)`` gives a
-    writeable copy, and so does a ``pickle`` round trip or
-    ``copy.deepcopy``, because numpy restores every unpickled array as
-    writeable.
+    writeable copy.  A ``pickle`` round trip, ``copy.copy`` or
+    ``copy.deepcopy`` rebuilds the map through its constructor, so the
+    copy is checked and frozen as the original was.  Maps compare and
+    hash by identity.
     """
 
     grid: SweepGrid
@@ -143,16 +144,12 @@ class PopulationMap:
     fingerprint: str
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ValidationError(
-                f"map shape {vals.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("map values must be finite")
+        vals = _frozen(self.values, self.grid.shape, "map")
         if np.any(vals < -_NEGATIVITY_TOL) or np.any(vals > 1.0 + _EXCESS_TOL):
             raise ValidationError("map values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(np.clip(vals, 0.0, 1.0)))
+        object.__setattr__(self, "values", _frozen(np.clip(vals, 0.0, 1.0), vals.shape, "map"))
+
+    __reduce__ = _rebuilt
 
 
 def model_fingerprint(
@@ -165,15 +162,15 @@ def model_fingerprint(
     """
     digest = hashlib.sha256(b"lzs-map-v1")
     for part in (
-        model.left_offsets,
-        model.right_offsets,
+        np.array(model.left_offsets),
+        np.array(model.right_offsets),
         model.crossings,
         model.left_relax,
         model.right_relax,
         model.left_to_right,
         model.right_to_left,
     ):
-        digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        digest.update(part.tobytes())
     if model.leak is None:
         digest.update(b"\x00")
     else:

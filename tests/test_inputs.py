@@ -2,13 +2,15 @@
 
 A number is a finite real that is not a bool (numpy scalars count) and
 is stored as float; a count is an integer that is not a bool (numpy
-integers count) and is stored as int.  Anything else is a
-ValidationError, never a TypeError.  The test oracles of conftest
+integers count) and is stored as int.  Every entry of an array argument
+is a number by the same rule.  Anything else is a ValidationError,
+never a TypeError.  The test oracles of conftest
 (``from_channels`` and the closed forms) take their rates by the same
 rule.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +18,11 @@ import pytest
 from lzs_sim import (
     DriveParams,
     LeakConfig,
+    PopulationMap,
+    PopulationVector,
     QubitModel,
     RateKernelParams,
+    RateMatrix,
     RegimeReport,
     StateIndex,
     SweepGrid,
@@ -146,3 +151,71 @@ def test_a_float_is_not_a_count(name):
 def test_crossing_position_takes_level_counts(name, value):
     with pytest.raises(ValidationError):
         COUNTS[name][0](value)
+
+
+# name -> (call of one array giving the stored array, a valid array of
+# integers whose first 1 the rejected entries replace)
+ARRAYS = {
+    "QubitModel.crossings": (lambda a: QubitModel((0.0,), (0.0,), a).crossings, [[1]]),
+    "QubitModel.left_relax": (
+        lambda a: QubitModel((0.0, 1.0), (0.0,), [[0.0], [0.0]], left_relax=a).left_relax,
+        [[0, 0], [1, 0]],
+    ),
+    "QubitModel.right_relax": (
+        lambda a: QubitModel((0.0,), (0.0, 1.0), [[0.0, 0.0]], right_relax=a).right_relax,
+        [[0, 0], [1, 0]],
+    ),
+    "QubitModel.left_to_right": (
+        lambda a: QubitModel((0.0,), (0.0,), [[0.0]], left_to_right=a).left_to_right,
+        [[1]],
+    ),
+    "QubitModel.right_to_left": (
+        lambda a: QubitModel((0.0,), (0.0,), [[0.0]], right_to_left=a).right_to_left,
+        [[1]],
+    ),
+    "RateMatrix.matrix": (lambda a: RateMatrix(a, (L0, R0)).matrix, [[-1, 1], [1, -1]]),
+    "PopulationVector.probabilities": (
+        lambda a: PopulationVector(a, (L0, R0)).probabilities,
+        [0, 1],
+    ),
+    "PopulationMap.values": (
+        lambda a: PopulationMap(GRID, a, "x").values,
+        [[1, 0, 1], [0, 1, 0]],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda a: np.array(a, dtype=np.float32),
+        lambda a: np.array(a, dtype=np.int64),
+        lambda a: np.frompyfunc(Fraction, 1, 1)(a).tolist(),
+    ],
+    ids=["float32", "int64", "Fraction"],
+)
+@pytest.mark.parametrize("name", ARRAYS)
+def test_numeric_arrays_and_fraction_entries_are_numbers(name, convert):
+    call, valid = ARRAYS[name]
+    got = call(convert(valid))
+    assert got.dtype == np.float64
+    assert got.tolist() == np.array(valid, dtype=float).tolist()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, 0.1 + 1j, "1", object(), 10**400, "ragged"],
+    ids=["bool", "complex", "text", "object", "int_past_float", "ragged"],
+)
+@pytest.mark.parametrize("name", ARRAYS)
+def test_array_entries_follow_the_number_rule(name, value):
+    call, valid = ARRAYS[name]
+    flat = np.ravel(valid).tolist()
+    if value == "ragged":
+        bad = [flat, flat + [0]]
+    else:
+        bad = np.array(valid, dtype=object)
+        bad.flat[flat.index(1)] = value
+        bad = bad.tolist()
+    with pytest.raises(ValidationError):
+        call(bad)

@@ -145,11 +145,17 @@ class TestRateMatrix:
     @pytest.mark.parametrize(
         "matrix, states, message",
         [
-            ([[0.0]], (L0, R0), "does not match 2 states"),
+            ([[0.0]], (L0, R0), r"rate matrix must have shape \(2, 2\), got \(1, 1\)"),
             ([[0.1, 0.0], [-0.1, 0.0]], (L0, R0), "off-diagonal rates must be >= 0"),
             (np.zeros((0, 0)), (), "at least one state"),
+            ([[0.0]], ("x",), "distinct StateIndex"),
+            ([[0.0]], L0, "distinct StateIndex"),
+            (np.zeros((2, 2)), (L0, L0), "distinct StateIndex"),
         ],
-        ids=["shape_mismatch", "negative_off_diagonal", "no_states"],
+        ids=[
+            "shape_mismatch", "negative_off_diagonal", "no_states", "not_a_state_index",
+            "states_not_a_sequence", "duplicate_states",
+        ],
     )
     def test_rejects_invalid_matrix(self, matrix, states, message):
         with pytest.raises(ValidationError, match=message):
@@ -638,17 +644,23 @@ class TestPopulationVector:
             PopulationVector(probabilities=np.array([-0.1, 1.1]), states=(L0, R0))
 
     @pytest.mark.parametrize(
-        "probabilities, message",
+        "probabilities, states, message",
         [
-            ([1.0], "length does not match states"),
-            ([np.nan, 1.0], "probabilities must be finite"),
-            ([1.0 + 2e-9, -2e-9], r"probabilities must lie in \[0, 1\]"),
+            ([1.0], (L0, R0), r"probability vector must have shape \(2,\), got \(1,\)"),
+            ([np.nan, 1.0], (L0, R0), "probability vector entries must be finite"),
+            ([1.0 + 2e-9, -2e-9], (L0, R0), r"probabilities must lie in \[0, 1\]"),
+            ([1.0], ("x",), "distinct StateIndex"),
+            ([1.0], L0, "distinct StateIndex"),
+            ([0.5, 0.5], (L0, L0), "distinct StateIndex"),
         ],
-        ids=["wrong_length", "not_finite", "above_one"],
+        ids=[
+            "wrong_length", "not_finite", "above_one", "not_a_state_index",
+            "states_not_a_sequence", "duplicate_states",
+        ],
     )
-    def test_rejects_invalid_vector(self, probabilities, message):
+    def test_rejects_invalid_vector(self, probabilities, states, message):
         with pytest.raises(ValidationError, match=message):
-            PopulationVector(probabilities=np.array(probabilities), states=(L0, R0))
+            PopulationVector(probabilities=np.array(probabilities), states=states)
 
     def test_clamps_roundoff_negatives(self):
         p = PopulationVector(

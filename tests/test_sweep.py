@@ -79,8 +79,8 @@ class TestPopulationMap:
     @pytest.mark.parametrize(
         "values, message",
         [
-            (np.full((2, 3), 0.5), r"map shape \(2, 3\) does not match grid \(2, 2\)"),
-            ([[0.5, np.inf], [0.5, 0.5]], "map values must be finite"),
+            (np.full((2, 3), 0.5), r"map must have shape \(2, 2\), got \(2, 3\)"),
+            ([[0.5, np.inf], [0.5, 0.5]], "map entries must be finite"),
             ([[0.5, 1.0 + 2e-9], [0.5, 0.5]], r"must lie in \[0, 1\]"),
             ([[0.5, -2e-12], [0.5, 0.5]], r"must lie in \[0, 1\]"),
         ],
