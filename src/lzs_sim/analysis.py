@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _number
+from .errors import ValidationError, _count, _number
 from .model import DriveParams, QubitModel, crossing_position
 
 __all__ = [
@@ -30,11 +30,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiamondBoundary:
-    """Reachability boundary A = |eps - position| of one avoided crossing."""
+    """Reachability boundary A = |eps - position| of one avoided crossing.
+
+    The levels are counts (``errors._count``) and the position a number
+    (``errors._number``)."""
 
     left_level: int
     right_level: int
     position: float
+
+    def __post_init__(self):
+        for name in ("left_level", "right_level"):
+            level = _count(getattr(self, name), f"{name} must be a nonnegative integer", 0)
+            object.__setattr__(self, name, level)
+        position = _number(self.position, "position must be a finite number")
+        object.__setattr__(self, "position", position)
 
 
 class Regime(enum.Enum):
@@ -46,7 +56,8 @@ class Regime(enum.Enum):
 class RegimeReport:
     """Comparison of the resonance-peak span delta_a = omega with the
     smallest consecutive diamond spacing delta_d; the ratio and the regime
-    follow from the two."""
+    follow from the two.  spacing_pair, the two left levels of that
+    spacing, is two counts stored as a tuple of ints."""
 
     delta_a: float
     delta_d: float
@@ -56,6 +67,10 @@ class RegimeReport:
         for name in ("delta_a", "delta_d"):
             value = _number(getattr(self, name), f"{name} must be positive and finite", above=0)
             object.__setattr__(self, name, value)
+        pair, message = self.spacing_pair, "spacing_pair must be two nonnegative integers"
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValidationError(message)
+        object.__setattr__(self, "spacing_pair", tuple(_count(k, message, 0) for k in pair))
 
     @property
     def ratio(self) -> float:

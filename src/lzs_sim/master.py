@@ -106,6 +106,17 @@ def _well_population(q: np.ndarray) -> np.ndarray:
     return np.minimum(_chain(q), 1.0)
 
 
+def _simplex(values, shape, what: str, message: str) -> np.ndarray:
+    """values frozen by ``_frozen(values, shape, what)`` and clipped to
+    [0, 1], the clip frozen too.  An entry below -1e-12 or above
+    1 + 1e-9 raises ValidationError(message).  PopulationVector and
+    PopulationMap store their probabilities by this one rule."""
+    p = _frozen(values, shape, what)
+    if np.any(p < -_NEGATIVITY_TOL) or np.any(p > 1.0 + _EXCESS_TOL):
+        raise ValidationError(message)
+    return _frozen(np.clip(p, 0.0, 1.0), shape, what)
+
+
 @dataclass(frozen=True, eq=False)
 class PopulationVector:
     """Probabilities over the flat state list; entries sum to one.
@@ -124,12 +135,10 @@ class PopulationVector:
 
     def __post_init__(self):
         object.__setattr__(self, "states", _state_list(self.states))
-        p = _frozen(self.probabilities, (len(self.states),), "probability vector")
-        if np.any(p < -_NEGATIVITY_TOL) or np.any(p > 1.0 + _EXCESS_TOL):
-            raise ValidationError("probabilities must lie in [0, 1]")
         # The sum is checked on the clipped copy, the one stored, so a
         # stored vector passes this constructor again.
-        p = _frozen(np.clip(p, 0.0, 1.0), p.shape, "probability vector")
+        shape, message = (len(self.states),), "probabilities must lie in [0, 1]"
+        p = _simplex(self.probabilities, shape, "probability vector", message)
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities must sum to 1, got {total!r}")
@@ -156,16 +165,17 @@ class PopulationVector:
 def _generator_layout(model: QubitModel):
     """The drive-independent part of a model's generator, in pattern form.
 
-    Returns (rows, cols, static, pumps): the entries M[rows[e], cols[e]]
-    that are nonzero at some working point, in row-major order, with
-    static[e] the entry's relaxation, interwell decay and leak return.
-    pumps lists (delta, position, entries) for each pumped crossing in
-    ``coupled_pairs`` order; at detuning eps its rate, ``lzs_rate(delta,
-    eps - position)``, adds to each of its entries, one crossing after
-    another.  Without a leak a crossing pumps both ways.  With one, a
-    crossing whose partner level is at or above the threshold pumps its
-    below-threshold side into the leak (the last state), and one with
-    both partners above pumps nothing.
+    Returns (rows, cols, static, deltas, positions, pumped): the entries
+    M[rows[e], cols[e]] that are nonzero at some working point, in
+    row-major order, with static[e] the entry's relaxation, interwell
+    decay and leak return; then three columns with one item per pumped
+    crossing, in ``coupled_pairs`` order: its size, its position and the
+    list of entries it pumps.  At detuning eps crossing c's rate,
+    ``lzs_rate(deltas[c], eps - positions[c])``, adds to each entry of
+    pumped[c], one crossing after another.  Without a leak a crossing
+    pumps both ways.  With one, a crossing whose partner level is at or
+    above the threshold pumps its below-threshold side into the leak
+    (the last state), and one with both partners above pumps nothing.
     """
     nl = model.n_left
     n = len(model.states())
@@ -182,7 +192,7 @@ def _generator_layout(model: QubitModel):
         threshold = model.leak.threshold
         static[0, -1] = static[nl, -1] = 0.5 * model.leak.return_rate
     pattern = static != 0.0
-    crossings = []
+    deltas, positions, pumped_targets = [], [], []
     for i, j, delta in model.coupled_pairs():
         left_local = threshold is None or i < threshold
         right_local = threshold is None or j < threshold
@@ -194,11 +204,13 @@ def _generator_layout(model: QubitModel):
             continue  # both partners non-local: no localized channel
         for target in targets:
             pattern[target] = True
-        crossings.append((delta, crossing_position(model, i, j), targets))
+        deltas.append(delta)
+        positions.append(crossing_position(model, i, j))
+        pumped_targets.append(targets)
     rows, cols = np.nonzero(pattern)
     entry = np.cumsum(pattern).reshape(n, n) - 1  # entry[to, from]: its index in the pattern
-    pumps = [(delta, pos, [entry[t] for t in targets]) for delta, pos, targets in crossings]
-    return rows, cols, static[rows, cols], pumps
+    pumped = [[entry[t] for t in targets] for targets in pumped_targets]
+    return rows, cols, static[rows, cols], deltas, positions, pumped
 
 
 def build_rate_matrix(
@@ -214,12 +226,12 @@ def build_rate_matrix(
     the threshold pump the below-threshold side into the leak instead.
     """
     eps = _number(eps, "eps must be finite")
-    rows, cols, values, pumps = _generator_layout(model)
+    rows, cols, values, deltas, positions, pumped = _generator_layout(model)
     states = model.states()
     mat = np.zeros((len(states), len(states)))
     # An entry or outflow that overflows is inf, for RateMatrix to reject.
     with np.errstate(over="ignore"):
-        for delta, position, entries in pumps:
+        for delta, position, entries in zip(deltas, positions, pumped):
             values[entries] += lzs_rate(delta, eps - position, drive, kernel)
         mat[rows, cols] = values
         np.fill_diagonal(mat, -mat.sum(axis=0))

@@ -162,6 +162,8 @@ class QubitModel:
     leak: LeakConfig | None = None
 
     def __post_init__(self):
+        if self.leak is not None and not isinstance(self.leak, LeakConfig):
+            raise ValidationError(f"leak must be None or a LeakConfig, got {self.leak!r}")
         left = _ladder(self.left_offsets, "left_offsets")
         right = _ladder(self.right_offsets, "right_offsets")
         object.__setattr__(self, "left_offsets", left)

@@ -9,9 +9,11 @@ point) with its static values, the entries each pumped crossing adds to,
 and a ``rates.PhotonTable`` with the Lorentzian denominator of every
 crossing, detuning and photon of the largest amplitude's Bessel support.
 The photons depend on the amplitude alone, so the table does not grow
-with the detuning axis's distance from the crossings.  The pattern and
-the pumped entries are ``master._generator_layout``'s, the layout
-``build_rate_matrix`` reads.
+with the detuning axis's distance from the crossings.  The plan takes
+the pattern and three columns, one item per pumped crossing in pump
+order, from ``master._generator_layout``, the layout
+``build_rate_matrix`` reads: the crossings' sizes and positions go to
+the table as they come, and their pumped entries stay with the plan.
 
 Rows are solved in blocks of whole rows, up to about 2048 points.  The
 table gives every rate of the block, each summing its own amplitude's
@@ -72,11 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, ValidationError, _count, _number
-from .master import (
-    _EXCESS_TOL, _NEGATIVITY_TOL, _generator_layout, _well_population, build_rate_matrix,
-    solve_points,
-)
-from .model import DriveParams, QubitModel, _frozen, _rebuilt
+from .master import _generator_layout, _simplex, _well_population, build_rate_matrix, solve_points
+from .model import DriveParams, QubitModel, _rebuilt
 from .rates import PhotonTable, RateKernelParams
 
 __all__ = ["SweepGrid", "PopulationMap", "run_frequency_batch"]
@@ -144,10 +143,12 @@ class PopulationMap:
     fingerprint: str
 
     def __post_init__(self):
-        vals = _frozen(self.values, self.grid.shape, "map")
-        if np.any(vals < -_NEGATIVITY_TOL) or np.any(vals > 1.0 + _EXCESS_TOL):
-            raise ValidationError("map values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(np.clip(vals, 0.0, 1.0), vals.shape, "map"))
+        if not isinstance(self.grid, SweepGrid):
+            raise ValidationError(f"grid must be a SweepGrid, got {self.grid!r}")
+        if not isinstance(self.fingerprint, str):
+            raise ValidationError(f"fingerprint must be a str, got {self.fingerprint!r}")
+        vals = _simplex(self.values, self.grid.shape, "map", "map values must lie in [0, 1]")
+        object.__setattr__(self, "values", vals)
 
     __reduce__ = _rebuilt
 
@@ -196,12 +197,13 @@ _WORK_PER_PROCESS = 1_000_000
 
 class SweepPlan:
     """The amplitude-independent work of one map, for drive.frequency and
-    drive.dephasing at amplitudes up to drive.amplitude: the generator's
-    pattern (rows, cols) with its static values and each pumped
-    crossing's entries, as ``master._generator_layout`` gives them to
-    ``build_rate_matrix`` too, and the Lorentzian denominator table.  It
-    keeps the model, drive and kernel to build a failing point's
-    generator as ``probe`` does."""
+    drive.dephasing at amplitudes up to drive.amplitude, from the layout
+    ``master._generator_layout`` gives ``build_rate_matrix`` too: the
+    generator's pattern (rows, cols) with its static values, the pumped
+    column (each crossing's entries, in pump order), and the Lorentzian
+    denominator table of the deltas and positions columns.  It keeps the
+    model, drive and kernel to build a failing point's generator as
+    ``probe`` does."""
 
     def __init__(
         self,
@@ -210,15 +212,8 @@ class SweepPlan:
         kernel: RateKernelParams,
         eps_values: np.ndarray,
     ):
-        self.rows, self.cols, self.static, pumps = _generator_layout(model)
-        self.pumped = [entries for _, _, entries in pumps]
-        self.photons = PhotonTable(
-            [delta for delta, _, _ in pumps],
-            [position for _, position, _ in pumps],
-            eps_values,
-            drive,
-            kernel,
-        )
+        self.rows, self.cols, self.static, deltas, positions, self.pumped = _generator_layout(model)
+        self.photons = PhotonTable(deltas, positions, eps_values, drive, kernel)
         self.model, self.drive, self.kernel = model, drive, kernel
         self.n = len(model.states())
         self.eps_values = eps_values

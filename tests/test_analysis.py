@@ -93,14 +93,25 @@ class TestRegimeReport:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0.0, 2.0), "delta_a must be positive and finite"),
-            ((1.0, -2.0), "delta_d must be positive and finite"),
+            ((0.0, 2.0, (0, 1)), "delta_a must be positive and finite"),
+            ((1.0, -2.0, (0, 1)), "delta_d must be positive and finite"),
+            *(
+                ((1.0, 2.0, pair), "spacing_pair must be two nonnegative integers")
+                for pair in ("x", 5, None, (0,), (0, 1, 2))
+            ),
         ],
-        ids=["delta_a_zero", "delta_d_negative"],
+        ids=[
+            "delta_a_zero", "delta_d_negative",
+            "pair_text", "pair_int", "pair_none", "pair_of_one", "pair_of_three",
+        ],
     )
     def test_invariants(self, args, message):
         with pytest.raises(ValidationError, match=message):
-            RegimeReport(*args, spacing_pair=(0, 1))
+            RegimeReport(*args)
+
+    def test_spacing_pair_is_stored_as_a_tuple_of_ints(self):
+        pair = RegimeReport(1.0, 2.0, [np.int64(0), 1]).spacing_pair
+        assert pair == (0, 1) and type(pair) is tuple and type(pair[0]) is int
 
     @pytest.mark.parametrize(
         "delta_a, delta_d, ratio, regime",

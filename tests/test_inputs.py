@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from lzs_sim import (
+    DiamondBoundary,
     DriveParams,
     LeakConfig,
     PopulationMap,
@@ -68,6 +69,7 @@ NUMBERS = {
         lambda v: RegimeReport(1.0, v, (0, 1)).delta_d,
         True,
     ),
+    "DiamondBoundary.position": (lambda v: DiamondBoundary(0, 0, v).position, True),
     "QubitModel.left_offsets": (
         lambda v: QubitModel((v,), (0.0,), [[0.1]]).left_offsets[0],
         True,
@@ -101,6 +103,10 @@ COUNTS = {
     "RateKernelParams.n_margin": (lambda v: RateKernelParams(v).n_margin, True),
     "SweepGrid.n_eps": (lambda v: SweepGrid(0.0, 1.0, v, 0.0, 1.0, 2).n_eps, True),
     "SweepGrid.n_amp": (lambda v: SweepGrid(0.0, 1.0, 2, 0.0, 1.0, v).n_amp, True),
+    "DiamondBoundary.left_level": (lambda v: DiamondBoundary(v, 0, 0.0).left_level, True),
+    "DiamondBoundary.right_level": (lambda v: DiamondBoundary(0, v, 0.0).right_level, True),
+    "RegimeReport.spacing_pair.0": (lambda v: RegimeReport(1.0, 2.0, (v, 1)).spacing_pair[0], True),
+    "RegimeReport.spacing_pair.1": (lambda v: RegimeReport(1.0, 2.0, (0, v)).spacing_pair[1], True),
     "crossing_position.i": (lambda v: crossing_position(LADDER, v, 0), False),
     "crossing_position.j": (lambda v: crossing_position(LADDER, 0, v), False),
     "run_frequency_batch.workers": (

@@ -111,6 +111,9 @@ class TestQubitModel:
             LeakConfig(threshold=0, return_rate=0.0)
         with pytest.raises(ValidationError):
             LeakConfig(threshold=0, return_rate=-2.0)
+        for leak in ("x", 5):
+            with pytest.raises(ValidationError, match="leak must be None or a LeakConfig"):
+                QubitModel((0.0,), (0.0,), [[0.1]], leak=leak)
 
 
 class TestStateIndex:

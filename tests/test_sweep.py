@@ -77,18 +77,20 @@ class TestPopulationMap:
     GRID = SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2)
 
     @pytest.mark.parametrize(
-        "values, message",
+        "grid, values, fingerprint, message",
         [
-            (np.full((2, 3), 0.5), r"map must have shape \(2, 2\), got \(2, 3\)"),
-            ([[0.5, np.inf], [0.5, 0.5]], "map entries must be finite"),
-            ([[0.5, 1.0 + 2e-9], [0.5, 0.5]], r"must lie in \[0, 1\]"),
-            ([[0.5, -2e-12], [0.5, 0.5]], r"must lie in \[0, 1\]"),
+            (GRID, np.full((2, 3), 0.5), "x", r"map must have shape \(2, 2\), got \(2, 3\)"),
+            (GRID, [[0.5, np.inf], [0.5, 0.5]], "x", "map entries must be finite"),
+            (GRID, [[0.5, 1.0 + 2e-9], [0.5, 0.5]], "x", r"must lie in \[0, 1\]"),
+            (GRID, [[0.5, -2e-12], [0.5, 0.5]], "x", r"must lie in \[0, 1\]"),
+            ("x", [[0.5]], "f", "grid must be a SweepGrid"),
+            (GRID, [[0.5, 0.5], [0.5, 0.5]], 7, "fingerprint must be a str"),
         ],
-        ids=["wrong_shape", "not_finite", "above_one", "below_zero"],
+        ids=["wrong_shape", "not_finite", "above_one", "below_zero", "grid", "fingerprint"],
     )
-    def test_rejects(self, values, message):
+    def test_rejects(self, grid, values, fingerprint, message):
         with pytest.raises(ValidationError, match=message):
-            PopulationMap(self.GRID, np.array(values), "x")
+            PopulationMap(grid, np.array(values), fingerprint)
 
     def test_clips_within_the_simplex_tolerances(self):
         pmap = PopulationMap(self.GRID, np.array([[1.0 + 1e-9, -1e-12], [0.5, 0.5]]), "x")
