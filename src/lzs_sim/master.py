@@ -108,13 +108,18 @@ def _well_population(q: np.ndarray) -> np.ndarray:
 
 def _simplex(values, shape, what: str, message: str) -> np.ndarray:
     """values frozen by ``_frozen(values, shape, what)`` and clipped to
-    [0, 1], the clip frozen too.  An entry below -1e-12 or above
-    1 + 1e-9 raises ValidationError(message).  PopulationVector and
-    PopulationMap store their probabilities by this one rule."""
+    [0, 1].  An entry below -1e-12 or above 1 + 1e-9 raises
+    ValidationError(message).  The clip is frozen as a second copy only
+    when some entry lies outside [0, 1]: ``np.clip`` keeps every entry
+    inside, -0.0 included, so a map in range is stored once.
+    PopulationVector and PopulationMap store their probabilities by this
+    one rule."""
     p = _frozen(values, shape, what)
     if np.any(p < -_NEGATIVITY_TOL) or np.any(p > 1.0 + _EXCESS_TOL):
         raise ValidationError(message)
-    return _frozen(np.clip(p, 0.0, 1.0), shape, what)
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        p = _frozen(np.clip(p, 0.0, 1.0), shape, what)
+    return p
 
 
 @dataclass(frozen=True, eq=False)

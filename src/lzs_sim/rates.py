@@ -123,11 +123,11 @@ def _jn_series(n: int, x: float) -> float:
     return total
 
 
-def _miller(lo: int, hi: int, x: float):
+def _miller(lo: int, hi: int, x: float, pad: int):
     """Miller's downward recurrence for J_lo(x) .. J_hi(x) up to a common
-    factor, seeded a pad above hi, and the normalization sum
+    factor, seeded pad above hi, and the normalization sum
     f_0 + 2 * sum_{k even > 0} f_k, complete when lo == 0."""
-    start = hi + _START_PAD + int(15.0 * x ** (1.0 / 3.0))
+    start = hi + pad
     out = np.empty(hi - lo + 1)
     fp = 0.0  # f_{k+1}
     fc = 1.0  # f_k
@@ -167,10 +167,10 @@ def _jn_array(nmax: int, x: float) -> np.ndarray:
         return np.array([_jn_series(n, x) for n in range(nmax + 1)])
 
     pad = _START_PAD + int(15.0 * x ** (1.0 / 3.0))
-    f, norm = _miller(0, int(x) + pad, x)
+    f, norm = _miller(0, int(x) + pad, x, pad)
     out = f / norm
     while out.size <= nmax and out[-1] != 0.0:
-        f, _ = _miller(out.size - 1, out.size - 1 + pad, x)
+        f, _ = _miller(out.size - 1, out.size - 1 + pad, x, pad)
         out = np.concatenate([out, f[1:] * (out[-1] / f[0])])
     # Past an underflow every chunk would be scaled by 0.0.
     return np.concatenate([out, np.zeros(max(0, nmax + 1 - out.size))])[: nmax + 1]

@@ -67,7 +67,6 @@ import hashlib
 import math
 import mmap
 import os
-import struct
 import sys
 from dataclasses import dataclass
 
@@ -156,34 +155,26 @@ class PopulationMap:
 def model_fingerprint(
     model: QubitModel, drive: DriveParams, kernel: RateKernelParams
 ) -> str:
-    """Hex digest of the physical configuration behind a map.
+    """Hex digest of the physical configuration behind a map: sha256 of
+    the tag ``lzs-map-v2`` and the ASCII ``repr`` of one tuple, holding
+    the two level ladders, the five model arrays as lists, the leak
+    (None, or its threshold clamped to max(n_left, n_right) and its
+    return rate), the drive's frequency and dephasing and the kernel's
+    n_margin.  A float's ``repr`` is exact, so the digest does not depend
+    on byte order.  Every threshold at or past the ladders pumps alike,
+    so all of them share one digest.
 
     Amplitude is excluded: it is the sweep's row variable, not part of
     the fixed configuration.
     """
-    digest = hashlib.sha256(b"lzs-map-v1")
-    for part in (
-        np.array(model.left_offsets),
-        np.array(model.right_offsets),
-        model.crossings,
-        model.left_relax,
-        model.right_relax,
-        model.left_to_right,
-        model.right_to_left,
-    ):
-        digest.update(part.tobytes())
-    if model.leak is None:
-        digest.update(b"\x00")
-    else:
-        # Every threshold past the ladders pumps alike, so one that "q"
-        # cannot hold is packed as the largest it can.
-        threshold = min(model.leak.threshold, 2**63 - 1)
-        digest.update(struct.pack("<qd", threshold, model.leak.return_rate))
-    # -1.0 fills the removed Lorentzian cutoff's slot: manifests keep their bytes.
-    digest.update(
-        struct.pack("<ddqd", drive.frequency, drive.dephasing, kernel.n_margin, -1.0)
-    )
-    return digest.hexdigest()
+    leak = model.leak
+    if leak is not None:
+        leak = (min(leak.threshold, max(model.n_left, model.n_right)), leak.return_rate)
+    arrays = (model.crossings, model.left_relax, model.right_relax)
+    arrays += (model.left_to_right, model.right_to_left)
+    inputs = (model.left_offsets, model.right_offsets, *(a.tolist() for a in arrays), leak)
+    inputs += (drive.frequency, drive.dephasing, kernel.n_margin)
+    return hashlib.sha256(b"lzs-map-v2" + repr(inputs).encode("ascii")).hexdigest()
 
 
 # Rows are solved in blocks of about this many points: enough to spread

@@ -14,8 +14,11 @@ import pickle
 import numpy as np
 import pytest
 
+import lzs_sim.master as master_mod
 from lzs_sim import (
     DriveParams,
+    PopulationMap,
+    PopulationVector,
     QubitModel,
     SweepGrid,
     build_rate_matrix,
@@ -23,6 +26,8 @@ from lzs_sim import (
     stationary_solve,
 )
 from lzs_sim.cli import parse_config
+
+from conftest import L0, L1, R0, R1
 
 MODEL = QubitModel(
     left_offsets=(0.0, 1.0),
@@ -82,6 +87,31 @@ def test_arrays_are_read_only_and_fields_fixed(name, mode):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(owner, field, np.zeros_like(array))
     assert np.array_equal(getattr(owner, field), before)
+
+
+# name -> (a call storing four probabilities, the field holding them)
+SIMPLEX = {
+    "PopulationVector": (lambda p: PopulationVector(np.array(p), (L0, L1, R0, R1)), "probabilities"),
+    "PopulationMap": (
+        lambda p: PopulationMap(SweepGrid(0.0, 1.0, 2, 0.0, 1.0, 2), np.reshape(p, (2, 2)), "x"),
+        "values",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SIMPLEX)
+def test_probabilities_in_range_are_stored_bit_for_bit_and_frozen_once(name, monkeypatch):
+    # np.clip keeps -0.0, so only entries outside [0, 1] call for a
+    # second, clipped copy.
+    make, field = SIMPLEX[name]
+    frozen, calls = master_mod._frozen, []
+    monkeypatch.setattr(master_mod, "_frozen", lambda *args: calls.append(args) or frozen(*args))
+    inside = [-0.0, 0.0, 1.0, 0.0]
+    assert getattr(make(inside), field).tobytes() == np.array(inside).tobytes()
+    assert len(calls) == 1
+    clipped = getattr(make([1.0 + 1e-9, -1e-12, 0.0, 0.0]), field)
+    assert clipped.tobytes() == np.array([1.0, 0.0, 0.0, 0.0]).tobytes()
+    assert len(calls) == 3
 
 
 CONFIG = """

@@ -1,5 +1,6 @@
 """Grid sweeps: determinism, closed-form rows, and parallel equality."""
 
+import dataclasses
 import os
 import re
 import sys
@@ -40,6 +41,41 @@ ZERO_COUPLING = QubitModel(
     crossings=np.zeros((1, 1)),
 )
 DRIVE = DriveParams(amplitude=0.0, frequency=1.0, dephasing=0.1)
+# Ladders of 2 and 3 levels, every array nonzero and a leak from level 1 up.
+LEAKY = QubitModel(
+    left_offsets=(0.0, 1.0),
+    right_offsets=(0.0, 1.5, 3.0),
+    crossings=np.array([[0.05, 0.1, 0.0], [0.1, 0.05, 0.1]]),
+    left_relax=np.array([[0.0, 0.0], [1.0, 0.0]]),
+    right_relax=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    left_to_right=np.array([[0.01, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    right_to_left=np.array([[0.02, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    leak=LeakConfig(threshold=1, return_rate=1.0),
+)
+
+
+def leaky_fingerprint(drive=DRIVE, kernel=RateKernelParams(), **model_changes):
+    """model_fingerprint of LEAKY with model_changes, under drive and kernel."""
+    model = dataclasses.replace(LEAKY, **model_changes)
+    return sweep_mod.model_fingerprint(model, drive, kernel)
+
+
+# input -> the fingerprint with that one input of LEAKY, DRIVE and the
+# default kernel changed
+ONE_INPUT_CHANGED = {
+    "left_offsets": lambda: leaky_fingerprint(left_offsets=(0.0, 1.25)),
+    "right_offsets": lambda: leaky_fingerprint(right_offsets=(0.0, 1.5, 3.5)),
+    **{
+        name: lambda name=name: leaky_fingerprint(**{name: 2.0 * getattr(LEAKY, name)})
+        for name in ("crossings", "left_relax", "right_relax", "left_to_right", "right_to_left")
+    },
+    "leak_absent": lambda: leaky_fingerprint(leak=None),
+    "leak_threshold": lambda: leaky_fingerprint(leak=LeakConfig(threshold=2, return_rate=1.0)),
+    "leak_return_rate": lambda: leaky_fingerprint(leak=LeakConfig(threshold=1, return_rate=2.0)),
+    "frequency": lambda: leaky_fingerprint(drive=DriveParams(0.0, 2.0, 0.1)),
+    "dephasing": lambda: leaky_fingerprint(drive=DriveParams(0.0, 1.0, 0.2)),
+    "n_margin": lambda: leaky_fingerprint(kernel=RateKernelParams(n_margin=21)),
+}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FIRST_DIAMOND_CFG = (CONFIGS / "first_diamond.cfg").read_text()
 TEN_LEVEL_CFG = (CONFIGS / "ten_level.cfg").read_text()
@@ -288,22 +324,38 @@ class TestRunSweep:
         other_drive = DriveParams(amplitude=0.0, frequency=2.0, dephasing=0.1)
         c = run_frequency_batch(TWO_STATE, [other_drive], SweepGrid(-1.0, 1.0, 3, 0.0, 1.0, 2))[0]
         assert a.fingerprint != c.fingerprint
+        louder = DriveParams(amplitude=5.0, frequency=1.0, dephasing=0.1)
+        assert leaky_fingerprint(drive=louder) == leaky_fingerprint()
+
+    @pytest.mark.parametrize("changed", ONE_INPUT_CHANGED.values(), ids=ONE_INPUT_CHANGED.keys())
+    def test_fingerprint_covers_every_input(self, changed):
+        assert changed() != leaky_fingerprint()
+
+    def test_leak_thresholds_past_the_ladders_share_one_fingerprint(self):
+        # Levels at or above the threshold pump: from max(n_left, n_right)
+        # = 3 on, none does.
+        past = {
+            leaky_fingerprint(leak=LeakConfig(threshold=t, return_rate=1.0))
+            for t in (3, 4, 2**63, 2**70)
+        }
+        assert len(past) == 1
+        assert past != {leaky_fingerprint(leak=LeakConfig(threshold=2, return_rate=1.0))}
 
     def test_shipped_fingerprints_are_pinned(self):
         # Every manifest records these digests, so a change to what
         # model_fingerprint packs changes the bytes of every manifest.
         pinned = {
-            "first_diamond": ["7ec5b9017b0f743344b8a4b3d3186dc20e50db86755e80881505e4195580ef89"],
+            "first_diamond": ["a5f0ada0b03339fb7c1a5171ba9291fe7fb99a5b79c50a101418e18c60063049"],
             "frequency_batch": [
-                "9a5d19863daea385ce30f92f13e80d6e728fd6a1fa8d841e5478ea10063a2383",
-                "7eb1d26dd394bb0bb5f34255735532084e1b7a45f83c523dabf945c5b18c18cf",
-                "7e8989fafcc52f5dab3fa44aada9f91a2f3ba087742d83cf05bdade3bf796840",
-                "a053ded4b14f2ff973a225eb3bd547adbc886ee4c70d1690f3a1aa44c405b8ee",
-                "cb1428c517c10a47a0d998f842b6028363f36c47ba53d3efff77331d329295ba",
-                "a5206a8ce903e238434dfa3969c5db923a3b1016f4a850c4045220b17ef3333c",
+                "70fc0ae272878589b8310a510ab0fe36a55f9df0445d3359e43c416b7d81b8a0",
+                "840ae477d0e6b2ecb94fe5f9d3e305b959e7c4d823330754e3187db5697ef95c",
+                "7163befb85b81d13911070a0d866008ca68d3a96a90c714243d5123d16fc5a85",
+                "3f380db4952bb36d97a6054a3902fcddd0390334482bf5a4063b163bf6288c69",
+                "0e153abf397ab11f06c411c5bd4a10cf7485d02c3cad7b41c94b4038074c6143",
+                "d876c42ceddc93397e44feb912d284a51cb83824f921064c3cc0252c721f1885",
             ],
-            "second_diamond": ["83eb5806201f8c1d5ec7a62a847dc63a11c042d1ce7a2147f1c9e9e8cd5904e9"],
-            "ten_level": ["1097c65e1562b91d98d6d929a875b0c2dc9e1360f10036b72ae9e36bd99c884f"],
+            "second_diamond": ["5f1f81a7fe885f26d339241bf8c0ce70d14bbee3716d528dcb6c3e9bc168c902"],
+            "ten_level": ["9a4aed5d0c14660c95ce582749c1aaf96fac95133b12a5d55ba25c04c5cf56b5"],
         }
         configs = sorted(CONFIGS.glob("*.cfg"))
         assert [path.stem for path in configs] == sorted(pinned)
