@@ -60,9 +60,11 @@ detuning from a crossing that overflows) comes out as inf or nan,
 without a warning, for the caller to reject.
 
 The Bessel kernel is self-contained: an ascending power series for
-x < 2 and Miller's normalized downward recurrence otherwise, run in
-fixed chunks of orders so that J_n(x) does not depend on how many
-orders are asked for.
+x < 2, whose first term is a product of IEEE-754 operations, and
+Miller's normalized downward recurrence otherwise, run in fixed chunks
+of orders so that J_n(x) does not depend on how many orders are asked
+for.  The only libm call left on the map path is the recurrence's pad,
+int(15 * x ** (1/3)), which feeds only an integer.
 
 Every scalar argument is a number (``errors._number``) or a count
 (``errors._count``).
@@ -106,23 +108,6 @@ class RateKernelParams:
         object.__setattr__(self, "n_margin", n_margin)
 
 
-def _jn_series(n: int, x: float) -> float:
-    # Ascending series sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!), n >= 0, x > 0.
-    # First term via lgamma so huge n underflows cleanly to 0.
-    log_t0 = n * math.log(x / 2.0) - math.lgamma(n + 1)
-    if log_t0 < -745.0:  # below smallest subnormal
-        return 0.0
-    term = math.exp(log_t0)
-    total = term
-    q = 0.25 * x * x
-    for k in range(1, 200):
-        term *= -q / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-20 * abs(total):
-            break
-    return total
-
-
 def _miller(lo: int, hi: int, x: float, pad: int):
     """Miller's downward recurrence for J_lo(x) .. J_hi(x) up to a common
     factor, seeded pad above hi, and the normalization sum
@@ -155,16 +140,32 @@ def _jn_array(nmax: int, x: float) -> np.ndarray:
 
     Each J_n(x) has the same bits whatever nmax, so a photon sum at any
     n_margin weighs each of its terms exactly as bessel_jn gives it.
+    Below x = 2 each order sums the ascending series
+    sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) from its first term
+    (x/2)^n / n!, which is order n - 1's times (x/2)/n: the product
+    ((x/2)/1) * ((x/2)/2) * ... * ((x/2)/n) of IEEE-754 operations.
+    Once it underflows to 0 every higher order is 0 too, so at x = 0,
+    or an x whose half underflows, the orders are exactly 1, 0, 0, ...
     Above x = 2 the orders come in fixed chunks: 0 .. x + pad from one
     normalized recurrence, then pad more orders at a time, each chunk
-    from its own recurrence scaled to meet the chunk below.
+    from its own recurrence scaled to meet the chunk below.  The pad,
+    x ** (1/3) in it, is the one libm call on the map path, and it feeds
+    only an integer.
     """
-    if 0.5 * x == 0.0:  # includes subnormals whose half underflows
-        out = np.zeros(nmax + 1)
-        out[0] = 1.0
-        return out
     if x < 2.0:
-        return np.array([_jn_series(n, x) for n in range(nmax + 1)])
+        out, first, q = np.zeros(nmax + 1), 1.0, 0.25 * x * x
+        for n in range(nmax + 1):
+            term = total = first
+            for k in range(1, 200):
+                term *= -q / (k * (n + k))
+                total += term
+                if abs(term) <= 1e-20 * abs(total):
+                    break
+            out[n] = total
+            first *= 0.5 * x / (n + 1)
+            if first == 0.0:
+                break
+        return out
 
     pad = _START_PAD + int(15.0 * x ** (1.0 / 3.0))
     f, norm = _miller(0, int(x) + pad, x, pad)

@@ -37,6 +37,7 @@ from lzs_sim.cli import (
     read_pgm,
     run,
 )
+from lzs_sim.sweep import SweepPlan
 
 from conftest import stationary_three_state
 
@@ -848,41 +849,94 @@ class TestRunCommand:
         assert (out / "map_00.csv" / "notes.txt").read_text() == "not ours"
 
 
+SAMPLES = Path(__file__).resolve().parent / "map_samples.txt"
+
+
+def ordered_bits(values) -> np.ndarray:
+    """Each float's rank among all floats, so that the difference of two
+    ranks is their distance in ulps."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return np.where(bits < 0, np.int64(-(2**63)) - bits, bits)
+
+
+def sample_drift() -> tuple[float, str]:
+    """Recompute every point of map_samples.txt, the shipped maps' values
+    as tools/map_samples.py wrote them, at the full grid's own axis
+    values, and say how far they moved: the largest |dP_L|, and a line
+    that also gives the largest ulp distance and the points moved."""
+    wanted = {}
+    for line in SAMPLES.read_text().splitlines():
+        if not line.startswith("#"):
+            stem, m, row, col, value = line.split()
+            wanted.setdefault((stem, int(m)), []).append((int(row), int(col), float.fromhex(value)))
+    old, new = [], []
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        config = parse_config(path.read_text())
+        grid = config.grid
+        for m, drive in enumerate(config.drives):
+            points = wanted.pop((path.stem, m))
+            rows = sorted({row for row, _, _ in points})
+            top = DriveParams(grid.amp_max, drive.frequency, drive.dephasing)
+            plan = SweepPlan(config.model, top, config.kernel, grid.eps_values)
+            amps = grid.amp_values.tolist()
+            block = np.clip(plan.block([amps[k] for k in rows]), 0.0, 1.0)
+            old += [value for _, _, value in points]
+            new += [block[rows.index(row), col] for row, col, _ in points]
+    assert not wanted, f"samples of maps that no shipped config makes: {sorted(wanted)}"
+    dp = np.abs(np.subtract(new, old))
+    ulps = np.abs(ordered_bits(new) - ordered_bits(old))
+    return float(dp.max()), (
+        f"samples: largest |dP_L| {dp.max():.3g}, largest ulp distance {ulps.max()}, "
+        f"{np.count_nonzero(ulps)} of {ulps.size} moved"
+    )
+
+
 class TestShippedOutputs:
+    def test_shipped_map_samples_hold(self):
+        # map_samples.txt holds sampled values of every shipped map as they
+        # were when it was written; a change to map bytes on purpose leaves
+        # it as it is, so this test reports every later move.  A wrong map
+        # (a dropped crossing, a mis-summed photon) moves values far more
+        # than the 1e-12 allowed; roundoff moves them by about 1e-16.
+        largest, report = sample_drift()
+        print(report)
+        assert largest <= 1e-12, report
+
     def test_shipped_map_digests_are_pinned(self, tmp_path):
         # Every map file of every shipped config, at its full grid on one
         # worker, as the manifest records it.  One value moved by one ulp
         # changes a CSV's digest.  The bits rest on numpy's IEEE
-        # arithmetic and np.linspace, and on libm's exp and log in
-        # rates._jn_series.  A change to map bytes on purpose updates this
-        # table and says why in CHANGES.md.  A failure names the platform,
-        # the record a mismatch needs.
+        # arithmetic and np.linspace, and on libm's pow in the pad of
+        # rates._jn_array's recurrence, which feeds only an integer.  A
+        # change to map bytes on purpose updates this table and says why
+        # in CHANGES.md.  A failure names the platform, the record a
+        # mismatch needs, and how far the sampled values moved.
         where = f"Python {sys.version}, numpy {np.__version__}, {platform.machine()}"
         pinned = {
             "first_diamond": {
-                "map_00.csv": "f54d1db3f963c97fc85c1e0ecf6233edb7115cab88a9b3ffd697eaed58ee27bc",
+                "map_00.csv": "7501694fb10bec5f25c1a62dcb4e0dd82314d87831a569955de9b59c79494a56",
                 "map_00.pgm": "1d696815600807c7f22c1616036b9dcb09ce32ad654a28bd86645f4d82fb7d66",
             },
             "frequency_batch": {
-                "map_00.csv": "b3d0e79dd448257fb2ccd81b5495dfab8d1c6e229f9c983bd34fa1709de4b7b9",
+                "map_00.csv": "9e10a2ffdca3002602737de75a561dc78777f3cea29458161fac70616c420c48",
                 "map_00.pgm": "ac6868ae11edcc1ceea4356b08e10aecd3e0e8fe9233f3c0f144be47f351c0e0",
-                "map_01.csv": "e474577e7318fb2ac887f30e0656851dff223761b5aff7c1665c63357c511cfe",
+                "map_01.csv": "69264ff934f7c3b4824d18ffc0000884a2eb766183360d62581029cc4c1f91a6",
                 "map_01.pgm": "222f9148107398bafa9636dc3365b77e9876ecd9fcc0e721c5d975c425649666",
-                "map_02.csv": "8c77dc801075ead7fadc550d0ac7803b7e18dce5c906a322c657eddc411248c2",
+                "map_02.csv": "f9e6a5d1695db4891f178a39f289ab5eba56cc42a7b3ef4bffddf0f29da8ae0d",
                 "map_02.pgm": "dfa95c7b29636374ba6b33d8eac1638f96f8aa2fdeca3d3908abce37f9a02445",
-                "map_03.csv": "4b7f2c4b3d563138f75cf85550fad665fe4dbbf4e85d3eec6169cc0a32fbb23c",
+                "map_03.csv": "0bffa1f405e35f0b103f2aa3850456c0667bc43c483916fe0cc65e2db985dea8",
                 "map_03.pgm": "7b90e5349f3dc91a870ef0d0144dd6045b4a120281d025f84c7f18744ac9a60b",
-                "map_04.csv": "f99fef42d173e68856db2366384177124782d90297a71bac291835dd0d193def",
+                "map_04.csv": "f0749d84a5ecb3bb3ee82acfdf293f5e86a1f289138307f647fe9626cf6fb129",
                 "map_04.pgm": "7ea60f2665d458d088774ec1242e1ad7b1c4ddc2e1e456cfbb774d84bf774d95",
-                "map_05.csv": "372e88d97511cefee5d31c146c4a1dc4a5b6102a65f2e7f68bfd87605b41332f",
+                "map_05.csv": "c3652397d5b384b4dfbabdc355231433e6e92366b9261dc45e86af195fc74119",
                 "map_05.pgm": "c2a1eca49921063ea17f2b1bd6b8be08bccd2502dfe4619296260cfc9a690364",
             },
             "second_diamond": {
-                "map_00.csv": "cefa6c8005c342dd06233e5d3820f2b067ea298ec9dacce9291b1dc6ec895df6",
+                "map_00.csv": "c00430afeb25fa98a981e9b1865d9f926418f48dc902d9f21c44a0f98717c71e",
                 "map_00.pgm": "b879fe55a78d36e6f11123f2bc372c86245030c397fc323ce19d2a8ae3c06218",
             },
             "ten_level": {
-                "map_00.csv": "63d8231084e2d64b100d09cd64c217e785a6a01a6c1bcfd7ebaec54c19486355",
+                "map_00.csv": "be0bab91a95918e662a8835b3ebec437acb96ceee025028587f2f7a1ad787955",
                 "map_00.pgm": "58fd3c266f5206731024276a6a113b8343ea1c48a20c7345e0e94742d65e9d6d",
             },
         }
@@ -897,7 +951,7 @@ class TestShippedOutputs:
                 for entry in manifest["maps"]
                 for record in entry["files"].values()
             }
-            assert got == pinned[path.stem], f"{path.stem} on {where}"
+            assert got == pinned[path.stem], f"{path.stem} on {where}; {sample_drift()[1]}"
             for name, digest in got.items():
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 

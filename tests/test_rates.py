@@ -96,9 +96,28 @@ def series_jn(n: int, x: float, terms: int = 400) -> float:
 
 class TestBesselJn:
     def test_at_zero_argument(self):
-        assert bessel_jn(0, 0.0) == 1.0
-        for n in (1, 2, 17, -3):
-            assert bessel_jn(n, 0.0) == 0.0
+        # 5e-324, the smallest subnormal, has a half that underflows to 0,
+        # so its series is x = 0's.
+        for x in (0.0, 5e-324, -5e-324):
+            assert bessel_jn(0, x) == 1.0
+            for n in (1, 2, 17, -3):
+                assert bessel_jn(n, x) == 0.0
+        assert _jn_array(5, 5e-324).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_series_within_4e_15_relative(self):
+        # The ascending series below x = 2, against 40-digit mpmath, at
+        # every order up to 60 whose J_n is not deep in the subnormals.
+        rng = np.random.default_rng(20260424)
+        xs = np.exp(rng.uniform(math.log(0.001), math.log(2.0), 100)).tolist() + [1.999]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x in xs:
+                got = _jn_array(60, x)
+                for n in range(61):
+                    ref = mpmath.besselj(n, mpmath.mpf(x))
+                    if abs(ref) > 1e-290:
+                        worst = max(worst, float(abs((got[n] - ref) / ref)))
+        assert worst <= 4e-15
 
     @pytest.mark.parametrize("n,x,ref", MPMATH_REFERENCE)
     def test_frozen_reference_values(self, n, x, ref):

@@ -88,6 +88,28 @@ class TestSweepGrid:
         assert list(g.amp_values) == [0.0, 1.0, 2.0]
         assert g.shape == (3, 5)
 
+    def test_axes_follow_numpys_linspace_formula(self):
+        # The map bits rest on the axes' bits, which are np.linspace's
+        # choice.  For a step that is a normal float, numpy 2.4.6 gives
+        # lo + k * ((hi - lo) / (n - 1)), then sets the last point to hi.
+        # A numpy that computes them otherwise fails here, naming the
+        # cause, before the shipped map digests fail.
+        grids = [cli.parse_config(path.read_text()).grid for path in sorted(CONFIGS.glob("*.cfg"))]
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            eps_lo, amp_lo = rng.uniform((-50.0, 0.0), (50.0, 20.0)).tolist()
+            eps_span, amp_span = np.exp(rng.uniform(np.log(0.01), np.log(100.0), 2)).tolist()
+            n_eps, n_amp = rng.integers(2, 1000, 2).tolist()
+            grids.append(SweepGrid(eps_lo, eps_lo + eps_span, n_eps, amp_lo, amp_lo + amp_span, n_amp))
+        for grid in grids:
+            for axis in ("eps", "amp"):
+                lo, hi = getattr(grid, f"{axis}_min"), getattr(grid, f"{axis}_max")
+                n = getattr(grid, f"n_{axis}")
+                want = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+                want[-1] = hi
+                got = getattr(grid, f"{axis}_values")
+                assert got.tobytes() == want.tobytes(), f"{axis} of {grid}, numpy {np.__version__}"
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             SweepGrid(0.0, 1.0, 1, 0.0, 1.0, 3)
