@@ -12,7 +12,11 @@ Stationary states come from Grassmann-Taksar-Heyman state reduction
 (Oper. Res. 33, 1107, 1985) on the generator's off-diagonal pattern
 (``GTHPlan``): subtraction-free, so each probability is accurate to a
 few roundoffs relative to itself (O'Cinneide, Numer. Math. 65, 109,
-1993), vectorised over any number of points that share the pattern.
+1993) once the arithmetic stays in the normal floating-point range,
+vectorised over any number of points that share the pattern.  One
+reduction solves each point, its rates first lifted by the power of
+two, exact, that brings the largest to 2**300 where it lies below, so
+the products of tiny rates keep 2**1322 of normal range below it.
 With several closed classes of states the same reduction gives the
 probabilities of absorption into each from the right-well ground state
 0R, and the stationary state is the one reached from 0R.
@@ -52,6 +56,16 @@ _EXCESS_TOL = 1e-9
 # Back-substitution rescales a point's unnormalized vector before an
 # entry would pass this.
 _RESCALE_ABOVE = 2.0**600
+
+
+def _shift_to_2_300(values: np.ndarray) -> np.ndarray:
+    """Per point (column) of values, the power of two that brings its
+    largest rate into [2**299, 2**300): 300 minus ``np.frexp``'s exponent
+    of that rate.  The solve lifts a point by it, where it is positive,
+    and the acceptance check lowers one by it, where it is negative.
+    At 2**300 back-substitution's inflow, below n**2 * 2**600 * 2**300,
+    stays finite up to n = 2**62 states."""
+    return 300 - np.frexp(np.max(values, axis=0, initial=0.0))[1]
 
 
 def _state_list(states) -> tuple[StateIndex, ...]:
@@ -305,9 +319,11 @@ class GTHPlan:
     each elimination creates gets a slot of its own.  Each class's vector
     is normalized on its own and weighted by its absorption probability;
     transient states come out as exactly 0.  The reduction never
-    subtracts.  A point where some state's outflow to the states left is
-    exactly 0 (a zero rate cuts its own graph apart) is rejected; solve
-    such a point on the plan of its own nonzero entries (``solve_points``).
+    subtracts, and runs once per point on its rates lifted by a power of
+    two (``solve``).  A point where some state's outflow to the states
+    left is exactly 0 (a zero rate cuts its own graph apart) is rejected;
+    solve such a point on the plan of its own nonzero entries
+    (``solve_points``).
     Elimination divides only a state's outgoing rates by its outflow, so
     every quotient lies in [0, 1] and none overflows, however small the
     outflow; back-substitution divides each state's inflow by its stored
@@ -381,18 +397,18 @@ class GTHPlan:
         whether each point passes the acceptance check (``accepts``) and
         had no zero outflow.  Points not ok are left to the caller.
 
-        A fill that multiplies two tiny rates can underflow, so that an
-        outflow that should be positive reads 0.  Scaling every rate by
-        a power of two does not change the populations, so only a point
-        with a zero outflow is reduced once more, with its rates 2**600
-        times larger; every other point keeps its bits."""
+        One reduction solves every point, with each point's rates first
+        lifted by the power of two that brings the largest into
+        [2**299, 2**300), where it lies below.  Every sum, product and
+        quotient of the reduction scales exactly with a power of two, so
+        the populations keep their bits wherever no step leaves the
+        normal range, and the lift leaves 2**1322 of that range below
+        the largest rate for the products of tiny rates that fill forms:
+        a generator whose rates are all subnormal is solved as well as
+        the same one at normal rates.  A point whose largest rate lies
+        above 2**300 is reduced at its own scale, so a fill of two tiny
+        rates there can still underflow to a zero outflow."""
         q, blocked = self._reduce(values)
-        if blocked.any():
-            again = blocked.copy()
-            # A rate above 2**424 scales to inf: that point fails the check.
-            with np.errstate(over="ignore"):
-                scaled = values[:, again] * _RESCALE_ABOVE
-            q[:, again], blocked[again] = self._reduce(scaled)
         return q, ~blocked & self.accepts(values, q)
 
     def _reduce(self, values: np.ndarray):
@@ -400,9 +416,9 @@ class GTHPlan:
         and blocked (points,), whether some outflow was 0."""
         n_points = values.shape[1]
         v = np.zeros((self.n_slots, n_points))
-        v[: values.shape[0]] = values
         blocked = np.zeros(n_points, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v[: values.shape[0]] = np.ldexp(values, np.maximum(_shift_to_2_300(values), 0))
             outflows = np.empty((len(self.steps), n_points))
             for s, (_, out_slots, _, _, (dst, via_in, via_out)) in enumerate(self.steps):
                 outflow = outflows[s] = _chain(v[out_slots])
@@ -444,15 +460,20 @@ class GTHPlan:
         The outflows are summed in row order, as ``RateMatrix`` sums its
         diagonal.  Rates are >= 0 or nan, so an entry that is not finite
         makes its column's outflow not finite too: a point passes only
-        where every entry of its ``RateMatrix`` is finite."""
+        where every entry of its ``RateMatrix`` is finite.  M q and
+        ||M||_inf are taken with a point's rates lowered by the power of
+        two that brings the largest into [2**299, 2**300), where it lies
+        above, so that the bound cannot overflow to inf."""
         with np.errstate(invalid="ignore", over="ignore"):
+            finite = np.isfinite(_sum_into(values, self._by_col, self.n)).all(axis=0)
+            values = np.ldexp(values, np.minimum(_shift_to_2_300(values), 0))
             diag = -_sum_into(values, self._by_col, self.n)
             flow = _sum_into(values * q[self.cols], self._by_row, self.n) + diag * q
             # Rates are >= 0, so the row sums of |M| need no abs.
             scale = _sum_into(values, self._by_row, self.n) - diag
             bound = _RESIDUAL_REL * np.maximum(scale.max(axis=0), 1e-300)
             return (
-                np.isfinite(diag).all(axis=0)
+                finite
                 & np.isfinite(q).all(axis=0)
                 & (q.min(axis=0) >= -_NEGATIVITY_TOL)
                 & (np.abs(flow).max(axis=0) <= bound)

@@ -63,8 +63,10 @@ The Bessel kernel is self-contained: an ascending power series for
 x < 2, whose first term is a product of IEEE-754 operations, and
 Miller's normalized downward recurrence otherwise, run in fixed chunks
 of orders so that J_n(x) does not depend on how many orders are asked
-for.  The only libm call left on the map path is the recurrence's pad,
-int(15 * x ** (1/3)), which feeds only an integer.
+for, and seeded at a pad decided in integer arithmetic.  No libm call
+lies on the map path: every map bit follows from IEEE-754 basic
+operations, exact scaling by powers of two and Python's correctly
+rounded float formatting.
 
 Every scalar argument is a number (``errors._number``) or a count
 (``errors._count``).
@@ -135,6 +137,19 @@ def _miller(lo: int, hi: int, x: float, pad: int):
     return out, norm
 
 
+def _miller_pad(x: float) -> int:
+    """The seed pad of Miller's recurrence at x >= 2: 50 plus the largest
+    integer p with p**3 <= 3375 x, that is floor(15 x**(1/3)), decided
+    exactly from x's integer ratio by Newton's integer cube root, which
+    falls to the root from above."""
+    a, b = x.as_integer_ratio()
+    n = 3375 * a // b  # p**3 <= 3375 x exactly when p**3 <= n, for an integer p
+    p = 1 << -(-n.bit_length() // 3)  # above n's cube root
+    while p**3 > n:
+        p = (2 * p + n // (p * p)) // 3
+    return _START_PAD + p
+
+
 def _jn_array(nmax: int, x: float) -> np.ndarray:
     """J_0(x) .. J_nmax(x) for x >= 0, abs accuracy ~1e-15 per entry.
 
@@ -146,11 +161,11 @@ def _jn_array(nmax: int, x: float) -> np.ndarray:
     ((x/2)/1) * ((x/2)/2) * ... * ((x/2)/n) of IEEE-754 operations.
     Once it underflows to 0 every higher order is 0 too, so at x = 0,
     or an x whose half underflows, the orders are exactly 1, 0, 0, ...
-    Above x = 2 the orders come in fixed chunks: 0 .. x + pad from one
-    normalized recurrence, then pad more orders at a time, each chunk
-    from its own recurrence scaled to meet the chunk below.  The pad,
-    x ** (1/3) in it, is the one libm call on the map path, and it feeds
-    only an integer.
+    Above x = 2 the orders come in fixed chunks, with pad =
+    ``_miller_pad(x)``: 0 .. x + pad from one normalized recurrence,
+    then pad more orders at a time, each chunk from its own recurrence
+    scaled to meet the chunk below; each recurrence starts pad orders
+    above its chunk's top.
     """
     if x < 2.0:
         out, first, q = np.zeros(nmax + 1), 1.0, 0.25 * x * x
@@ -167,7 +182,7 @@ def _jn_array(nmax: int, x: float) -> np.ndarray:
                 break
         return out
 
-    pad = _START_PAD + int(15.0 * x ** (1.0 / 3.0))
+    pad = _miller_pad(x)
     f, norm = _miller(0, int(x) + pad, x, pad)
     out = f / norm
     while out.size <= nmax and out[-1] != 0.0:

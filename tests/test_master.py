@@ -379,6 +379,14 @@ class TestRowEngineParts:
             warnings.simplefilter("error")
             assert list(plan.accepts(values, q)) == [False, True]
 
+    def test_check_rejects_a_large_residual_at_rates_near_the_float_limit(self):
+        # The row sums of |M| overflow, so a bound taken at the rates' own
+        # scale would be inf and pass any finite, normalized q.
+        plan = master_mod.GTHPlan([0, 1], [1, 0], 2)
+        values = np.array([[1e308], [1e308]])
+        assert list(plan.accepts(values, np.array([[0.9], [0.1]]))) == [False]
+        assert list(plan.accepts(values, np.array([[0.5], [0.5]]))) == [True]
+
     def test_singular_stack_is_left_to_the_caller(self):
         # Zero rates on a connected pattern, or no pattern at all: some
         # state's outflow is exactly 0 at every point.
@@ -706,11 +714,11 @@ def random_generator(rng, n, *classes):
     return mat
 
 
-def mp_stationary(mat):
+def mp_stationary(mat, dps=40):
     """Stationary vector of a generator with one closed class, by a
-    40-digit solve of M p = 0 with the last row replaced by sum(p) = 1."""
+    dps-digit solve of M p = 0 with the last row replaced by sum(p) = 1."""
     n = len(mat)
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         a = mpmath.matrix(n, n)
         for to in range(n):
             for frm in range(n):
@@ -801,6 +809,45 @@ class TestGTHAccuracy:
         assert ok
         assert q[0] == 1.0 and q[2] == 0.0
         assert q[1] == pytest.approx(1e-300, rel=1e-12)
+
+    def test_subnormal_rates_at_full_precision(self):
+        # A ring whose rates are all subnormal is solved as the same ring
+        # lifted by 2**1000 into the normal range, bit for bit, and as
+        # accurately.
+        mat = np.zeros((3, 3))
+        mat[1, 0], mat[2, 1], mat[0, 2], mat[0, 1] = 1e-316 * np.array([1.0, 3.0, 7.0, 5.0])
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        lifted = np.ldexp(mat, 1000)
+        got = stationary_solve(RateMatrix(mat, (L0, L1, R0))).probabilities
+        assert np.array_equal(got, stationary_solve(RateMatrix(lifted, (L0, L1, R0))).probabilities)
+        # The lifted ring has the same stationary vector, and mpmath's LU
+        # takes the subnormal one for singular.
+        assert np.max(np.abs(got - mp_stationary(lifted, dps=60))) <= 1e-15
+        # Stiff draws pushed down into the subnormals, several closed
+        # classes among them: the same bits as lifted by 2**1000.
+        rng = np.random.default_rng(1993)
+        for _ in range(40):
+            n = int(rng.integers(3, 7))
+            classes = [[0, 1]] if rng.random() < 0.5 else [[0], [1, 2]]
+            tiny = np.ldexp(random_generator(rng, n, *classes), -1040)
+            q, ok = solve_alone(tiny, start=n - 1)
+            assert ok
+            lifted_q, lifted_ok = solve_alone(np.ldexp(tiny, 1000), start=n - 1)
+            assert lifted_ok and np.array_equal(q, lifted_q)
+
+    def test_populations_do_not_depend_on_a_power_of_two_scale(self):
+        # Every step of the reduction scales exactly with a power of two
+        # while it stays in the normal range, and the solve lifts each
+        # point's rates to the same scale, so M 2**k has M's bits.
+        rng = np.random.default_rng(1107)
+        for _ in range(200):
+            n = int(rng.integers(3, 8))
+            mat = random_generator(rng, n, rng.permutation(n).tolist())
+            q, ok = solve_alone(mat)
+            assert ok
+            for k in (-990, -600, -300, 290):
+                scaled, scaled_ok = solve_alone(np.ldexp(mat, k))
+                assert scaled_ok and np.array_equal(scaled, q), k
 
     def test_stiff_irreducible_generators(self):
         rng = np.random.default_rng(20261018)

@@ -5,6 +5,7 @@ digits (3000 digits for the two order-10^4 entries) and frozen here, so
 the kernel is never compared against itself.
 """
 
+import ast
 import math
 import warnings
 from pathlib import Path
@@ -231,6 +232,62 @@ class TestBesselJn:
         full = _jn_array(400, x)
         for nmax in (0, 1, int(x), int(x) + 80, 250):
             assert np.array_equal(_jn_array(nmax, x), full[: nmax + 1])
+
+    def test_miller_pad_at_integer_boundaries(self):
+        # At x = (p/15)**3 and 3 ulps either side, for p = 19 .. 323
+        # (x from 2 to 10**4), the pad is 50 plus the largest integer p
+        # with p**3 <= 3375 x, found by counting up in exact integers.
+        # A pow that rounds the other way at the boundary would seed
+        # every chunk of that x one order off.
+        for p in range(19, 324):
+            x = (p / 15) ** 3
+            xs = [x]
+            for direction in (-math.inf, math.inf):
+                y = x
+                for _ in range(3):
+                    y = math.nextafter(y, direction)
+                    xs.append(y)
+            for y in xs:
+                a, b = y.as_integer_ratio()
+                root = 0
+                while (root + 1) ** 3 * b <= 3375 * a:
+                    root += 1
+                assert rates_mod._miller_pad(y) == 50 + root, y
+
+
+class TestMapPathArithmetic:
+    """Every map bit follows from IEEE-754 basic operations: the modules
+    on the map path call no transcendental function, whose rounding
+    differs between libms, and raise to no power but an integer literal.
+    frexp and ldexp, exact, are allowed."""
+
+    BANNED = {
+        "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "cbrt", "cos", "cosh",
+        "erf", "erfc", "exp", "exp2", "expm1", "float_power", "gamma", "hypot", "lgamma",
+        "log", "log10", "log1p", "log2", "logaddexp", "logaddexp2", "pow", "power", "sin",
+        "sinh", "tan", "tanh",
+    }
+
+    @pytest.mark.parametrize("module", ["rates", "master", "sweep"])
+    def test_no_libm_call_on_the_map_path(self, module):
+        path = Path(rates_mod.__file__).with_name(f"{module}.py")
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{module}.py:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in {"math", "np", "numpy"} and func.attr in self.BANNED
+                ) or (isinstance(func, ast.Name) and func.id == "pow"):
+                    found.append(f"{where}: call of {ast.unparse(func)}")
+            elif isinstance(node, ast.ImportFrom) and node.module in {"math", "numpy"}:
+                found += [f"{where}: import of {a.name}" for a in node.names if a.name in self.BANNED]
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                exponent = node.right if isinstance(node, ast.BinOp) else node.value
+                if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
+                    found.append(f"{where}: ** {ast.unparse(exponent)}")
+        assert found == []
 
 
 class TestPhotonWindow:

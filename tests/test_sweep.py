@@ -609,8 +609,9 @@ class TestRowEngine:
             RateKernelParams(),
         )
     )
-    @example(  # a fill of two rates near 1e-24 underflows, and the rates
-        # scaled by 2**600 to redo it overflow: NonConvergent, quietly
+    @example(  # a fill of two rates near 1e-24 underflows, and the largest
+        # rate, 1e300 GHz, lies above 2**300, so the solve keeps the
+        # point at its own scale: NonConvergent, quietly
         (
             QubitModel(
                 left_offsets=(0.0, 1.0),
