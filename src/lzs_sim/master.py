@@ -15,8 +15,14 @@ few roundoffs relative to itself (O'Cinneide, Numer. Math. 65, 109,
 1993) once the arithmetic stays in the normal floating-point range,
 vectorised over any number of points that share the pattern.  One
 reduction solves each point, its rates first lifted by the power of
-two, exact, that brings the largest to 2**300 where it lies below, so
-the products of tiny rates keep 2**1322 of normal range below it.
+two, exact, that brings the largest to 2**t where it lies below, with
+t = 423 - 2 b for b the bit length of the state count (2**413 for 21
+states, at least 2**299 below 2**62 states), so the products of tiny
+rates keep 2**(t + 1022) of normal range below it.  The acceptance
+check is normwise, ||M q||_inf against ||M||_inf, so it can pass a
+wrong answer: where a point is not lifted, back-substitution's
+rescales can take to 0 a population that a state solved later needs
+(``GTHPlan``).
 With several closed classes of states the same reduction gives the
 probabilities of absorption into each from the right-well ground state
 0R, and the stationary state is the one reached from 0R.
@@ -58,14 +64,15 @@ _EXCESS_TOL = 1e-9
 _RESCALE_ABOVE = 2.0**600
 
 
-def _shift_to_2_300(values: np.ndarray) -> np.ndarray:
+def _lift_exponent(values: np.ndarray, n: int) -> np.ndarray:
     """Per point (column) of values, the power of two that brings its
-    largest rate into [2**299, 2**300): 300 minus ``np.frexp``'s exponent
-    of that rate.  The solve lifts a point by it, where it is positive,
-    and the acceptance check lowers one by it, where it is negative.
-    At 2**300 back-substitution's inflow, below n**2 * 2**600 * 2**300,
-    stays finite up to n = 2**62 states."""
-    return 300 - np.frexp(np.max(values, axis=0, initial=0.0))[1]
+    largest rate into [2**(t - 1), 2**t), with t = 423 - 2 b and b the
+    bit length of the state count n: t minus ``np.frexp``'s exponent of
+    that rate.  The solve lifts a point by it, where it is positive, and
+    the acceptance check lowers one by it, where it is negative.  As
+    n < 2**b, back-substitution's inflow, below n**2 * 2**600 * 2**t,
+    stays below 2**1023, and t is at least 299 for n < 2**62."""
+    return 423 - 2 * n.bit_length() - np.frexp(np.max(values, axis=0, initial=0.0))[1]
 
 
 def _state_list(states) -> tuple[StateIndex, ...]:
@@ -280,23 +287,20 @@ def _sum_into(terms: np.ndarray, ranks, n: int) -> np.ndarray:
     return total
 
 
-def _closed_classes(out) -> list[list[int]]:
-    """The closed classes of the graph whose edges run from s to every
-    state in out[s], each sorted, in order of their lowest state."""
-    reach = []
-    for s in range(len(out)):
-        seen, todo = {s}, [s]
-        while todo:
-            for j in out[todo.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-        reach.append(seen)
-    # s lies in a closed class, reach[s], when every state it reaches
-    # reaches it back.
+def _closed_classes(rows, cols, n: int) -> list[list[int]]:
+    """The closed classes of the graph on n states with an edge from
+    cols[e] to rows[e] for each e, each sorted, in order of their lowest
+    state.  reach[s, t], whether s reaches t, is Warshall's transitive
+    closure (J. ACM 9, 11, 1962) of the edges and the identity."""
+    reach = np.eye(n, dtype=bool)
+    reach[cols, rows] = True
+    for k in range(n):
+        reach |= reach[:, k, None] & reach[k]
+    # s is the lowest state of a closed class, its row of reach, when it
+    # reaches no lower state and every state it reaches reaches it back.
     return [
-        sorted(r) for s, r in enumerate(reach)
-        if s == min(r) and all(s in reach[j] for j in r)
+        np.flatnonzero(r).tolist() for s, r in enumerate(reach)
+        if not r[:s].any() and (r <= reach[:, s]).all()
     ]
 
 
@@ -328,7 +332,12 @@ class GTHPlan:
     every quotient lies in [0, 1] and none overflows, however small the
     outflow; back-substitution divides each state's inflow by its stored
     outflow, and scales the point's unnormalized vector by 2**-600 before
-    an entry would pass 2**600, which keeps it finite.
+    an entry would pass 2**600, which keeps it finite.  A rescale can
+    underflow a small entry to 0, and a state fed only through it then
+    comes out 0 too, yet the normwise check (``accepts``) passes: on
+    the states (0L, 1L, 0R, 1R), the ring 0L -> 1R -> 1L -> 0R -> 0L
+    with rates 1e204, 1e221, 1e-152 and 1e-148 gives q = (0, 0, 1, 0),
+    where about (0, 0.9999, 1e-4, 0) is right.
 
     Every sum is a fixed chain of elementwise adds, so a point's bits
     depend neither on the other points of its block nor on BLAS.
@@ -344,7 +353,7 @@ class GTHPlan:
         for f, t in slot:
             out[f].add(t)
             into[t].add(f)
-        self.classes = _closed_classes(out)
+        self.classes = _closed_classes(self.rows, self.cols, n)
         self.roots = [c[-1] for c in self.classes]
         # All weight on the only class or on start's class.  Several
         # classes and no start give none, so every point fails the check.
@@ -399,15 +408,16 @@ class GTHPlan:
 
         One reduction solves every point, with each point's rates first
         lifted by the power of two that brings the largest into
-        [2**299, 2**300), where it lies below.  Every sum, product and
+        [2**(t - 1), 2**t), where it lies below, with t = 423 - 2 b for b
+        the bit length of n (``_lift_exponent``).  Every sum, product and
         quotient of the reduction scales exactly with a power of two, so
         the populations keep their bits wherever no step leaves the
-        normal range, and the lift leaves 2**1322 of that range below
-        the largest rate for the products of tiny rates that fill forms:
-        a generator whose rates are all subnormal is solved as well as
-        the same one at normal rates.  A point whose largest rate lies
-        above 2**300 is reduced at its own scale, so a fill of two tiny
-        rates there can still underflow to a zero outflow."""
+        normal range, and the lift leaves 2**(t + 1022) of that range
+        below the largest rate for the products of tiny rates that fill
+        forms: a generator whose rates are all subnormal is solved as
+        well as the same one at normal rates.  A point whose largest
+        rate lies above 2**t is reduced at its own scale, so a fill of
+        two tiny rates there can still underflow to a zero outflow."""
         q, blocked = self._reduce(values)
         return q, ~blocked & self.accepts(values, q)
 
@@ -418,7 +428,7 @@ class GTHPlan:
         v = np.zeros((self.n_slots, n_points))
         blocked = np.zeros(n_points, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v[: values.shape[0]] = np.ldexp(values, np.maximum(_shift_to_2_300(values), 0))
+            v[: values.shape[0]] = np.ldexp(values, np.maximum(_lift_exponent(values, self.n), 0))
             outflows = np.empty((len(self.steps), n_points))
             for s, (_, out_slots, _, _, (dst, via_in, via_out)) in enumerate(self.steps):
                 outflow = outflows[s] = _chain(v[out_slots])
@@ -462,11 +472,13 @@ class GTHPlan:
         makes its column's outflow not finite too: a point passes only
         where every entry of its ``RateMatrix`` is finite.  M q and
         ||M||_inf are taken with a point's rates lowered by the power of
-        two that brings the largest into [2**299, 2**300), where it lies
-        above, so that the bound cannot overflow to inf."""
+        two that brings the largest into [2**(t - 1), 2**t), where it
+        lies above (``_lift_exponent``), so that the bound cannot
+        overflow to inf.  The check is normwise: it does not see a small
+        population lost to a rescale (see the class docstring)."""
         with np.errstate(invalid="ignore", over="ignore"):
             finite = np.isfinite(_sum_into(values, self._by_col, self.n)).all(axis=0)
-            values = np.ldexp(values, np.minimum(_shift_to_2_300(values), 0))
+            values = np.ldexp(values, np.minimum(_lift_exponent(values, self.n), 0))
             diag = -_sum_into(values, self._by_col, self.n)
             flow = _sum_into(values * q[self.cols], self._by_row, self.n) + diag * q
             # Rates are >= 0, so the row sums of |M| need no abs.

@@ -217,12 +217,10 @@ class QubitModel:
         return tuple(out)
 
     def coupled_pairs(self):
-        """Yield (i, j, delta) for every nonzero avoided crossing."""
-        for i in range(self.n_left):
-            for j in range(self.n_right):
-                delta = float(self.crossings[i, j])
-                if delta > 0.0:
-                    yield i, j, delta
+        """Yield (i, j, delta) for every nonzero avoided crossing, in
+        row-major order."""
+        for i, j in np.argwhere(self.crossings > 0.0).tolist():
+            yield i, j, float(self.crossings[i, j])
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,7 @@ Every scalar argument is a number (``errors._number``) or a count
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -140,14 +141,10 @@ def _miller(lo: int, hi: int, x: float, pad: int):
 def _miller_pad(x: float) -> int:
     """The seed pad of Miller's recurrence at x >= 2: 50 plus the largest
     integer p with p**3 <= 3375 x, that is floor(15 x**(1/3)), decided
-    exactly from x's integer ratio by Newton's integer cube root, which
-    falls to the root from above."""
+    exactly from x's integer ratio by ``bisect`` over the integers."""
     a, b = x.as_integer_ratio()
     n = 3375 * a // b  # p**3 <= 3375 x exactly when p**3 <= n, for an integer p
-    p = 1 << -(-n.bit_length() // 3)  # above n's cube root
-    while p**3 > n:
-        p = (2 * p + n // (p * p)) // 3
-    return _START_PAD + p
+    return _START_PAD + bisect.bisect_right(range(n + 1), n, key=lambda p: p * p * p) - 1
 
 
 def _jn_array(nmax: int, x: float) -> np.ndarray:

@@ -26,19 +26,22 @@ all points of one pattern in one call; with several closed classes it
 gives the populations reached from 0R.
 ``probe`` (``stationary_solve`` of ``build_rate_matrix``) takes the same
 path on a block of one, so a map value equals what it gives, bit for
-bit.  A block solves all its points.  The acceptance check fails a
-point whose solve is inaccurate, and also one whose generator
+bit.  A block solves all its points.  The acceptance check is
+normwise: it fails a point whose residual ||M q||_inf passes 1e-10
+||M||_inf, or whose q leaves the simplex, and also one whose generator
 ``RateMatrix`` rejects: an entry or a column's outflow that is not
-finite.  A detuning from a crossing that overflows makes the table's
-rates nan there, so it too fails at its point, where ``lzs_rate``
-rejects it.  A map's plan rejects the whole map only where A/w +
-n_margin at its top amplitude passes the Bessel kernel's range, 1e4.
-A run stops at its first failing point in (map, amplitude
-row, detuning) order, with the error ``probe`` gives there: the block
-builds that point's generator with ``build_rate_matrix`` and re-raises
-its ValidationError, naming the point, or else raises NonConvergent.
-Blocks hold whole rows and run in order, so the point and error named
-depend on the grid alone, not on the block layout or the worker count.
+finite.  It does not see a small population that a back-substitution
+rescale took to 0 (``master.GTHPlan``).  A detuning from a crossing
+that overflows makes the table's rates nan there, so it too fails at
+its point, where ``lzs_rate`` rejects it.  A map's plan rejects the
+whole map only where A/w + n_margin at its top amplitude passes the
+Bessel kernel's range, 1e4.  A run stops at its first failing point in
+(map, amplitude row, detuning) order, with the error ``probe`` gives
+there: the block builds that point's generator with
+``build_rate_matrix`` and re-raises its ValidationError, naming the
+point, or else raises NonConvergent.  Blocks hold whole rows and run in
+order, so the point and error named depend on the grid alone, not on
+the block layout or the worker count.
 
 One scheduler runs every map of ``run_frequency_batch``, in drive order.
 It cuts each map into tasks (map, first row, amplitudes), one block

@@ -785,6 +785,51 @@ def mp_absorbed(mat, start):
         return np.array([float(x) for x in q])
 
 
+def search_closed_classes(out):
+    """The closed classes of the graph whose edges run from s to every
+    state in out[s], each sorted, in order of their lowest state, by a
+    depth-first search from each state: the reference for
+    ``master._closed_classes``."""
+    reach = []
+    for s in range(len(out)):
+        seen, todo = {s}, [s]
+        while todo:
+            for j in out[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    # s lies in a closed class, reach[s], when every state it reaches
+    # reaches it back.
+    return [
+        sorted(r) for s, r in enumerate(reach)
+        if s == min(r) and all(s in reach[j] for j in r)
+    ]
+
+
+class TestClosedClasses:
+    def test_no_edges_gives_one_class_per_state(self):
+        none = np.array([], dtype=np.intp)
+        for n in (1, 2, 7):
+            assert master_mod._closed_classes(none, none, n) == [[s] for s in range(n)]
+
+    def test_matches_the_search_from_each_state(self):
+        # Random graphs of 1 to 12 states, sparse to dense, so that many
+        # have several closed classes and some have transient states.
+        rng = np.random.default_rng(1962)
+        several = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            edges = (rng.random((n, n)) < rng.uniform(0.0, 0.5)) & ~np.eye(n, dtype=bool)
+            rows, cols = np.nonzero(edges)  # edges[to, from]
+            out = [set(rows[cols == s].tolist()) for s in range(n)]
+            got = master_mod._closed_classes(rows, cols, n)
+            assert got == search_closed_classes(out)
+            assert all(type(s) is int for c in got for s in c)
+            several += len(got) > 1
+        assert several >= 1000
+
+
 class TestGTHAccuracy:
     def test_subnormal_outflow_from_a_transient_start(self):
         # Start 2 feeds 0 at rate 1; 0 and 3 trade a subnormal rate, and 1
@@ -848,6 +893,18 @@ class TestGTHAccuracy:
             for k in (-990, -600, -300, 290):
                 scaled, scaled_ok = solve_alone(np.ldexp(mat, k))
                 assert scaled_ok and np.array_equal(scaled, q), k
+
+    def test_lift_grows_as_the_state_count_falls(self):
+        # Three states whose rates span about 2**852.  Lifted as far as
+        # three states allow, to 2**419 rather than 2**300, the products
+        # of the tiny rates stay in the normal range, and P(0) agrees to
+        # roundoff with the 60-digit value of the spanning-tree formula.
+        mat = np.zeros((3, 3))
+        mat[0, 1], mat[1, 2] = 1.99480783e-113, 2.02555056e-154
+        mat[2, 0], mat[2, 1] = 1.88518444e-184, 7.05015174e72
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        got = stationary_solve(RateMatrix(mat, (L0, L1, R0))).probabilities[0]
+        assert got == pytest.approx(3.0401278051573731e-156, rel=1e-15, abs=0.0)
 
     def test_stiff_irreducible_generators(self):
         rng = np.random.default_rng(20261018)
