@@ -304,6 +304,17 @@ def _closed_classes(rows, cols, n: int) -> list[list[int]]:
     ]
 
 
+def _numbered(slot, index, pairs) -> np.ndarray:
+    """slot[index], after each of its pairs marked in pairs that has no
+    slot yet (-1) gets the next slot number, in row-major order: one
+    more than the largest in slot."""
+    block = slot[index]
+    new = pairs & (block < 0)
+    block[new] = slot.max() + 1 + np.arange(np.count_nonzero(new))
+    slot[index] = block
+    return block
+
+
 class GTHPlan:
     """Stationary solves of generators that share one off-diagonal
     pattern, by Grassmann-Taksar-Heyman state reduction vectorised over
@@ -320,13 +331,18 @@ class GTHPlan:
     Chains, ch. III); a start inside a class puts everything there.  All
     other states are eliminated in min-Markowitz order (fewest in x out
     edges among the states left, ties to the lower index), and the fill
-    each elimination creates gets a slot of its own.  Each class's vector
-    is normalized on its own and weighted by its absorption probability;
-    transient states come out as exactly 0.  The reduction never
-    subtracts, and runs once per point on its rates lifted by a power of
-    two (``solve``).  A point where some state's outflow to the states
-    left is exactly 0 (a zero rate cuts its own graph apart) is rejected;
-    solve such a point on the plan of its own nonzero entries
+    each elimination creates gets a slot of its own.  The plan is made on
+    one n x n matrix, slot[from, to], the index in ``solve``'s working
+    values of the rate from one state into another, -1 where there is
+    none: pattern entry e is slot e, the fill pairs of each elimination
+    take the next numbers in row-major order, and a transient start's
+    pairs with the roots that have no slot yet come last.  Each class's
+    vector is normalized on its own and weighted by its absorption
+    probability; transient states come out as exactly 0.  The reduction
+    never subtracts, and runs once per point on its rates lifted by a
+    power of two (``solve``).  A point where some state's outflow to the
+    states left is exactly 0 (a zero rate cuts its own graph apart) is
+    rejected; solve such a point on the plan of its own nonzero entries
     (``solve_points``).
     Elimination divides only a state's outgoing rates by its outflow, so
     every quotient lies in [0, 1] and none overflows, however small the
@@ -347,12 +363,6 @@ class GTHPlan:
         self.rows = np.asarray(rows, dtype=np.intp)
         self.cols = np.asarray(cols, dtype=np.intp)
         self.n = n
-        slot = {(int(f), int(t)): e for e, (t, f) in enumerate(zip(self.rows, self.cols))}
-        out = [set() for _ in range(n)]
-        into = [set() for _ in range(n)]
-        for f, t in slot:
-            out[f].add(t)
-            into[t].add(f)
         self.classes = _closed_classes(self.rows, self.cols, n)
         self.roots = [c[-1] for c in self.classes]
         # All weight on the only class or on start's class.  Several
@@ -361,42 +371,28 @@ class GTHPlan:
             [[len(self.classes) == 1 or start in c] for c in self.classes], dtype=float
         )
         transient_start = start is not None and not self.weights.any()
-        kept = set(self.roots)
+        slot = np.full((n, n), -1, dtype=np.intp)
+        slot[self.cols, self.rows] = np.arange(len(self.rows))
+        edge = slot >= 0
+        left = np.ones(n, dtype=bool)
+        left[self.roots] = False
         if transient_start:
-            kept.add(start)
+            left[start] = False
         steps = []
-        left = set(range(n)) - kept
-        while left:
-            k = min(left, key=lambda s: (len(into[s]) * len(out[s]), s))
-            ins, outs = sorted(into[k]), sorted(out[k])
-            update = []
-            for i in ins:
-                for j in outs:
-                    if i != j:
-                        if (i, j) not in slot:
-                            slot[i, j] = len(slot)
-                            out[i].add(j)
-                            into[j].add(i)
-                        update.append((slot[i, j], slot[i, k], slot[k, j]))
-            steps.append((
-                k,
-                np.array([slot[k, j] for j in outs], dtype=np.intp),
-                np.array(ins, dtype=np.intp),
-                np.array([slot[i, k] for i in ins], dtype=np.intp),
-                np.array(update, dtype=np.intp).reshape(-1, 3).T,
-            ))
-            for i in ins:
-                out[i].discard(k)
-            for j in outs:
-                into[j].discard(k)
-            left.discard(k)
+        while left.any():
+            k = int(np.flatnonzero(left)[np.argmin((edge.sum(0) * edge.sum(1))[left])])
+            ins, outs = np.flatnonzero(edge[:, k]), np.flatnonzero(edge[k])
+            block, pair = np.ix_(ins, outs), ins[:, None] != outs
+            fill = _numbered(slot, block, pair)
+            edge[block] |= pair
+            edge[k] = edge[:, k] = left[k] = False
+            in_slots, out_slots = slot[ins, k], slot[k, outs]
+            update = [a[pair] for a in np.broadcast_arrays(fill, in_slots[:, None], out_slots)]
+            steps.append((k, out_slots, ins, in_slots, np.array(update)))
         self.steps = steps
         # Start's reduced flow into each root, a zero slot where it has none.
-        self.absorb = (
-            np.array([slot.setdefault((start, r), len(slot)) for r in self.roots])
-            if transient_start else None
-        )
-        self.n_slots = len(slot)
+        self.absorb = _numbered(slot, (start, self.roots), True) if transient_start else None
+        self.n_slots = int(slot.max()) + 1
         self._by_row = _ranks(self.rows.tolist())
         self._by_col = _ranks(self.cols.tolist())
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,6 +27,7 @@ from lzs_sim import (
     lzs_rate,
     stationary_solve,
 )
+from lzs_sim.cli import parse_config
 from lzs_sim.rates import PhotonTable
 from lzs_sim.sweep import SweepPlan
 
@@ -40,6 +42,8 @@ from conftest import (
     stationary_three_state,
     three_state_matrix,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 rates_01 = st.floats(1e-6, 1.0)
 
@@ -830,6 +834,112 @@ class TestClosedClasses:
         assert several >= 1000
 
 
+def dict_and_set_plan(rows, cols, n, start=None):
+    """The elimination plan of the pattern with an edge from cols[e] to
+    rows[e] for each e, as (classes, roots, steps, absorb, n_slots) of
+    ``master.GTHPlan``, by a (from, to) -> slot dict and per-state sets
+    of the states each one feeds and is fed by, its classes by
+    ``search_closed_classes``: the reference for the slot-matrix planner
+    of ``GTHPlan``."""
+    slot = {(int(f), int(t)): e for e, (t, f) in enumerate(zip(rows, cols))}
+    out = [set() for _ in range(n)]
+    into = [set() for _ in range(n)]
+    for f, t in slot:
+        out[f].add(t)
+        into[t].add(f)
+    classes = search_closed_classes(out)
+    roots = [c[-1] for c in classes]
+    transient_start = (
+        start is not None and len(classes) > 1 and not any(start in c for c in classes)
+    )
+    kept = set(roots)
+    if transient_start:
+        kept.add(start)
+    steps = []
+    left = set(range(n)) - kept
+    while left:
+        k = min(left, key=lambda s: (len(into[s]) * len(out[s]), s))
+        ins, outs = sorted(into[k]), sorted(out[k])
+        update = []
+        for i in ins:
+            for j in outs:
+                if i != j:
+                    if (i, j) not in slot:
+                        slot[i, j] = len(slot)
+                        out[i].add(j)
+                        into[j].add(i)
+                    update.append((slot[i, j], slot[i, k], slot[k, j]))
+        steps.append((
+            k,
+            np.array([slot[k, j] for j in outs], dtype=np.intp),
+            np.array(ins, dtype=np.intp),
+            np.array([slot[i, k] for i in ins], dtype=np.intp),
+            np.array(update, dtype=np.intp).reshape(-1, 3).T,
+        ))
+        for i in ins:
+            out[i].discard(k)
+        for j in outs:
+            into[j].discard(k)
+        left.discard(k)
+    absorb = (
+        np.array([slot.setdefault((start, r), len(slot)) for r in roots])
+        if transient_start else None
+    )
+    return classes, roots, steps, absorb, len(slot)
+
+
+def assert_same_plan(rows, cols, n, start):
+    """GTHPlan(rows, cols, n, start) has the reference's classes, roots,
+    steps (each k a Python int, each array of the same dtype and
+    values), absorb and slot count."""
+    plan = master_mod.GTHPlan(rows, cols, n, start)
+    classes, roots, steps, absorb, n_slots = dict_and_set_plan(rows, cols, n, start)
+    assert (plan.classes, plan.roots, plan.n_slots) == (classes, roots, n_slots)
+    assert len(plan.steps) == len(steps)
+    for got, want in zip(plan.steps, steps):
+        assert type(got[0]) is int and got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    if absorb is None:
+        assert plan.absorb is None
+    else:
+        assert plan.absorb.dtype == absorb.dtype and np.array_equal(plan.absorb, absorb)
+    return plan
+
+
+class TestGTHPlan:
+    def test_matches_the_dict_and_set_planner(self):
+        # Random graphs of 1 to 12 states, sparse to dense, with no start,
+        # a start inside a closed class and a transient start, which is
+        # kept where there are several classes.
+        rng = np.random.default_rng(1985)
+        starts = {"none": 0, "in a class": 0, "transient": 0, "kept": 0}
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            edges = (rng.random((n, n)) < rng.uniform(0.0, 0.5)) & ~np.eye(n, dtype=bool)
+            rows, cols = np.nonzero(edges)  # edges[to, from]
+            start = int(rng.integers(n)) if rng.random() < 0.7 else None
+            plan = assert_same_plan(rows, cols, n, start)
+            if start is None:
+                starts["none"] += 1
+            else:
+                starts["in a class" if any(start in c for c in plan.classes) else "transient"] += 1
+                starts["kept"] += plan.absorb is not None
+        assert min(starts.values()) >= 250
+
+    @pytest.mark.parametrize(
+        "name", ["first_diamond", "frequency_batch", "second_diamond", "ten_level"]
+    )
+    def test_matches_the_dict_and_set_planner_on_the_shipped_patterns(self, name):
+        # The map's pattern, started at 0R, and stationary_solve's: every
+        # off-diagonal entry.
+        model = parse_config((CONFIGS / f"{name}.cfg").read_text()).model
+        n = len(model.states())
+        rows, cols = master_mod._generator_layout(model)[:2]
+        assert_same_plan(rows, cols, n, model.n_left)
+        assert_same_plan(*np.nonzero(~np.eye(n, dtype=bool)), n, model.n_left)
+
+
 class TestGTHAccuracy:
     def test_subnormal_outflow_from_a_transient_start(self):
         # Start 2 feeds 0 at rate 1; 0 and 3 trade a subnormal rate, and 1
@@ -854,6 +964,23 @@ class TestGTHAccuracy:
         assert ok
         assert q[0] == 1.0 and q[2] == 0.0
         assert q[1] == pytest.approx(1e-300, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a rescale takes 1R's population to 0 and the normwise check passes (0, 0, 1, 0)",
+    )
+    def test_population_lost_to_a_rescale(self):
+        # The ring 0L -> 1R -> 1L -> 0R -> 0L: q is proportional to
+        # 1 / outflow, so P(1L) = 1 / (1 + 1e-4) and P(0R) = 1e-4 / (1 + 1e-4),
+        # with 0L and 1R below 1e-300.  The largest rate lies above the
+        # lift target, two 2**-600 rescales at 0R take 1R to 0, and 1L,
+        # fed only by 1R, comes out 0 as well.
+        mat = np.zeros((4, 4))
+        mat[0, 2], mat[3, 0], mat[1, 3], mat[2, 1] = 1e-148, 1e204, 1e221, 1e-152
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        got = stationary_solve(RateMatrix(mat, (L0, L1, R0, R1))).probabilities
+        want = np.array([0.0, 1.0, 1e-4, 0.0]) / (1.0 + 1e-4)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_subnormal_rates_at_full_precision(self):
         # A ring whose rates are all subnormal is solved as the same ring
